@@ -10,15 +10,14 @@ from .model import ConvergenceError, ModelParams, RateResult, RootBracketError
 from .specfun import hyp2f1, log_gamma, norm_cdf, norm_pdf
 from .rate_sqrt import (cumulant_sqrt, rate_sqrt, rate_sqrt_large_strike,
                         rate_sqrt_small_strike)
-from .rate_cev import (ab_minus, ab_plus, rate_cev, rate_cev_alt,
-                       rate_cev_large_strike, rate_cev_small_strike,
-                       rate_cev_taylor)
+from .rate_cev import (ab_minus, ab_plus, rate_cev, rate_cev_large_strike,
+                       rate_cev_small_strike, rate_cev_taylor)
 from .float_strike import (cumulant_float, jf_taylor, rate_float_cev,
                            rate_float_sqrt, solve_theta_c)
 from .varsolve import PathGrid, action, minimize_fixed, minimize_float
 from .pricing import (OptionSpec, PricingResult, atm_price, average_forward,
                       equiv_lognormal_vol, equiv_normal_vol, parity_gap,
-                      price_fixed, price_floating)
+                      price_fixed, price_floating, rate_float)
 from .mc import McConfig, McEstimate, rate_from_mc, simulate_asian, simulate_floating
 from .bench import (BenchRow, Scenario, run_custom, run_floating, run_table1,
                     run_table2, to_csv)
@@ -29,13 +28,13 @@ __all__ = [
     "ConvergenceError", "ModelParams", "RateResult", "RootBracketError",
     "hyp2f1", "log_gamma", "norm_cdf", "norm_pdf",
     "cumulant_sqrt", "rate_sqrt", "rate_sqrt_large_strike", "rate_sqrt_small_strike",
-    "ab_minus", "ab_plus", "rate_cev", "rate_cev_alt",
+    "ab_minus", "ab_plus", "rate_cev",
     "rate_cev_large_strike", "rate_cev_small_strike", "rate_cev_taylor",
     "cumulant_float", "jf_taylor", "rate_float_cev", "rate_float_sqrt", "solve_theta_c",
     "PathGrid", "action", "minimize_fixed", "minimize_float",
     "OptionSpec", "PricingResult", "atm_price", "average_forward",
     "equiv_lognormal_vol", "equiv_normal_vol", "parity_gap",
-    "price_fixed", "price_floating",
+    "price_fixed", "price_floating", "rate_float",
     "McConfig", "McEstimate", "rate_from_mc", "simulate_asian", "simulate_floating",
     "BenchRow", "Scenario", "run_custom", "run_floating", "run_table1",
     "run_table2", "to_csv",

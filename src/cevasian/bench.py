@@ -17,8 +17,8 @@ import time
 from dataclasses import dataclass
 
 from .model import ModelParams
-from .pricing import OptionSpec, average_forward, equiv_lognormal_vol, price_fixed, price_floating
-from .specfun import norm_cdf, norm_pdf
+from .pricing import (OptionSpec, _bachelier, _black, _lognormal_vol, _normal_vol,
+                      average_forward, price_fixed, price_floating)
 from .mc import McConfig, simulate_asian, simulate_floating
 from .varsolve import minimize_fixed, minimize_float
 
@@ -165,35 +165,10 @@ def _price_scenario(sc: Scenario, mc_config: McConfig | None = None) -> float:
 
 def _price_from_variational(spec: OptionSpec, params: ModelParams) -> float:
     """Price with the equivalent volatility taken from the variational solver."""
-    T = spec.maturity
-    disc = math.exp(-params.r * T)
     if spec.style == "fixed":
-        K = spec.strike
-        x = math.log(K / params.S0)
-        if abs(x) < 1e-5:
-            vol = equiv_lognormal_vol(K, params)
-        else:
-            vol = abs(x) / math.sqrt(2.0 * minimize_fixed(K, params))
-        A = average_forward(params, T)
-        sq = vol * math.sqrt(T)
-        d1 = (math.log(A / K) + 0.5 * sq * sq) / sq
-        d2 = d1 - sq
-        if spec.side == "call":
-            return disc * (A * norm_cdf(d1) - K * norm_cdf(d2))
-        return disc * (K * norm_cdf(-d2) - A * norm_cdf(-d1))
-    kappa = spec.strike
-    if abs(math.log(kappa)) < 1e-5:
-        vol = params.sigma * params.S0 ** params.beta / math.sqrt(3.0)
-    else:
-        rate = minimize_float(kappa, params)
-        vol = params.S0 * abs(kappa - 1.0) / math.sqrt(2.0 * rate)
-    growth = math.exp((params.r - params.q) * T)
-    F = kappa * params.S0 * growth - average_forward(params, T)
-    sq = vol * math.sqrt(T)
-    d = F / sq
-    if spec.side == "call":
-        return disc * (F * norm_cdf(d) + sq * norm_pdf(d))
-    return disc * (-F * norm_cdf(-d) + sq * norm_pdf(d))
+        vol = _lognormal_vol(spec.strike, params, minimize_fixed)
+        return _black(spec, params, average_forward(params, spec.maturity), vol).price
+    return _bachelier(spec, params, _normal_vol(spec.strike, params, minimize_float)).price
 
 
 def run_custom(path: str, mc_config: McConfig | None = None) -> list[BenchRow]:

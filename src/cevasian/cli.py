@@ -19,13 +19,17 @@ import numpy as np
 
 from .model import ModelParams, ConvergenceError, RootBracketError
 from . import bench as bench_mod
-from .float_strike import jf_taylor, rate_float_cev, rate_float_sqrt
+from .float_strike import jf_taylor, rate_float_sqrt
 from .mc import McConfig, simulate_asian, simulate_floating
-from .pricing import (OptionSpec, equiv_lognormal_vol, equiv_normal_vol,
-                      price_fixed, price_floating)
-from .rate_cev import rate_cev, rate_cev_taylor
-from .rate_sqrt import rate_sqrt
+from .pricing import (OptionSpec, _bachelier, _lognormal_vol, _normal_vol,
+                      equiv_lognormal_vol, price_fixed, price_floating, rate_float)
+from .rate_cev import rate_cev
 from .varsolve import minimize_fixed
+# not called here (rate_cev, rate_float and the vol-from-rate helpers cover
+# them), but perfbench/worker.py traces the layers by patching these names
+from .float_strike import rate_float_cev  # noqa: F401
+from .pricing import equiv_normal_vol  # noqa: F401
+from .rate_sqrt import rate_sqrt  # noqa: F401
 
 _UNITS_NOTE = ("Inputs: s0 in cash units, sigma is the CEV volatility (units "
                "S0^(1-beta) per sqrt(year)), r/q annualized, maturity in years. "
@@ -53,11 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strike", type=float, required=True,
                    help="cash strike (fixed) or kappa (floating)")
     p.add_argument("--maturity", type=float, required=True, help="maturity in years")
-    p.add_argument("--engine", choices=["asympt", "mc", "varsolve"], default="asympt")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-paths", type=int, default=100_000)
-    p.add_argument("--n-steps", type=int, default=400,
-                   help="Euler steps per unit maturity")
+    p.add_argument("--engine", choices=["asympt", "varsolve"], default="asympt",
+                   help="vol from the closed forms or the variational solver "
+                        "(Monte Carlo prices: the mc subcommand)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_price)
 
@@ -123,18 +125,6 @@ def _params(args) -> ModelParams:
 def cmd_price(args) -> int:
     params = _params(args)
     spec = OptionSpec(args.style, args.side, args.strike, args.maturity)
-    if args.engine == "mc":
-        config = McConfig(n_paths=args.n_paths, n_steps=args.n_steps, seed=args.seed)
-        sim = simulate_asian if args.style == "fixed" else simulate_floating
-        est = sim(spec, params, config)
-        if args.json:
-            print(json.dumps({"price": est.mean, "std_error": est.std_error,
-                              "n_absorbed": est.n_absorbed, "engine": "mc"}))
-        else:
-            print(f"price {est.mean:.6f}")
-            print(f"std_error {est.std_error:.6f}")
-            print(f"n_absorbed {est.n_absorbed}")
-        return 0
     if args.engine == "varsolve":
         price = bench_mod._price_from_variational(spec, params)
         if args.json:
@@ -166,8 +156,7 @@ def cmd_rate(args) -> int:
                "converged": info["converged"]}
         branch = None
     else:
-        res = rate_sqrt(args.strike, params) if abs(args.beta - 0.5) <= 1e-7 \
-            else rate_cev(args.strike, params)
+        res = rate_cev(args.strike, params)
         branch = res.branch
         out = {"rate": res.value, "engine": "closed", "branch": branch}
     if args.json:
@@ -187,14 +176,8 @@ def cmd_vol_curve(args) -> int:
     rows = []
     for m in ratios:
         K = m * params.S0
-        x = math.log(m)
-        if abs(x) < 1e-5:
-            rate = 0.0 if x == 0.0 else rate_cev_taylor(K, params)
-        elif abs(params.beta - 0.5) <= 1e-7:
-            rate = rate_sqrt(K, params).value
-        else:
-            rate = rate_cev(K, params).value
-        rows.append((m, K, rate, equiv_lognormal_vol(K, params)))
+        rate = rate_cev(K, params).value
+        rows.append((m, K, rate, _lognormal_vol(K, params, lambda *_: rate)))
     if args.json:
         print(json.dumps([{"K_over_S0": a, "K": b, "rate": c, "sigma_ln": d}
                           for a, b, c, d in rows]))
@@ -214,14 +197,13 @@ def cmd_vol_curve(args) -> int:
 
 def cmd_float(args) -> int:
     params = _params(args)
-    res = rate_float_sqrt(args.kappa, params) if abs(args.beta - 0.5) <= 1e-7 \
-        else rate_float_cev(args.kappa, params)
-    vol = equiv_normal_vol(args.kappa, params)
+    res = rate_float(args.kappa, params)
+    vol = _normal_vol(args.kappa, params, lambda *_: res.value)
     out = {"kappa": args.kappa, "rate": res.value, "branch": res.branch,
            "sigma_n": vol}
     if args.maturity is not None:
         spec = OptionSpec("floating", args.side, args.kappa, args.maturity)
-        pres = price_floating(spec, params)
+        pres = _bachelier(spec, params, vol)
         out.update({"price": pres.price, "side": args.side,
                     "maturity": args.maturity, "note": pres.note})
     if args.json:
@@ -297,10 +279,6 @@ def cmd_figures(args) -> int:
     base = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
 
     def fixed_rate(m: float, params: ModelParams) -> float:
-        if m == 1.0:
-            return 0.0
-        if abs(params.beta - 0.5) <= 1e-7:
-            return rate_sqrt(m * params.S0, params).value
         return rate_cev(m * params.S0, params).value
 
     # rate of the square-root model across strikes, with its 3-term expansion

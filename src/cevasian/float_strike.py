@@ -26,13 +26,11 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .model import ModelParams, RateResult, RootBracketError
+from .model import ATM_WINDOW, ModelParams, RateResult, RootBracketError, beta_is_half
 from .rate_sqrt import _require_sqrt_beta
 
 log = logging.getLogger(__name__)
 
-_ATM_WINDOW = 1.0e-5
-_BETA_TOL = 1.0e-7
 _XTOL = 1.0e-15
 _RTOL = 8.9e-16
 _N_SCAN = 800  # grid used to bracket the first root of the z-equations
@@ -129,7 +127,7 @@ def rate_float_sqrt(kappa: float, params: ModelParams) -> RateResult:
     S0, sig = params.S0, params.sigma
     lk = math.log(kappa)
     theta_c = solve_theta_c(kappa, params)
-    if abs(lk) < _ATM_WINDOW:
+    if abs(lk) < ATM_WINDOW:
         return RateResult((S0 / sig ** 2) * 1.5 * lk * lk,
                           FloatRateDiag(0.0, theta_c, "atm"))
     if kappa > 1.0:
@@ -176,7 +174,7 @@ def rate_float_cev(kappa: float, params: ModelParams) -> RateResult:
     value = minimize_float(kappa, params)
     branch = "put" if kappa > 1.0 else "call"
     theta_c = math.nan
-    if abs(params.beta - 0.5) <= _BETA_TOL:
+    if beta_is_half(params.beta):
         closed = rate_float_sqrt(kappa, params)
         theta_c = closed.diag.theta_c
         if closed.value > 0 and abs(value - closed.value) > 1e-3 * closed.value:

@@ -28,7 +28,6 @@ class McConfig:
     n_paths: int = 100_000
     n_steps: int = 400
     seed: int = 0
-    scheme: str = "euler_full_truncation"
     antithetic: bool = True
 
     def __post_init__(self) -> None:
@@ -36,8 +35,6 @@ class McConfig:
             raise ValueError(f"n_paths must be positive, got {self.n_paths}")
         if self.n_steps <= 0:
             raise ValueError(f"n_steps must be positive, got {self.n_steps}")
-        if self.scheme != "euler_full_truncation":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)

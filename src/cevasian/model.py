@@ -8,8 +8,12 @@ the branch that produced the value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
+
+BETA_TOL = 1.0e-7    # how far beta may sit from 1/2 and still take the beta = 1/2 forms
+ATM_WINDOW = 1.0e-5  # |log-moneyness| below which rates and vols use their ATM series
 
 
 class ConvergenceError(RuntimeError):
@@ -38,12 +42,20 @@ class ModelParams:
     q: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("S0", "sigma", "beta", "r", "q"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.S0 > 0:
             raise ValueError(f"S0 must be positive, got {self.S0}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not 0.5 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [1/2, 1), got {self.beta}")
+
+
+def beta_is_half(beta: float) -> bool:
+    """Whether beta is close enough to 1/2 for the square-root closed forms."""
+    return abs(beta - 0.5) <= BETA_TOL
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import ModelParams
+from .model import ATM_WINDOW, ModelParams, RateResult, beta_is_half
 from .specfun import norm_cdf, norm_pdf
-from .rate_sqrt import rate_sqrt
 from .rate_cev import rate_cev
 from .float_strike import rate_float_sqrt, rate_float_cev
-
-_BETA_HALF_TOL = 1.0e-7
-atm_window = 1.0e-5  # |log-moneyness| below which the ATM vol series is used
+# not called here (rate_cev dispatches to it), but perfbench/worker.py traces
+# the rate layers by patching this module name
+from .rate_sqrt import rate_sqrt  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,9 @@ class OptionSpec:
             raise ValueError(f"style must be 'fixed' or 'floating', got {self.style!r}")
         if self.side not in ("call", "put"):
             raise ValueError(f"side must be 'call' or 'put', got {self.side!r}")
+        for name in ("strike", "maturity"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.strike > 0:
             raise ValueError(f"strike must be positive, got {self.strike}")
         if not self.maturity > 0:
@@ -74,25 +76,84 @@ def average_forward(params: ModelParams, T: float) -> float:
     return params.S0 * factor
 
 
-def _rate_fixed(K: float, params: ModelParams) -> float:
-    if abs(params.beta - 0.5) <= _BETA_HALF_TOL:
-        return rate_sqrt(K, params).value
-    return rate_cev(K, params).value
+def rate_float(kappa: float, params: ModelParams) -> RateResult:
+    """Floating-strike rate by the route for ``params.beta``: the closed form
+    at beta = 1/2, the variational solver otherwise."""
+    if beta_is_half(params.beta):
+        return rate_float_sqrt(kappa, params)
+    return rate_float_cev(kappa, params)
 
 
-def equiv_lognormal_vol(K: float, params: ModelParams) -> float:
-    """Equivalent log-normal volatility of the average at strike K (T -> 0)."""
+def _lognormal_vol(K: float, params: ModelParams, rate_fn) -> float:
+    """Equivalent log-normal vol at strike K: the ATM series inside the
+    window, |log(K/S0)| / sqrt(2 I) with I = rate_fn(K, params) outside."""
     if not K > 0:
         raise ValueError(f"strike must be positive, got {K}")
     x = math.log(K / params.S0)
-    level = params.sigma / math.sqrt(3.0) * params.S0 ** (params.beta - 1.0)
-    if abs(x) < atm_window:
+    if abs(x) < ATM_WINDOW:
+        level = params.sigma / math.sqrt(3.0) * params.S0 ** (params.beta - 1.0)
         bm1 = params.beta - 1.0
         c1 = 0.1 + 0.6 * bm1
         c2 = -23.0 / 2100.0 + 12.0 / 175.0 * bm1 + 57.0 / 350.0 * bm1 * bm1
         return level * (1.0 + c1 * x + c2 * x * x)
-    rate = _rate_fixed(K, params)
-    return abs(x) / math.sqrt(2.0 * rate)
+    return abs(x) / math.sqrt(2.0 * rate_fn(K, params))
+
+
+def _normal_vol(kappa: float, params: ModelParams, rate_fn) -> float:
+    """Equivalent normal vol at multiplier kappa: the ATM value inside the
+    window, S0 |kappa - 1| / sqrt(2 I) with I = rate_fn(kappa, params) outside."""
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if abs(math.log(kappa)) < ATM_WINDOW:
+        return params.sigma * params.S0 ** params.beta / math.sqrt(3.0)
+    return params.S0 * abs(kappa - 1.0) / math.sqrt(2.0 * rate_fn(kappa, params))
+
+
+def equiv_lognormal_vol(K: float, params: ModelParams) -> float:
+    """Equivalent log-normal volatility of the average at strike K (T -> 0)."""
+    return _lognormal_vol(K, params, lambda k, p: rate_cev(k, p).value)
+
+
+def equiv_normal_vol(kappa: float, params: ModelParams) -> float:
+    """Equivalent normal (Bachelier) volatility for the floating-strike payoff."""
+    return _normal_vol(kappa, params, lambda k, p: rate_float(k, p).value)
+
+
+def _black(spec: OptionSpec, params: ModelParams, A: float, vol: float,
+           note: str = "") -> PricingResult:
+    """Black formula on the forward A of the average, floored at 0 (the
+    difference of two underflowing terms can come out a negative subnormal)."""
+    K, T = spec.strike, spec.maturity
+    sq = vol * math.sqrt(T)
+    d1 = (math.log(A / K) + 0.5 * sq * sq) / sq
+    d2 = d1 - sq
+    disc = math.exp(-params.r * T)
+    if spec.side == "call":
+        price = disc * (A * norm_cdf(d1) - K * norm_cdf(d2))
+    else:
+        price = disc * (K * norm_cdf(-d2) - A * norm_cdf(-d1))
+    return PricingResult(max(price, 0.0), vol, "lognormal", d1, d2, A, note)
+
+
+def _bachelier(spec: OptionSpec, params: ModelParams, vol: float) -> PricingResult:
+    """Bachelier formula on kappa S_T - A_T with forward
+    F = S0 (kappa e^{(r-q)T} - (e^{(r-q)T} - 1)/((r-q)T)), floored at 0."""
+    kappa, T = spec.strike, spec.maturity
+    growth = math.exp((params.r - params.q) * T)
+    F = kappa * params.S0 * growth - average_forward(params, T)
+    sq = vol * math.sqrt(T)
+    d = F / sq
+    disc = math.exp(-params.r * T)
+    if spec.side == "call":
+        price = disc * (F * norm_cdf(d) + sq * norm_pdf(d))
+    else:
+        price = disc * (-F * norm_cdf(-d) + sq * norm_pdf(d))
+    note = ""
+    if abs(math.log(kappa)) < ATM_WINDOW:
+        note = "vol from at-the-money value"
+    elif not beta_is_half(params.beta):
+        note = "rate from variational solver"
+    return PricingResult(max(price, 0.0), vol, "normal", d, d, F, note)
 
 
 def price_fixed(spec: OptionSpec, params: ModelParams,
@@ -105,26 +166,14 @@ def price_fixed(spec: OptionSpec, params: ModelParams,
     """
     if spec.style != "fixed":
         raise ValueError(f"price_fixed needs a fixed-strike spec, got style {spec.style!r}")
-    K, T = spec.strike, spec.maturity
-    A = average_forward(params, T)
+    K = spec.strike
+    A = average_forward(params, spec.maturity)
+    centre = replace(params, S0=A) if center_on_forward else params
+    vol = equiv_lognormal_vol(K, centre)
     note = ""
-    if center_on_forward:
-        vol = equiv_lognormal_vol(K, replace(params, S0=A))
-        mono = abs(math.log(K / A))
-    else:
-        vol = equiv_lognormal_vol(K, params)
-        mono = abs(math.log(K / params.S0))
-    if mono < atm_window:
+    if abs(math.log(K / centre.S0)) < ATM_WINDOW:
         note = "vol from at-the-money series"
-    sq = vol * math.sqrt(T)
-    d1 = (math.log(A / K) + 0.5 * sq * sq) / sq
-    d2 = d1 - sq
-    disc = math.exp(-params.r * T)
-    if spec.side == "call":
-        price = disc * (A * norm_cdf(d1) - K * norm_cdf(d2))
-    else:
-        price = disc * (K * norm_cdf(-d2) - A * norm_cdf(-d1))
-    return PricingResult(price, vol, "lognormal", d1, d2, A, note)
+    return _black(spec, params, A, vol, note)
 
 
 def atm_price(params: ModelParams, T: float) -> float:
@@ -138,45 +187,11 @@ def atm_price(params: ModelParams, T: float) -> float:
     return params.sigma * params.S0 ** params.beta * math.sqrt(T / (6.0 * math.pi))
 
 
-def equiv_normal_vol(kappa: float, params: ModelParams) -> float:
-    """Equivalent normal (Bachelier) volatility for the floating-strike payoff."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if abs(math.log(kappa)) < atm_window:
-        return params.sigma * params.S0 ** params.beta / math.sqrt(3.0)
-    if abs(params.beta - 0.5) <= _BETA_HALF_TOL:
-        rate = rate_float_sqrt(kappa, params).value
-    else:
-        rate = rate_float_cev(kappa, params).value
-    return params.S0 * abs(kappa - 1.0) / math.sqrt(2.0 * rate)
-
-
 def price_floating(spec: OptionSpec, params: ModelParams) -> PricingResult:
-    """Asymptotic floating-strike Asian price (Bachelier formula).
-
-    The underlying of the normal model is kappa S_T - A_T with forward
-    F = S0 (kappa e^{(r-q)T} - (e^{(r-q)T} - 1)/((r-q)T)).
-    """
+    """Asymptotic floating-strike Asian price (Bachelier formula)."""
     if spec.style != "floating":
         raise ValueError(f"price_floating needs a floating-strike spec, got style {spec.style!r}")
-    kappa, T = spec.strike, spec.maturity
-    x = (params.r - params.q) * T
-    growth = math.exp(x)
-    F = kappa * params.S0 * growth - average_forward(params, T)
-    vol = equiv_normal_vol(kappa, params)
-    sq = vol * math.sqrt(T)
-    d = F / sq
-    disc = math.exp(-params.r * T)
-    if spec.side == "call":
-        price = disc * (F * norm_cdf(d) + sq * norm_pdf(d))
-    else:
-        price = disc * (-F * norm_cdf(-d) + sq * norm_pdf(d))
-    note = ""
-    if abs(math.log(kappa)) < atm_window:
-        note = "vol from at-the-money value"
-    elif abs(params.beta - 0.5) > _BETA_HALF_TOL:
-        note = "rate from variational solver"
-    return PricingResult(price, vol, "normal", d, d, F, note)
+    return _bachelier(spec, params, equiv_normal_vol(spec.strike, params))
 
 
 def parity_gap(call_price: float, put_price: float, K: float,

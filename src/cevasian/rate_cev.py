@@ -7,11 +7,9 @@ where (a, b) = (a+, b+) for K <= S0 with x in (0, 1] solving
 K/S0 = x + b+(x)/a+(x), and (a-, b-) for K >= S0 with x >= 1 solving
 K/S0 = x - b-(x)/a-(x).  The hypergeometric argument is 1 - 1/x throughout.
 
-Also provided: the equivalent one-dimensional infimum representation
-(`rate_cev_alt`), the 4th-order log-moneyness Taylor expansion, and the
-leading large/small-strike asymptotes.  beta = 1/2 is dispatched to the
-elementary forms in `rate_sqrt` (the hypergeometric connection formulas
-degenerate there).
+Also provided: the 4th-order log-moneyness Taylor expansion and the leading
+large/small-strike asymptotes.  `rate_cev` is the one fixed-strike dispatch:
+beta = 1/2 goes to the elementary forms in `rate_sqrt`.
 """
 
 from __future__ import annotations
@@ -19,14 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
-from .model import ModelParams, RateResult, RootBracketError
+from .model import ATM_WINDOW, ModelParams, RateResult, RootBracketError, beta_is_half
 from .rate_sqrt import rate_sqrt
 from .specfun import hyp2f1, log_gamma
 
-_ATM_WINDOW = 1.0e-5   # |log(K/S0)| below which the Taylor value is returned
-_BETA_TOL = 1.0e-7     # dispatch radius around beta = 1/2
 _XTOL = 1.0e-15
 _RTOL = 8.9e-16
 
@@ -74,22 +70,24 @@ def rate_cev(K: float, params: ModelParams) -> RateResult:
     """Rate function I(K, S0) for the CEV model, with solver diagnostics."""
     if not K > 0:
         raise ValueError(f"strike must be positive, got {K}")
-    if abs(params.beta - 0.5) <= _BETA_TOL:
+    if beta_is_half(params.beta):
         return rate_sqrt(K, params)
     return _rate_general(K, params)
 
 
 def _rate_general(K: float, params: ModelParams) -> RateResult:
     """Hypergeometric-route solver, valid for any beta in [1/2, 1) including
-    beta = 1/2 itself (where the 2F1 factors reduce to elementary functions);
-    `rate_cev` routes beta ~ 1/2 to the trigonometric forms instead only to
-    sidestep the nearly-degenerate connection formulas just off 1/2."""
+    beta = 1/2 itself (where the 2F1 factors reduce to elementary functions).
+
+    The put-branch root x can lie far below 1e-15 (deep puts with beta near
+    1/2), so it is solved in u = log x, where brentq's tolerances are
+    relative in x."""
     if not K > 0:
         raise ValueError(f"strike must be positive, got {K}")
     beta = params.beta
     target = K / params.S0
     xlog = math.log(target)
-    if abs(xlog) < _ATM_WINDOW:
+    if abs(xlog) < ATM_WINDOW:
         return RateResult(rate_cev_taylor(K, params), CevRateDiag(1.0, "atm"))
     if target < 1.0:
         def put_eq(x: float) -> float:
@@ -101,7 +99,9 @@ def _rate_general(K: float, params: ModelParams) -> RateResult:
             lo /= 10.0
             if lo < 1e-280:
                 raise RootBracketError(f"put-branch root not bracketed for K/S0={target}")
-        x = brentq(put_eq, lo, 1.0 - 1e-12, xtol=_XTOL, rtol=_RTOL)
+        u = brentq(lambda u: put_eq(math.exp(u)), math.log(lo), math.log1p(-1e-12),
+                   xtol=_XTOL, rtol=_RTOL)
+        x = math.exp(u)
         a, b = ab_plus(x, beta)
         return RateResult(_prefactor(params) * a * b,
                           CevRateDiag(x, "put", abs(x + b / a - target)))
@@ -119,54 +119,6 @@ def _rate_general(K: float, params: ModelParams) -> RateResult:
     a, b = ab_minus(x, beta)
     return RateResult(_prefactor(params) * a * b,
                       CevRateDiag(x, "call", abs(x - b / a - target)))
-
-
-def rate_cev_alt(K: float, params: ModelParams) -> RateResult:
-    """Equivalent one-dimensional infimum form of the rate function.
-
-    For K > S0:  inf over phi > K/S0 of  pref * b-(phi)^2 / (phi - K/S0),
-    for K < S0:  inf over chi in (0, K/S0) of  pref * b+(chi)^2 / (K/S0 - chi),
-    with pref = S0^(2(1-beta))/(2 sigma^2).  Agrees with `rate_cev`; useful as
-    an internal cross-check because no root-solving is involved.
-    """
-    if not K > 0:
-        raise ValueError(f"strike must be positive, got {K}")
-    if K == params.S0:
-        raise ValueError("alternative representation is undefined at K = S0")
-    beta = params.beta
-    target = K / params.S0
-    pref = _prefactor(params)
-
-    if target > 1.0:
-        def minimand(phi: float) -> float:
-            _, b = ab_minus(phi, beta)
-            return pref * b * b / (phi - target)
-
-        hi = target + 1.0
-        while minimand(2.0 * hi) < minimand(hi):
-            hi *= 2.0
-            if hi > 1e12:
-                raise RootBracketError("upper bracket for the infimum not found")
-        lo = target * (1.0 + 1e-10)
-        res = minimize_scalar(minimand, bounds=(lo, 2.0 * hi), method="bounded",
-                              options={"xatol": 1e-11 * target})
-        x_star = float(res.x)
-        if x_star - lo < 1e-9 * target or 2.0 * hi - x_star < 1e-9 * target:
-            raise RootBracketError(f"infimum attained at the boundary, phi={x_star}")
-        branch = "call"
-    else:
-        def minimand(chi: float) -> float:
-            _, b = ab_plus(chi, beta)
-            return pref * b * b / (target - chi)
-
-        lo, hi = 1e-12, target * (1.0 - 1e-10)
-        res = minimize_scalar(minimand, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-11 * target})
-        x_star = float(res.x)
-        if x_star - lo < 1e-9 * target or hi - x_star < 1e-9 * target:
-            raise RootBracketError(f"infimum attained at the boundary, chi={x_star}")
-        branch = "put"
-    return RateResult(float(res.fun), CevRateDiag(x_star, branch))
 
 
 def rate_cev_taylor(K: float, params: ModelParams) -> float:

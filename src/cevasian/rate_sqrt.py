@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .model import ModelParams, RateResult, RootBracketError
+from .model import ATM_WINDOW, ModelParams, RateResult, RootBracketError, beta_is_half
 
-_ATM_WINDOW = 1.0e-5      # |log(K/S0)| below which the Taylor value is returned
-_BETA_TOL = 1.0e-7        # how far beta may sit from 1/2
 _XTOL = 1.0e-15
 _RTOL = 8.9e-16           # ~4 ulp, the tightest brentq accepts
 
@@ -36,7 +34,7 @@ class SqrtRateDiag:
 
 
 def _require_sqrt_beta(params: ModelParams) -> None:
-    if abs(params.beta - 0.5) > _BETA_TOL:
+    if not beta_is_half(params.beta):
         raise ValueError(f"square-root model requires beta = 1/2, got beta={params.beta}")
 
 
@@ -73,7 +71,7 @@ def _eq_put(x: float) -> float:
     if x == 0.0:
         return 1.0
     e2 = math.exp(-2.0 * x)
-    return (2.0 * e2 + (1.0 - e2 * e2) / (2.0 * x)) / (1.0 + e2) ** 2
+    return (2.0 * e2 - math.expm1(-4.0 * x) / (2.0 * x)) / (1.0 + e2) ** 2
 
 
 def _taylor(xlog: float, params: ModelParams) -> float:
@@ -90,7 +88,7 @@ def rate_sqrt(K: float, params: ModelParams) -> RateResult:
     S0, sig = params.S0, params.sigma
     target = K / S0
     xlog = math.log(target)
-    if abs(xlog) < _ATM_WINDOW:
+    if abs(xlog) < ATM_WINDOW:
         return RateResult(_taylor(xlog, params), SqrtRateDiag(0.0, 0.0, "atm"))
     if target > 1.0:
         x = brentq(lambda t: _eq_call(t) - target, 1e-12, 0.5 * math.pi - 1e-12,

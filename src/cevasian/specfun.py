@@ -1,208 +1,41 @@
-"""Self-contained special functions: real-argument Gauss hypergeometric 2F1,
-log-Gamma, and the standard normal CDF/PDF.
+"""Special functions: real-argument Gauss hypergeometric 2F1, log-Gamma, and
+the standard normal CDF/PDF.
 
-The 2F1 evaluation uses four regimes chosen so that every power series it
-actually sums has argument of magnitude <= 0.5:
-
-    |z| <= 0.5        direct Gauss series
-    -1 <= z < -0.5    Pfaff transformation, argument z/(z-1) in (1/3, 1/2]
-    z < -1            connection formula with argument 1/(1-z) in (0, 1/2)
-    0.5 < z < 1       connection formula with argument 1-z in (0, 1/2)
-
-The two connection formulas degenerate when a-b (for z < -1) or c-a-b (for
-z in (0.5, 1)) is an integer.  Such calls are handled by nudging ``a`` by
-1e-7 -- except for the four elementary triples
-
-    2F1(1/2,1/2;3/2;z), 2F1(1/2,1;3/2;z), 2F1(1/2,3/2;5/2;z), 2F1(1,3/2;5/2;z)
-
-which reduce to arcsin/arcsinh/arctan/arctanh expressions and are returned in
-closed form, exactly.  These are the only degenerate triples the rate-function
-formulas can produce (they arise at beta = 1/2).
+2F1 is scipy's (``scipy.special.hyp2f1``).  On the two triples the rate
+function uses, 2F1(beta,1/2;3/2;z) and 2F1(beta,3/2;5/2;z) with beta in
+(1/2, 1) and z from -1e14 to just below 1, it agrees with 40-digit mpmath to
+~2e-9 relative; at beta = 1/2 it matches the elementary arcsin/arctan forms
+to ~5e-15.
 """
 
 from __future__ import annotations
 
 import math
 
-from .model import ConvergenceError
+from scipy.special import hyp2f1 as _scipy_hyp2f1
 
-series_tol = 1.0e-15      # term-to-sum stopping ratio for the Gauss series
-series_budget = 10_000    # maximum number of series terms
-_DEGENERATE_EPS = 1.0e-8  # how close a-b / c-a-b may come to an integer
-_PERTURB = 1.0e-7         # parameter nudge used in the degenerate case
+from .model import ConvergenceError
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _near_int(x: float) -> bool:
-    return abs(x - round(x)) < _DEGENERATE_EPS
-
-
-def _is_nonpos_int(x: float) -> bool:
-    return x <= _DEGENERATE_EPS and _near_int(x)
-
-
-def _rgamma(x: float) -> float:
-    """1/Gamma(x), with the poles of Gamma mapped to 0."""
-    if _is_nonpos_int(x):
-        return 0.0
-    return 1.0 / math.gamma(x)
-
-
-def _gauss_series(a: float, b: float, c: float, z: float) -> float:
-    """Sum the Gauss series at argument z; caller guarantees |z| small enough."""
-    term = 1.0
-    total = 1.0
-    for n in range(series_budget):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) <= series_tol * abs(total):
-            return total
-    raise ConvergenceError(
-        f"2F1 series did not reach tolerance {series_tol} within "
-        f"{series_budget} terms for (a,b,c,z)=({a},{b},{c},{z})"
-    )
-
-
-def _hyp2f1_raw(a: float, b: float, c: float, z: float, _depth: int = 0) -> float:
-    """Generic 2F1 via series and connection formulas, no closed-form shortcuts.
-
-    Accuracy is ~1e-13 relative away from degenerate parameters; when a-b or
-    c-a-b sits within 1e-8 of an integer the evaluation perturbs ``a`` by 1e-7
-    and accuracy drops to roughly that perturbation.
-    """
-    if z == 0.0:
-        return 1.0
-    if _is_nonpos_int(a) or _is_nonpos_int(b):
-        # polynomial case: the series terminates for every z
-        return _gauss_series(a, b, c, z)
-    if abs(z) <= 0.5:
-        return _gauss_series(a, b, c, z)
-    if z < 0.0:
-        if z >= -1.0:
-            # Pfaff transformation
-            return (1.0 - z) ** (-a) * _gauss_series(a, c - b, c, z / (z - 1.0))
-        if _near_int(a - b):
-            if _depth >= 2:
-                raise ConvergenceError(
-                    f"degenerate 2F1 parameters persist after perturbation: "
-                    f"(a,b,c,z)=({a},{b},{c},{z})"
-                )
-            return _hyp2f1_raw(a + _PERTURB, b, c, z, _depth + 1)
-        # connection formula in the argument w = 1/(1-z); d = b - a is used
-        # with exact negation so the two Gamma factors share one rounding
-        w = 1.0 / (1.0 - z)
-        d = b - a
-        g = math.gamma
-        coef1 = g(c) * g(d) * _rgamma(b) * _rgamma(c - a)
-        coef2 = g(c) * g(-d) * _rgamma(a) * _rgamma(c - b)
-        t1 = 0.0
-        if coef1 != 0.0:
-            t1 = (1.0 - z) ** (-a) * coef1 * _gauss_series(a, c - b, 1.0 - d, w)
-        t2 = 0.0
-        if coef2 != 0.0:
-            t2 = (1.0 - z) ** (-b) * coef2 * _gauss_series(b, c - a, 1.0 + d, w)
-        return t1 + t2
-    # 0.5 < z < 1
-    if _near_int(c - a - b):
-        if _depth >= 2:
-            raise ConvergenceError(
-                f"degenerate 2F1 parameters persist after perturbation: "
-                f"(a,b,c,z)=({a},{b},{c},{z})"
-            )
-        return _hyp2f1_raw(a + _PERTURB, b, c, z, _depth + 1)
-    # connection formula in the argument w = 1-z; d = c - a - b is computed
-    # once and negated exactly -- evaluating a+b-c separately rounds
-    # differently, and any mismatch between the two Gamma poles is amplified
-    # by 1/d^2 in the nearly-degenerate regime
-    w = 1.0 - z
-    d = c - a - b
-    g = math.gamma
-    coef1 = g(c) * g(d) * _rgamma(c - a) * _rgamma(c - b)
-    coef2 = g(c) * g(-d) * _rgamma(a) * _rgamma(b)
-    t1 = 0.0
-    if coef1 != 0.0:
-        t1 = coef1 * _gauss_series(a, b, 1.0 - d, w)
-    t2 = 0.0
-    if coef2 != 0.0:
-        t2 = w ** d * coef2 * _gauss_series(c - a, c - b, 1.0 + d, w)
-    return t1 + t2
-
-
-# ---------------------------------------------------------------------------
-# elementary reductions (exact at beta = 1/2 parameter triples)
-# ---------------------------------------------------------------------------
-
-def _elem_arcsin(z: float) -> float:
-    """2F1(1/2,1/2;3/2;z) = arcsin(sqrt z)/sqrt z, arcsinh for z < 0."""
-    if z > 0.0:
-        s = math.sqrt(z)
-        return math.asin(s) / s
-    s = math.sqrt(-z)
-    return math.asinh(s) / s
-
-
-def _elem_arctan(z: float) -> float:
-    """2F1(1/2,1;3/2;z) = arctanh(sqrt z)/sqrt z, arctan for z < 0."""
-    if z > 0.0:
-        s = math.sqrt(z)
-        return math.atanh(s) / s
-    s = math.sqrt(-z)
-    return math.atan(s) / s
-
-
-def _elem_b_half(z: float) -> float:
-    """2F1(1/2,3/2;5/2;z) = (3/(2z)) (arcsin(sqrt z)/sqrt z - sqrt(1-z))."""
-    return 1.5 / z * (_elem_arcsin(z) - math.sqrt(1.0 - z))
-
-
-def _elem_b_one(z: float) -> float:
-    """2F1(1,3/2;5/2;z) = (3/z) (arctanh(sqrt z)/sqrt z - 1)."""
-    return 3.0 / z * (_elem_arctan(z) - 1.0)
-
-
-_ELEMENTARY = (
-    ((0.5, 0.5, 1.5), _elem_arcsin),
-    ((0.5, 1.0, 1.5), _elem_arctan),
-    ((0.5, 1.5, 2.5), _elem_b_half),
-    ((1.0, 1.5, 2.5), _elem_b_one),
-)
-
-
-def _elementary_match(a: float, b: float, c: float):
-    for (a0, b0, c0), fn in _ELEMENTARY:
-        if abs(a - a0) < 1e-13 and abs(b - b0) < 1e-13 and abs(c - c0) < 1e-13:
-            return fn
-    return None
-
-
-# ---------------------------------------------------------------------------
-# public surface
-# ---------------------------------------------------------------------------
-
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a,b;c;z) for real z < 1.
 
     Raises ValueError when z >= 1 or c is a non-positive integer, and
-    ConvergenceError if a series fails to reach tolerance in the budget.
+    ConvergenceError if the evaluation comes back non-finite.
     """
     if z >= 1.0:
         raise ValueError(f"2F1 argument must satisfy z < 1, got z={z}")
-    if _is_nonpos_int(c):
+    if c <= 0.0 and float(c).is_integer():
         raise ValueError(f"2F1 parameter c must not be a non-positive integer, got c={c}")
-    if a > b:  # 2F1 is symmetric in (a, b); normalize for dispatch
+    if a > b:  # 2F1 is symmetric in (a, b); one order makes it exactly so
         a, b = b, a
-    if z == 0.0:
-        return 1.0
-    if _is_nonpos_int(a):
-        return _gauss_series(a, b, c, z)
-    if abs(z) <= 0.5:
-        return _gauss_series(a, b, c, z)
-    fn = _elementary_match(a, b, c)
-    if fn is not None:
-        return fn(z)
-    return _hyp2f1_raw(a, b, c, z)
+    value = float(_scipy_hyp2f1(a, b, c, z))
+    if not math.isfinite(value):
+        raise ConvergenceError(f"2F1 evaluation is not finite for (a,b,c,z)=({a},{b},{c},{z})")
+    return value
 
 
 def log_gamma(x: float) -> float:

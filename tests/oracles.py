@@ -3,8 +3,11 @@
 Nothing here reuses the closed forms under test: rate functions are
 recomputed as Legendre-Fenchel transforms of the cumulant by direct numerical
 maximization, the cumulant itself can be re-derived by integrating the
-underlying Riccati equation, and the limiting lognormal-model rate is solved
-from its own transcendental equations.
+underlying Riccati equation, the limiting lognormal-model rate is solved
+from its own transcendental equations, the general-beta rate is recomputed
+as a one-dimensional infimum over the same a, b building blocks without
+root solving, and the 2F1 triples of
+beta = 1/2 are evaluated through their arcsin/arctan forms.
 """
 
 import math
@@ -14,6 +17,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
 from cevasian.float_strike import cumulant_float, solve_theta_c
+from cevasian.model import RateResult, RootBracketError
+from cevasian.rate_cev import CevRateDiag, ab_minus, ab_plus
 from cevasian.rate_sqrt import cumulant_sqrt
 
 
@@ -99,3 +104,79 @@ def bs_limit_rate(m, sigma):
         hi *= 2.0
     xi = brentq(f, 1e-9, hi, xtol=1e-15)
     return (2.0 / sigma ** 2) * xi * (xi - math.tanh(xi))
+
+
+def rate_cev_alt(K, params):
+    """Equivalent one-dimensional infimum form of the rate function.
+
+    For K > S0:  inf over phi > K/S0 of  pref * b-(phi)^2 / (phi - K/S0),
+    for K < S0:  inf over chi in (0, K/S0) of  pref * b+(chi)^2 / (K/S0 - chi),
+    with pref = S0^(2(1-beta))/(2 sigma^2).  Agrees with `rate_cev`; a
+    cross-check because no root-solving is involved.
+    """
+    if not K > 0:
+        raise ValueError(f"strike must be positive, got {K}")
+    if K == params.S0:
+        raise ValueError("alternative representation is undefined at K = S0")
+    beta = params.beta
+    target = K / params.S0
+    pref = params.S0 ** (2.0 * (1.0 - beta)) / (2.0 * params.sigma ** 2)
+
+    if target > 1.0:
+        def minimand(phi):
+            _, b = ab_minus(phi, beta)
+            return pref * b * b / (phi - target)
+
+        hi = target + 1.0
+        while minimand(2.0 * hi) < minimand(hi):
+            hi *= 2.0
+            if hi > 1e12:
+                raise RootBracketError("upper bracket for the infimum not found")
+        lo = target * (1.0 + 1e-10)
+        res = minimize_scalar(minimand, bounds=(lo, 2.0 * hi), method="bounded",
+                              options={"xatol": 1e-11 * target})
+        x_star = float(res.x)
+        if x_star - lo < 1e-9 * target or 2.0 * hi - x_star < 1e-9 * target:
+            raise RootBracketError(f"infimum attained at the boundary, phi={x_star}")
+        branch = "call"
+    else:
+        def minimand(chi):
+            _, b = ab_plus(chi, beta)
+            return pref * b * b / (target - chi)
+
+        lo, hi = 1e-12, target * (1.0 - 1e-10)
+        res = minimize_scalar(minimand, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-11 * target})
+        x_star = float(res.x)
+        if x_star - lo < 1e-9 * target or hi - x_star < 1e-9 * target:
+            raise RootBracketError(f"infimum attained at the boundary, chi={x_star}")
+        branch = "put"
+    return RateResult(float(res.fun), CevRateDiag(x_star, branch))
+
+
+def _elem_arcsin(z):
+    """2F1(1/2,1/2;3/2;z) = arcsin(sqrt z)/sqrt z, arcsinh for z < 0."""
+    if z > 0.0:
+        s = math.sqrt(z)
+        return math.asin(s) / s
+    s = math.sqrt(-z)
+    return math.asinh(s) / s
+
+
+def _elem_arctan(z):
+    """2F1(1/2,1;3/2;z) = arctanh(sqrt z)/sqrt z, arctan for z < 0."""
+    if z > 0.0:
+        s = math.sqrt(z)
+        return math.atanh(s) / s
+    s = math.sqrt(-z)
+    return math.atan(s) / s
+
+
+# the four triples the rate-function formulas produce at beta = 1/2, each
+# reduced to elementary functions (valid for z < 1, z != 0)
+HYP2F1_ELEMENTARY = {
+    (0.5, 0.5, 1.5): _elem_arcsin,
+    (0.5, 1.0, 1.5): _elem_arctan,
+    (0.5, 1.5, 2.5): lambda z: 1.5 / z * (_elem_arcsin(z) - math.sqrt(1.0 - z)),
+    (1.0, 1.5, 2.5): lambda z: 3.0 / z * (_elem_arctan(z) - 1.0),
+}

@@ -1,5 +1,6 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
+import importlib
 import json
 import math
 
@@ -150,6 +151,15 @@ def test_exit_code_two_on_bad_model(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "beta" in err
+    # NaN passes every comparison-based range check; it must still be refused
+    args = {"--s0": "1", "--sigma": "0.5", "--beta": "0.75", "--r": "0.02",
+            "--q": "0.0", "--strike": "1.1", "--maturity": "1"}
+    for flag in ("--r", "--q", "--s0", "--sigma", "--strike", "--maturity"):
+        rc = main(["price"] + [tok for k, v in {**args, flag: "nan"}.items() for tok in (k, v)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "finite" in captured.err
 
 
 def test_exit_code_three_on_unbracketable_root(capsys):
@@ -157,3 +167,46 @@ def test_exit_code_three_on_unbracketable_root(capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "not bracketed" in err
+
+
+def test_float_solves_the_variational_problem_once(monkeypatch, capsys):
+    import cevasian.varsolve as varsolve
+
+    calls = []
+    real = varsolve.minimize_float
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(varsolve, "minimize_float", counted)
+    rc = main(["float", "--sigma", "0.5", "--beta", "0.75", "--r", "0.03",
+               "--kappa", "1.5", "--maturity", "1", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert len(calls) == 1
+    assert out["sigma_n"] == pytest.approx(0.5 / math.sqrt(2.0 * out["rate"]), rel=1e-14)
+    assert out["note"] == "rate from variational solver"
+
+
+def test_vol_curve_solves_each_rate_once(monkeypatch, capsys):
+    # the package re-exports the function rate_cev, so fetch the module itself
+    rate_cev_mod = importlib.import_module("cevasian.rate_cev")
+    calls = []
+    real = rate_cev_mod._rate_general
+
+    def counted(K, params):
+        calls.append(K)
+        return real(K, params)
+
+    monkeypatch.setattr(rate_cev_mod, "_rate_general", counted)
+    rc = main(["vol-curve", "--sigma", "0.5", "--beta", "0.75", "--n", "7", "--json"])
+    rows = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert len(calls) == len(rows) == 7
+    for row in rows:
+        if row["rate"] > 0.0:
+            x = math.log(row["K_over_S0"])
+            assert row["sigma_ln"] == pytest.approx(abs(x) / math.sqrt(2.0 * row["rate"]),
+                                                    rel=1e-14)
+

@@ -143,8 +143,6 @@ def test_config_validation():
         McConfig(n_paths=0, n_steps=100, seed=0)
     with pytest.raises(ValueError):
         McConfig(n_paths=100, n_steps=0, seed=0)
-    with pytest.raises(ValueError):
-        McConfig(n_paths=100, n_steps=100, seed=0, scheme="exact")
 
 
 def test_style_mismatch_is_rejected():

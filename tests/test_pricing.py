@@ -175,6 +175,26 @@ def test_option_spec_validation():
         OptionSpec("fixed", "upside", 1.0, 1.0)
     with pytest.raises(ValueError):
         OptionSpec("flooded", "call", 1.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OptionSpec("fixed", "call", bad, 1.0)
+        with pytest.raises(ValueError):
+            OptionSpec("fixed", "call", 1.0, bad)
+
+
+def test_model_params_reject_non_finite():
+    good = dict(S0=1.0, sigma=0.5, beta=0.75, r=0.03, q=0.01)
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                ModelParams(**{**good, name: bad})
+
+
+def test_underflowing_price_is_zero_not_negative():
+    # both Black terms underflow; their difference used to come out -3e-323
+    p = ModelParams(S0=1.0, sigma=0.29, beta=0.9, r=0.05, q=0.01)
+    res = price_fixed(OptionSpec("fixed", "call", 10.0, 0.122), p)
+    assert res.price == 0.0
 
 
 def test_style_mismatch_is_rejected():

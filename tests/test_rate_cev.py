@@ -19,14 +19,13 @@ from cevasian.rate_cev import (
     ab_minus,
     ab_plus,
     rate_cev,
-    rate_cev_alt,
     rate_cev_large_strike,
     rate_cev_small_strike,
     rate_cev_taylor,
     _rate_general,
 )
 from cevasian.rate_sqrt import rate_sqrt
-from oracles import bs_limit_rate
+from oracles import bs_limit_rate, rate_cev_alt
 
 quad_rel = 1e-10
 half_rel = 1e-12      # measured agreement at beta = 1/2 is ~2e-15
@@ -117,6 +116,17 @@ def test_alternative_infimum_route_agrees():
             a = rate_cev(m, params).value
             b = rate_cev_alt(m, params).value
             assert abs(b / a - 1.0) < alt_rel
+
+
+def test_deep_put_roots_below_the_absolute_tolerance():
+    # put roots x* far below 1e-15 (1e-19 to 1e-34 here); references are
+    # 30-digit mpmath root solves
+    for beta, m, ref in ((0.6, 1.26e-3, 489.9078973153047),
+                         (0.55, 1e-3, 554.016620498615),
+                         (0.65, 1e-3, 692.0415224909431)):
+        res = rate_cev(m, ModelParams(S0=1.0, sigma=1.0, beta=beta))
+        assert res.value == pytest.approx(ref, rel=1e-10)
+        assert res.diag.residual < 1e-12 * m
 
 
 def test_root_residual_is_tiny():

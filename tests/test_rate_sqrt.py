@@ -114,6 +114,17 @@ def test_small_strike_asymptote_checkpoints():
         assert abs(ratio - 1.0) < 1e-10
 
 
+def test_put_just_outside_the_atm_window():
+    # log K/S0 = -1.05e-5: the bracket end x = 1e-12 must keep the sign of
+    # the put equation, so (1 - e^{-4x}) cannot be formed by cancellation
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    xlog = -1.05e-5
+    res = rate_sqrt(math.exp(xlog), params)
+    assert res.branch == "put"
+    taylor = rate_cev_taylor(math.exp(xlog), params)
+    assert res.value == pytest.approx(taylor, rel=1e-8)
+
+
 def test_deep_put_stays_finite():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     val = rate_sqrt(1e-4, params).value

@@ -1,9 +1,9 @@
-"""Gauss hypergeometric engine and probability helpers.
+"""Gauss hypergeometric function and probability helpers.
 
-The generic 2F1 evaluator is checked against an independent Euler-integral
-quadrature (valid for c > b > 0, z < 1, smooth after t = sin^2 phi), against
-closed-form anchor values, and against the elementary reductions used on the
-hot paths.
+The 2F1 evaluator (scipy's, behind the library's argument checks) is checked
+against an independent Euler-integral quadrature (valid for c > b > 0, z < 1,
+smooth after t = sin^2 phi), against closed-form anchor values, and against
+the elementary reductions of the beta = 1/2 triples.
 """
 
 import math
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cevasian.specfun import hyp2f1, log_gamma, norm_cdf, norm_pdf
-from cevasian.specfun import _hyp2f1_raw
+from oracles import HYP2F1_ELEMENTARY
 
 oracle_tol = 1e-9
 reduction_tol = 1e-12
@@ -93,32 +93,31 @@ def test_symmetric_in_first_two_parameters(a, b, c, z):
     assert hyp2f1(a, b, c, z) == hyp2f1(b, a, c, z)
 
 
-def test_elementary_reductions_match_generic_engine_mid_range():
-    zs = np.linspace(-0.5, 0.5, 21)
-    for a, b, c in ELEM_TRIPLES:
+def _assert_matches_elementary(triples, zs):
+    for a, b, c in triples:
+        elem = HYP2F1_ELEMENTARY[(a, b, c)]
         for z in zs:
             if z == 0.0:
                 continue
-            assert abs(hyp2f1(a, b, c, float(z)) / _hyp2f1_raw(a, b, c, float(z)) - 1.0) < reduction_tol
+            assert abs(hyp2f1(a, b, c, float(z)) / elem(float(z)) - 1.0) < reduction_tol
+
+
+def test_elementary_reductions_match_generic_engine_mid_range():
+    _assert_matches_elementary(ELEM_TRIPLES, np.linspace(-0.5, 0.5, 21))
 
 
 def test_elementary_reductions_match_generic_engine_near_one():
-    # connection formula region; the two non-degenerate triples
-    for a, b, c in ((0.5, 0.5, 1.5), (0.5, 1.5, 2.5)):
-        for z in np.linspace(0.55, 0.95, 9):
-            assert abs(hyp2f1(a, b, c, float(z)) / _hyp2f1_raw(a, b, c, float(z)) - 1.0) < reduction_tol
+    _assert_matches_elementary(((0.5, 0.5, 1.5), (0.5, 1.5, 2.5)), np.linspace(0.55, 0.95, 9))
 
 
 def test_elementary_reductions_match_generic_engine_large_negative():
-    for a, b, c in ((0.5, 1.0, 1.5), (1.0, 1.5, 2.5)):
-        for z in np.linspace(-20.0, -1.5, 9):
-            assert abs(hyp2f1(a, b, c, float(z)) / _hyp2f1_raw(a, b, c, float(z)) - 1.0) < reduction_tol
+    _assert_matches_elementary(((0.5, 1.0, 1.5), (1.0, 1.5, 2.5)), np.linspace(-20.0, -1.5, 9))
 
 
 def test_degenerate_connection_formulas_via_perturbation():
-    """Integer b - a (z < -1) and integer c - a - b (z > 1/2) force the raw
-    engine through a perturbed evaluation; accuracy is then limited by the
-    perturbation size, not machine precision."""
+    """Integer b - a (z < -1) and integer c - a - b (z > 1/2) make the
+    textbook connection formulas degenerate; the evaluation must still
+    agree with the Euler integral there."""
     cases = [
         (0.5, 1.5, 2.5, -3.0),   # b - a = 1
         (0.5, 1.5, 2.5, -8.0),
@@ -127,7 +126,7 @@ def test_degenerate_connection_formulas_via_perturbation():
         (0.5, 0.5, 1.5, -2.0),   # b - a = 0
     ]
     for a, b, c, z in cases:
-        assert abs(_hyp2f1_raw(a, b, c, z) / hyp2f1_euler(a, b, c, z) - 1.0) < perturbed_tol
+        assert abs(hyp2f1(a, b, c, z) / hyp2f1_euler(a, b, c, z) - 1.0) < perturbed_tol
 
 
 def test_rejects_unsupported_arguments():
