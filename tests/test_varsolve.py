@@ -9,12 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cevasian import ModelParams
+from cevasian import ConvergenceError, ModelParams
 from cevasian.float_strike import rate_float_sqrt
 from cevasian.rate_cev import rate_cev
 from cevasian.rate_sqrt import rate_sqrt
-from cevasian.varsolve import PathGrid, action, minimize_fixed, minimize_float
+from cevasian.varsolve import (PathGrid, _action_and_grad, _exp_feasible_float, _hessian,
+                               action, minimize_fixed, minimize_float)
 
 closed_rel = 1e-4  # discretization error at the default grid is ~1e-6
 
@@ -68,9 +70,11 @@ def test_full_output_diagnostics():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     val, info = minimize_fixed(2.0, params, n=400, full_output=True)
     for key in ("converged", "constraint_err", "lam", "floor_active", "path",
-                "n", "C_shoot", "C_from_lam", "value_init"):
+                "n", "C_shoot", "C_from_lam", "value_init", "iterations", "kkt_residual"):
         assert key in info
     assert info["converged"] is True
+    assert 1 <= info["iterations"] <= 10
+    assert 0.0 <= info["kkt_residual"] <= 1e-12
     assert abs(info["constraint_err"]) < 1e-7
     assert info["floor_active"] is False
     path = info["path"]
@@ -134,3 +138,93 @@ def test_invalid_inputs():
         minimize_float(0.0, params, n=100)
     with pytest.raises(ValueError):
         minimize_float(-0.3, params, n=100)
+
+
+def trapezoid_mean(values):
+    n = len(values) - 1
+    w = np.full(n + 1, 1.0 / n)
+    w[0] = w[-1] = 0.5 / n
+    return float(w @ values)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.75, 0.9])
+def test_constraint_met_to_rounding_on_the_benchmark_cases(beta):
+    params = ModelParams(S0=1.0, sigma=0.5, beta=beta, r=0.03, q=0.01)
+    for m in (0.3, 0.6, 1.5, 3.0):
+        _, info = minimize_fixed(m, params, n=800, full_output=True)
+        assert abs(trapezoid_mean(info["path"].values) - m) <= 1e-12
+    for kappa in (0.5, 2.0):
+        _, info = minimize_float(kappa, params, n=800, full_output=True)
+        g = info["path"].values
+        assert abs(trapezoid_mean(g) - kappa * g[-1]) <= 1e-12
+
+
+def test_minimize_float_small_kappa_matches_closed_form():
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    for kappa in (0.1, 0.15, 0.2):
+        ref = rate_float_sqrt(kappa, params).value
+        assert minimize_float(kappa, params, n=800) == pytest.approx(ref, rel=1e-4)
+
+
+def test_deep_put_matches_closed_form():
+    # the optimal paths sink to 6e-11 S0 (beta = 1/2) and 7e-7 S0 (beta = 0.6)
+    for beta, m in ((0.5, 0.04), (0.6, 0.03)):
+        params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
+        ref = rate_cev(m, params).value
+        assert minimize_fixed(m, params, n=800) == pytest.approx(ref, rel=1e-4)
+
+
+def dense_hessian(g, n, params):
+    banded = _hessian(g, n, params)
+    return np.diag(banded[1]) + np.diag(banded[0, 1:], 1) + np.diag(banded[2, :-1], -1)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.75, 0.9])
+def test_hessian_matches_central_differences(beta):
+    params = ModelParams(S0=1.0, sigma=0.7, beta=beta)
+    n = 12
+    t = np.linspace(0.0, 1.0, n + 1)
+    g = 1.0 + 0.4 * np.sin(5.0 * t) - 0.3 * t  # rises, then falls below S0
+    dense = dense_hessian(g, n, params)
+    eps = 1e-6
+    fd = np.empty((n, n))
+    for j in range(1, n + 1):
+        up, down = g.copy(), g.copy()
+        up[j] += eps
+        down[j] -= eps
+        fd[:, j - 1] = (_action_and_grad(up, n, params)[1][1:]
+                        - _action_and_grad(down, n, params)[1][1:]) / (2.0 * eps)
+    np.testing.assert_allclose(dense, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+
+def test_indefinite_hessian_start_converges_to_a_kkt_point():
+    # beta > 1/2: the Hessian at the exponential start has a negative
+    # eigenvalue, so the Levenberg safeguard has to act
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.9)
+    n, kappa = 200, 0.2
+    start = _exp_feasible_float(kappa, params, n).values
+    assert np.linalg.eigvalsh(dense_hessian(start, n, params))[0] < 0.0
+    val, info = minimize_float(kappa, params, n=n, full_output=True)
+    assert val < info["value_init"]
+    g = info["path"].values
+    _, grad = _action_and_grad(g, n, params)
+    a = np.full(n, 1.0 / n)
+    a[-1] = 0.5 / n - kappa
+    residual = grad[1:] - info["lam"] * a
+    assert np.max(np.abs(residual)) <= 1e-6 * np.max(np.abs(grad[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.5, 0.95), st.floats(0.3, 3.0), st.floats(0.3, 3.0))
+def test_every_solve_is_certified_or_raises(beta, m, kappa):
+    params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
+    for solve, x in ((minimize_fixed, m), (minimize_float, kappa)):
+        try:
+            val, info = solve(x, params, full_output=True)
+        except ConvergenceError:
+            continue
+        g = info["path"].values
+        strike = m if solve is minimize_fixed else kappa * g[-1]
+        assert math.isfinite(val) and val >= 0.0
+        assert info["converged"] is True
+        assert abs(trapezoid_mean(g) - strike) <= 1e-12
