@@ -17,8 +17,8 @@ import time
 from dataclasses import dataclass
 
 from .model import ModelParams
-from .pricing import (OptionSpec, _bachelier, _black, _lognormal_vol, _normal_vol,
-                      average_forward, price_fixed, price_floating)
+from .pricing import (OptionSpec, PricingResult, _bachelier, _black, _lognormal_vol,
+                      _normal_vol, average_forward, price_fixed, price_floating)
 from .mc import McConfig, simulate_asian, simulate_floating
 from .varsolve import minimize_fixed, minimize_float
 
@@ -89,23 +89,27 @@ value_tol = 5.0e-7       # |price - expected| for the pinned asymptotic values
 float_value_tol = 5.0e-6
 
 
+def _row(sc: Scenario, expected: float, tol: float, ref_tol: float | None) -> BenchRow:
+    """Price a reference scenario.  The row is ok when the price matches its
+    pinned value to ``tol`` and, unless ``ref_tol`` is None, its reference
+    value to ``ref_tol`` relative."""
+    t0 = time.perf_counter()
+    price = _price_scenario(sc)
+    ms = (time.perf_counter() - t0) * 1e3
+    rel = price / sc.ref_value - 1.0
+    ok = abs(price - expected) <= tol and (ref_tol is None or abs(rel) <= ref_tol)
+    return BenchRow(sc, price, price - sc.ref_value, rel, ok, ms)
+
+
 def run_table1() -> list[BenchRow]:
     """Asymptotic prices for the seven classic square-root benchmark cases.
 
     A row is ok when the price matches its pinned value to 5e-7 and sits
     within 1% of the fpp3 reference.
     """
-    rows = []
-    for cid, S0, K, r, sigma, T, expected, fpp3 in _TABLE1:
-        sc = Scenario(cid, S0, K, "fixed", "call", r, 0.0, sigma, 0.5, T,
-                      "asympt", "fpp3", fpp3)
-        t0 = time.perf_counter()
-        price = _price_scenario(sc)
-        ms = (time.perf_counter() - t0) * 1e3
-        rel = price / fpp3 - 1.0
-        ok = abs(price - expected) <= value_tol and abs(rel) <= 0.01
-        rows.append(BenchRow(sc, price, price - fpp3, rel, ok, ms))
-    return rows
+    return [_row(Scenario(cid, S0, K, "fixed", "call", r, 0.0, sigma, 0.5, T,
+                          "asympt", "fpp3", fpp3), expected, value_tol, 0.01)
+            for cid, S0, K, r, sigma, T, expected, fpp3 in _TABLE1]
 
 
 def run_table2() -> list[BenchRow]:
@@ -118,18 +122,9 @@ def run_table2() -> list[BenchRow]:
     """
     rows = []
     for cid, sigma, T, expected, fpp3 in _TABLE2:
-        sc = Scenario(cid, 2.0, 2.0, "fixed", "call", 0.05, 0.0, sigma, 0.5, T,
-                      "asympt", "fpp3", fpp3)
-        t0 = time.perf_counter()
-        price = _price_scenario(sc)
-        ms = (time.perf_counter() - t0) * 1e3
-        rel = price / fpp3 - 1.0
-        ok = abs(price - expected) <= value_tol
-        if T <= 1.0:
-            ok = ok and abs(rel) <= 0.005
-        elif T <= 2.0:
-            ok = ok and abs(rel) <= 0.01
-        rows.append(BenchRow(sc, price, price - fpp3, rel, ok, ms))
+        ref_tol = 0.005 if T <= 1.0 else 0.01 if T <= 2.0 else None
+        rows.append(_row(Scenario(cid, 2.0, 2.0, "fixed", "call", 0.05, 0.0, sigma, 0.5, T,
+                                  "asympt", "fpp3", fpp3), expected, value_tol, ref_tol))
     return rows
 
 
@@ -138,12 +133,7 @@ def run_floating() -> list[BenchRow]:
     cid, S0, kappa, r, sigma, T, expected, ref = _FLOATING
     sc = Scenario(cid, S0, kappa, "floating", "put", r, 0.0, sigma, 0.5, T,
                   "asympt", "fmr", ref)
-    t0 = time.perf_counter()
-    price = _price_scenario(sc)
-    ms = (time.perf_counter() - t0) * 1e3
-    rel = price / ref - 1.0
-    ok = abs(price - expected) <= float_value_tol and abs(rel) <= 0.015
-    return [BenchRow(sc, price, price - ref, rel, ok, ms)]
+    return [_row(sc, expected, float_value_tol, 0.015)]
 
 
 def _price_scenario(sc: Scenario, mc_config: McConfig | None = None) -> float:
@@ -159,16 +149,16 @@ def _price_scenario(sc: Scenario, mc_config: McConfig | None = None) -> float:
             return simulate_asian(spec, params, config).mean
         return simulate_floating(spec, params, config).mean
     if sc.engine == "varsolve":
-        return _price_from_variational(spec, params)
+        return _price_from_variational(spec, params).price
     raise ValueError(f"unknown engine {sc.engine!r}")
 
 
-def _price_from_variational(spec: OptionSpec, params: ModelParams) -> float:
+def _price_from_variational(spec: OptionSpec, params: ModelParams) -> PricingResult:
     """Price with the equivalent volatility taken from the variational solver."""
     if spec.style == "fixed":
         vol = _lognormal_vol(spec.strike, params, minimize_fixed)
-        return _black(spec, params, average_forward(params, spec.maturity), vol).price
-    return _bachelier(spec, params, _normal_vol(spec.strike, params, minimize_float)).price
+        return _black(spec, params, average_forward(params, spec.maturity), vol)
+    return _bachelier(spec, params, _normal_vol(spec.strike, params, minimize_float))
 
 
 def run_custom(path: str, mc_config: McConfig | None = None) -> list[BenchRow]:

@@ -126,18 +126,16 @@ def cmd_price(args) -> int:
     params = _params(args)
     spec = OptionSpec(args.style, args.side, args.strike, args.maturity)
     if args.engine == "varsolve":
-        price = bench_mod._price_from_variational(spec, params)
-        if args.json:
-            print(json.dumps({"price": price, "engine": "varsolve"}))
-        else:
-            print(f"price {price:.6f}")
-        return 0
-    res = price_fixed(spec, params) if args.style == "fixed" else price_floating(spec, params)
+        res = bench_mod._price_from_variational(spec, params)
+    elif args.style == "fixed":
+        res = price_fixed(spec, params)
+    else:
+        res = price_floating(spec, params)
     if args.json:
         print(json.dumps({"price": res.price, "equiv_vol": res.equiv_vol,
                           "vol_kind": res.vol_kind, "d1": res.d1, "d2": res.d2,
                           "forward": res.forward, "note": res.note,
-                          "engine": "asympt"}))
+                          "engine": args.engine}))
     else:
         print(f"price {res.price:.6f}")
         print(f"equiv_vol {res.equiv_vol:.6f} ({res.vol_kind})")

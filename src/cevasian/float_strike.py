@@ -8,8 +8,7 @@ kappa < 1 (OTM call).  The limiting cumulant Lambda_f(theta) of
 against the Legendre-dual sup_theta { -Lambda_f(theta) }.
 
 For general beta there is no closed form; `rate_float_cev` delegates to the
-discretized variational solver and (at beta = 1/2) cross-checks it against
-the closed form.
+discretized variational solver.
 
 Note on signs: the hyperbolic branch is implemented as
 J_f = 2z (tanh z - kappa z)/(1 - kappa z tanh z), which is the positive
@@ -20,16 +19,13 @@ Lambda_f = +inf once 1 - ku tanh u <= 0 (the MGF genuinely diverges there).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .model import ATM_WINDOW, ModelParams, RateResult, RootBracketError, beta_is_half
+from .model import ATM_WINDOW, ModelParams, RateResult, RootBracketError
 from .rate_sqrt import _require_sqrt_beta
-
-log = logging.getLogger(__name__)
 
 _XTOL = 1.0e-15
 _RTOL = 8.9e-16
@@ -38,10 +34,9 @@ _N_SCAN = 800  # grid used to bracket the first root of the z-equations
 
 @dataclass(frozen=True)
 class FloatRateDiag:
-    """Solver internals: root variable z, critical exponent theta_c, branch."""
+    """Solver internals: root variable z and branch."""
 
     z_star: float
-    theta_c: float
     branch: str  # "put" (kappa>1) | "call" (kappa<1) | "atm"
 
 
@@ -126,17 +121,15 @@ def rate_float_sqrt(kappa: float, params: ModelParams) -> RateResult:
         raise ValueError(f"kappa must be positive, got {kappa}")
     S0, sig = params.S0, params.sigma
     lk = math.log(kappa)
-    theta_c = solve_theta_c(kappa, params)
     if abs(lk) < ATM_WINDOW:
-        return RateResult((S0 / sig ** 2) * 1.5 * lk * lk,
-                          FloatRateDiag(0.0, theta_c, "atm"))
+        return RateResult((S0 / sig ** 2) * 1.5 * lk * lk, FloatRateDiag(0.0, "atm"))
     if kappa > 1.0:
         # root lies below the first tan pole: the equation is negative at 0+
         # (2 - 2 kappa) and positive at pi/2 (1 + k^2 pi^2/4)
         z = _first_root(lambda t: _eqz_trig(t, kappa), 1e-9, 0.5 * math.pi - 1e-12,
                         "the trigonometric z-equation")
         jf = 2.0 * z * (kappa * z - math.tan(z)) / (1.0 + kappa * z * math.tan(z))
-        return RateResult((S0 / sig ** 2) * jf, FloatRateDiag(z, theta_c, "put"))
+        return RateResult((S0 / sig ** 2) * jf, FloatRateDiag(z, "put"))
     # kappa < 1: search below the pole of the rational form, k z tanh z = 1
     hi = 1.0
     while kappa * hi * math.tanh(hi) < 1.0:
@@ -149,7 +142,7 @@ def rate_float_sqrt(kappa: float, params: ModelParams) -> RateResult:
                     "the hyperbolic z-equation")
     th = math.tanh(z)
     jf = 2.0 * z * (th - kappa * z) / (1.0 - kappa * z * th)
-    return RateResult((S0 / sig ** 2) * jf, FloatRateDiag(z, theta_c, "call"))
+    return RateResult((S0 / sig ** 2) * jf, FloatRateDiag(z, "call"))
 
 
 def jf_taylor(kappa: float) -> float:
@@ -160,24 +153,13 @@ def jf_taylor(kappa: float) -> float:
 
 
 def rate_float_cev(kappa: float, params: ModelParams) -> RateResult:
-    """Floating-strike rate for general beta via the variational solver.
-
-    At beta = 1/2 the result is cross-checked against the closed form and a
-    warning is logged if they disagree by more than 0.1% relative.
-    """
+    """Floating-strike rate for general beta via the variational solver."""
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     if kappa == 1.0:
-        return RateResult(0.0, FloatRateDiag(0.0, math.nan, "atm"))
+        return RateResult(0.0, FloatRateDiag(0.0, "atm"))
     from .varsolve import minimize_float
 
     value = minimize_float(kappa, params)
     branch = "put" if kappa > 1.0 else "call"
-    theta_c = math.nan
-    if beta_is_half(params.beta):
-        closed = rate_float_sqrt(kappa, params)
-        theta_c = closed.diag.theta_c
-        if closed.value > 0 and abs(value - closed.value) > 1e-3 * closed.value:
-            log.warning("variational floating rate %.6g deviates from closed form %.6g "
-                        "at kappa=%.4g", value, closed.value, kappa)
-    return RateResult(value, FloatRateDiag(math.nan, theta_c, branch))
+    return RateResult(value, FloatRateDiag(math.nan, branch))

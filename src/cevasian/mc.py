@@ -20,7 +20,7 @@ import numpy as np
 from .model import ModelParams
 from .pricing import OptionSpec
 
-_BLOCK_PATHS = 65536  # paths per block (pairs count double)
+_BLOCK_PAIRS = 32768  # antithetic pairs per block
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class McConfig:
     n_paths: int = 100_000
     n_steps: int = 400
     seed: int = 0
-    antithetic: bool = True
 
     def __post_init__(self) -> None:
         if self.n_paths <= 0:
@@ -49,64 +48,43 @@ def _steps_for(T: float, config: McConfig) -> int:
 
 
 def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
-    """Simulate paths in blocks; payoff(avg, s_final) -> per-path payoffs."""
+    """Simulate antithetic pairs in blocks; payoff(avg, s_final) -> per-path
+    payoffs.  A pair counts as one sample: the mean of its two payoffs."""
     steps = _steps_for(T, config)
     dt = T / steps
     sqdt = math.sqrt(dt)
     mu = params.r - params.q
-    sig, beta, S0 = params.sigma, params.beta, params.S0
+    sig, beta, S0 = params.sigma, params.beta, float(params.S0)
 
-    if config.antithetic:
-        n_pairs = (config.n_paths + 1) // 2
-        unit = 2
-        n_units = n_pairs
-    else:
-        unit = 1
-        n_units = config.n_paths
-    block_units = max(1, _BLOCK_PATHS // unit)
-    n_blocks = (n_units + block_units - 1) // block_units
+    n_pairs = (config.n_paths + 1) // 2
+    n_blocks = (n_pairs + _BLOCK_PAIRS - 1) // _BLOCK_PAIRS
     children = np.random.SeedSequence(config.seed).spawn(n_blocks)
 
     sums, sums2 = [], []
-    total_units = 0
     n_absorbed = 0
 
     for b in range(n_blocks):
-        m = min(block_units, n_units - b * block_units)
+        m = min(_BLOCK_PAIRS, n_pairs - b * _BLOCK_PAIRS)
         rng = np.random.default_rng(children[b])
-        if config.antithetic:
-            s_plus = np.full(m, S0)
-            s_minus = np.full(m, S0)
-            acc_plus = np.zeros(m)
-            acc_minus = np.zeros(m)
-            for _ in range(steps):
-                z = rng.standard_normal(m)
-                for s, acc, sign in ((s_plus, acc_plus, 1.0), (s_minus, acc_minus, -1.0)):
-                    prev = s.copy()
-                    s += mu * s * dt + sig * s ** beta * (sign * sqdt) * z
-                    np.maximum(s, 0.0, out=s)
-                    acc += 0.5 * (prev + s) * dt
-            n_absorbed += int(np.count_nonzero(s_plus <= 0.0))
-            n_absorbed += int(np.count_nonzero(s_minus <= 0.0))
-            pm = 0.5 * (payoff(acc_plus / T, s_plus) + payoff(acc_minus / T, s_minus))
-        else:
-            s = np.full(m, S0)
-            acc = np.zeros(m)
-            for _ in range(steps):
-                z = rng.standard_normal(m)
-                prev = s.copy()
-                s += mu * s * dt + sig * s ** beta * sqdt * z
+        # (spot, running trapezoid sum, Brownian increment per unit normal);
+        # the sum starts at the S0/2 end term and takes each new spot whole
+        legs = [(np.full(m, S0), np.full(m, 0.5 * S0), dw) for dw in (sqdt, -sqdt)]
+        for _ in range(steps):
+            z = rng.standard_normal(m)
+            for s, acc, dw in legs:
+                s += mu * s * dt + sig * s ** beta * dw * z
                 np.maximum(s, 0.0, out=s)
-                acc += 0.5 * (prev + s) * dt
+                acc += s
+        for s, acc, _ in legs:
+            acc -= 0.5 * s  # the s_T end term counts half
             n_absorbed += int(np.count_nonzero(s <= 0.0))
-            pm = payoff(acc / T, s)
+        pm = 0.5 * sum(payoff(acc / steps, s) for s, acc, _ in legs)
         sums.append(float(np.sum(pm)))
         sums2.append(float(np.sum(pm * pm)))
-        total_units += m
 
-    mean = math.fsum(sums) / total_units
-    var = max(math.fsum(sums2) / total_units - mean * mean, 0.0)
-    se = math.sqrt(var / total_units)
+    mean = math.fsum(sums) / n_pairs
+    var = max(math.fsum(sums2) / n_pairs - mean * mean, 0.0)
+    se = math.sqrt(var / n_pairs)
     disc = math.exp(-params.r * T)
     return McEstimate(disc * mean, disc * se, n_absorbed)
 

@@ -25,7 +25,6 @@ ConvergenceError.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -36,8 +35,6 @@ from scipy.linalg import solve_banded
 from scipy.optimize import brentq, minimize  # noqa: F401
 
 from .model import ConvergenceError, ModelParams, RootBracketError
-
-log = logging.getLogger(__name__)
 
 default_n = 800    # path intervals
 tol = 1.0e-12      # constraint error per unit of sum |cons_i g_i|, and
@@ -103,7 +100,6 @@ def _shoot_fixed(K: float, params: ModelParams, n: int):
     Quadrature of dt = dy/|y'| fixes C for given y1 (time normalization) and
     the averaging constraint selects y1.  The substitution
     y = y1 +/- (1 - y1) s^2 removes the square-root singularity at y = y1.
-    Returns (PathGrid, C).
     """
     beta, S0 = params.beta, params.S0
     p = 1.0 / (1.0 - beta)
@@ -146,11 +142,6 @@ def _shoot_fixed(K: float, params: ModelParams, n: int):
                 raise RootBracketError(f"shooting endpoint not bracketed for K/S0={target}")
         y1 = brentq(mean_minus_target, 1.0 + 1e-9, hi, xtol=1e-12)
 
-    M, _ = integrals(y1)
-    C = M * M / (2.0 * (1.0 - beta))
-    if not put:
-        C = -C
-
     # reconstruct t(y) on a fine s-grid and sample y on the uniform t-grid
     m = 4 * n
     s = np.linspace(0.0, 1.0, m + 1)
@@ -172,7 +163,7 @@ def _shoot_fixed(K: float, params: ModelParams, n: int):
     y_on_t = np.interp(t_grid, t_of_s[::-1], y[::-1])
     g = S0 * y_on_t ** p
     g[0] = S0
-    return PathGrid(n, g), C
+    return PathGrid(n, g)
 
 
 def _exp_feasible_float(kappa: float, params: ModelParams, n: int) -> PathGrid:
@@ -341,22 +332,11 @@ def minimize_fixed(K: float, params: ModelParams, n: int = default_n,
         c = 2.0 * (target - 1.0)
         t = np.linspace(0.0, 1.0, n + 1)
         init = PathGrid(n, S0 * (1.0 + c * t))
-        C_shoot = 0.0
     else:
-        init, C_shoot = _shoot_fixed(K, params, n)
+        init = _shoot_fixed(K, params, n)
 
     w = _trapezoid_weights(n)
     value, info = _certify(init, w, K, params, n)
-    info["C_shoot"] = C_shoot
-    # lam from the certification should reproduce the shooting constant via
-    # C = -lam sigma^2 (1-beta) S0^(2 beta - 1)
-    info["C_from_lam"] = (-info["lam"] * params.sigma ** 2 * (1.0 - params.beta)
-                         * S0 ** (2.0 * params.beta - 1.0))
-    init_val = action(init, params)
-    info["value_init"] = init_val
-    if init_val > 0 and abs(value - init_val) > 1e-3 * max(init_val, 1e-12):
-        log.warning("certified value %.8g deviates from shooting value %.8g "
-                    "(K/S0=%.4g, beta=%.3g)", value, init_val, target, params.beta)
     if full_output:
         return value, info
     return value
@@ -384,7 +364,6 @@ def minimize_float(kappa: float, params: ModelParams, n: int = default_n,
     cons = w.copy()
     cons[-1] -= kappa
     value, info = _certify(init, cons, 0.0, params, n)
-    info["value_init"] = action(init, params)
     if full_output:
         return value, info
     return value

@@ -36,6 +36,22 @@ def test_price_json_round_trip(capsys):
     assert payload["engine"] == "asympt"
 
 
+@pytest.mark.parametrize("style", ["fixed", "floating"])
+def test_price_variational_engine_reports_the_same_fields(style, capsys):
+    args = ["price", "--sigma", "0.5", "--beta", "0.75", "--style", style,
+            "--strike", "1.3", "--maturity", "0.5", "--json"]
+    assert main(args) == 0
+    closed = json.loads(capsys.readouterr().out)
+    assert main(args + ["--engine", "varsolve"]) == 0
+    varsolve = json.loads(capsys.readouterr().out)
+    assert varsolve.keys() == closed.keys()
+    assert varsolve["engine"] == "varsolve"
+    assert varsolve["vol_kind"] == closed["vol_kind"]
+    assert varsolve["forward"] == closed["forward"]
+    for key in ("price", "equiv_vol", "d1", "d2"):
+        assert varsolve[key] == pytest.approx(closed[key], rel=1e-4)
+
+
 def test_rate_closed_form(capsys):
     rc = main(["rate", "--sigma", "0.5", "--beta", "0.5", "--strike", "1.5"])
     out = capsys.readouterr().out

@@ -1,8 +1,8 @@
 """Discretized variational solver for the rate functions.
 
 The discrete action is checked on paths with known continuum limits, and the
-minimizer is cross-checked against the closed-form rates, the shooting
-first-integral, and the Lagrange-multiplier identity.
+minimizer is cross-checked against the closed-form rates and, through the
+envelope identity, its Lagrange multiplier against their strike derivative.
 """
 
 import math
@@ -70,7 +70,7 @@ def test_full_output_diagnostics():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     val, info = minimize_fixed(2.0, params, n=400, full_output=True)
     for key in ("converged", "constraint_err", "lam", "floor_active", "path",
-                "n", "C_shoot", "C_from_lam", "value_init", "iterations", "kkt_residual"):
+                "n", "iterations", "kkt_residual"):
         assert key in info
     assert info["converged"] is True
     assert 1 <= info["iterations"] <= 10
@@ -97,16 +97,20 @@ def test_put_path_decreases():
     assert np.all(np.diff(info["path"].values) < 1e-9)
 
 
-def test_multiplier_matches_shooting_constant():
-    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    _, info = minimize_fixed(1.6, params, n=400, full_output=True)
-    assert info["C_from_lam"] == pytest.approx(info["C_shoot"], rel=1e-2)
+@pytest.mark.parametrize("beta, m", [(0.5, 1.6), (0.75, 1.6), (0.75, 0.6), (0.9, 0.3)])
+def test_multiplier_is_the_strike_derivative_of_the_rate(beta, m):
+    # envelope identity: the multiplier of min A - lam (mean - K) is dI/dK
+    params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
+    _, info = minimize_fixed(m, params, n=400, full_output=True)
+    h = 1e-4 * m
+    dI_dK = (rate_cev(m + h, params).value - rate_cev(m - h, params).value) / (2.0 * h)
+    assert info["lam"] == pytest.approx(dI_dK, rel=1e-4)
 
 
 def test_certified_value_stays_near_the_initial_guess():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
-    val, info = minimize_fixed(0.7, params, n=400, full_output=True)
-    assert abs(val - info["value_init"]) < 1e-3 * info["value_init"]
+    val = minimize_fixed(0.7, params, n=400)
+    assert val == pytest.approx(rate_cev(0.7, params).value, rel=1e-4)
 
 
 def test_minimize_float_matches_closed_form_at_beta_half():
@@ -202,10 +206,10 @@ def test_indefinite_hessian_start_converges_to_a_kkt_point():
     # eigenvalue, so the Levenberg safeguard has to act
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.9)
     n, kappa = 200, 0.2
-    start = _exp_feasible_float(kappa, params, n).values
-    assert np.linalg.eigvalsh(dense_hessian(start, n, params))[0] < 0.0
+    start = _exp_feasible_float(kappa, params, n)
+    assert np.linalg.eigvalsh(dense_hessian(start.values, n, params))[0] < 0.0
     val, info = minimize_float(kappa, params, n=n, full_output=True)
-    assert val < info["value_init"]
+    assert val < action(start, params)
     g = info["path"].values
     _, grad = _action_and_grad(g, n, params)
     a = np.full(n, 1.0 / n)
