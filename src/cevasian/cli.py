@@ -225,11 +225,14 @@ def cmd_mc(args) -> int:
     est = sim(spec, params, config)
     if args.json:
         print(json.dumps({"price": est.mean, "std_error": est.std_error,
-                          "n_absorbed": est.n_absorbed}))
+                          "n_absorbed": est.n_absorbed, "n_steps": est.n_steps,
+                          "n_blocks": est.n_blocks}))
     else:
         print(f"price {est.mean:.6f}")
         print(f"std_error {est.std_error:.6f}")
         print(f"n_absorbed {est.n_absorbed}")
+        print(f"n_steps {est.n_steps}")
+        print(f"n_blocks {est.n_blocks}")
     return 0
 
 

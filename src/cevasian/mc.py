@@ -1,9 +1,12 @@
 """Monte Carlo pricing of arithmetic Asian options under the CEV dynamics.
 
 Full-truncation Euler scheme on S (the origin is absorbing: once a path is
-clamped at zero both drift and diffusion vanish), trapezoidal time average,
-antithetic pairs, and block-sequential accumulation with compensated sums so
-results are reproducible for a given seed regardless of block size.
+clamped at zero both drift and diffusion vanish), trapezoidal time average
+and antithetic pairs.  The pairs are simulated in fixed-size blocks, each
+with its own child of ``SeedSequence(seed)``; the blocks run concurrently
+on threads (numpy releases the interpreter lock inside its ufuncs and
+samplers) and their sums are combined with the exact ``math.fsum``, so a
+result is identical for a given seed whatever the number of cores.
 
 ``n_steps`` counts Euler steps per unit of maturity; the actual number of
 steps is max(1, round(n_steps * T)) so that step size is comparable across
@@ -13,6 +16,8 @@ the maturity grids used in the convergence studies.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +46,18 @@ class McEstimate:
     mean: float
     std_error: float
     n_absorbed: int
+    n_steps: int   # Euler steps per path
+    n_blocks: int  # seed blocks of up to _BLOCK_PAIRS antithetic pairs
+
+
+def _workers(n_blocks: int) -> int:
+    """Threads for n_blocks independent blocks: one per usable CPU, at most
+    one per block."""
+    if hasattr(os, "sched_getaffinity"):
+        n_cpu = len(os.sched_getaffinity(0))
+    else:
+        n_cpu = os.cpu_count() or 1
+    return min(n_cpu, n_blocks)
 
 
 def _steps_for(T: float, config: McConfig) -> int:
@@ -60,10 +77,7 @@ def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
     n_blocks = (n_pairs + _BLOCK_PAIRS - 1) // _BLOCK_PAIRS
     children = np.random.SeedSequence(config.seed).spawn(n_blocks)
 
-    sums, sums2 = [], []
-    n_absorbed = 0
-
-    for b in range(n_blocks):
+    def block(b: int) -> tuple[float, float, int]:
         m = min(_BLOCK_PAIRS, n_pairs - b * _BLOCK_PAIRS)
         rng = np.random.default_rng(children[b])
         # (spot, running trapezoid sum, Brownian increment per unit normal);
@@ -75,18 +89,21 @@ def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
                 s += mu * s * dt + sig * s ** beta * dw * z
                 np.maximum(s, 0.0, out=s)
                 acc += s
+        absorbed = 0
         for s, acc, _ in legs:
             acc -= 0.5 * s  # the s_T end term counts half
-            n_absorbed += int(np.count_nonzero(s <= 0.0))
+            absorbed += int(np.count_nonzero(s <= 0.0))
         pm = 0.5 * sum(payoff(acc / steps, s) for s, acc, _ in legs)
-        sums.append(float(np.sum(pm)))
-        sums2.append(float(np.sum(pm * pm)))
+        return float(np.sum(pm)), float(np.sum(pm * pm)), absorbed
+
+    with ThreadPoolExecutor(max_workers=_workers(n_blocks)) as ex:
+        sums, sums2, absorbed = zip(*ex.map(block, range(n_blocks)))
 
     mean = math.fsum(sums) / n_pairs
     var = max(math.fsum(sums2) / n_pairs - mean * mean, 0.0)
     se = math.sqrt(var / n_pairs)
     disc = math.exp(-params.r * T)
-    return McEstimate(disc * mean, disc * se, n_absorbed)
+    return McEstimate(disc * mean, disc * se, sum(absorbed), steps, n_blocks)
 
 
 def simulate_asian(spec: OptionSpec, params: ModelParams, config: McConfig) -> McEstimate:

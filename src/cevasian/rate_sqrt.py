@@ -74,6 +74,20 @@ def _eq_put(x: float) -> float:
     return (2.0 * e2 - math.expm1(-4.0 * x) / (2.0 * x)) / (1.0 + e2) ** 2
 
 
+def _sinhc_excess(y: float, e: float) -> float:
+    """4 e^{-y} (sinh(y)/y - 1), given e = e^{-y}.
+
+    Formed directly, the difference cancels to O(y^2) near the money, so
+    below y = 0.1 it is summed from the series y^2/3! + y^4/5! + ... (the
+    truncation is ~1e-19 relative there); above, in overflow-free form.
+    """
+    if y < 0.1:
+        y2 = y * y
+        return 4.0 * e * y2 * (1.0 / 6 + y2 * (1.0 / 120 + y2 * (1.0 / 5040 + y2 * (
+            1.0 / 362880 + y2 / 39916800))))
+    return -2.0 * math.expm1(-2.0 * y) / y - 4.0 * e
+
+
 def _taylor(xlog: float, params: ModelParams) -> float:
     """Series 3/2 x^2 + 3/5 x^3 + 271/1400 x^4 in x = log(K/S0), times S0/sigma^2."""
     pref = params.S0 / params.sigma ** 2
@@ -104,7 +118,7 @@ def rate_sqrt(K: float, params: ModelParams) -> RateResult:
             raise RootBracketError(f"put-branch root not bracketed for K/S0={target}")
     x = brentq(lambda t: _eq_put(t) - target, 1e-12, hi, xtol=_XTOL, rtol=_RTOL)
     e2 = math.exp(-2.0 * x)
-    value = (S0 / sig ** 2) * x * x * ((1.0 - e2 * e2) / x - 4.0 * e2) / (1.0 + e2) ** 2
+    value = (S0 / sig ** 2) * x * x * _sinhc_excess(2.0 * x, e2) / (1.0 + e2) ** 2
     return RateResult(value, SqrtRateDiag(x, -2.0 * x * x / sig ** 2, "put"))
 
 

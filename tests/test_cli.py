@@ -106,6 +106,11 @@ def test_mc_deterministic_output(capsys):
     assert rc1 == rc2 == 0
     assert out1 == out2
     assert "std_error" in out1
+    # 2,500 antithetic pairs are one block; 100 steps per unit maturity
+    assert "n_steps 50\nn_blocks 1\n" in out1
+    assert main(args + ["--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["n_steps"], out["n_blocks"]) == (50, 1)
 
 
 def test_bench_table_exit_code(capsys):

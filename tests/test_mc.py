@@ -6,6 +6,7 @@ the asymptotic prices on the benchmark scenarios.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cevasian import (
     simulate_asian,
     simulate_floating,
 )
+from cevasian import mc
 from cevasian.rate_sqrt import rate_sqrt
 
 se_band = 3.5
@@ -54,6 +56,23 @@ def test_seed_determinism():
     assert a.std_error == b.std_error
     c = simulate_asian(spec, p, McConfig(n_paths=20_000, n_steps=200, seed=8))
     assert c.mean != a.mean
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_estimate_is_bit_identical_for_any_worker_count(monkeypatch, workers):
+    # 150,000 paths are 3 blocks (32,768 + 32,768 + 9,464 pairs); the pinned
+    # values come from running the blocks one after another
+    monkeypatch.setattr(mc, "_workers", lambda n_blocks: workers)
+    p = ModelParams(S0=0.25, sigma=1.5, beta=0.5, r=0.02)
+    est = simulate_asian(OptionSpec("fixed", "put", 0.25, 1.0), p,
+                         McConfig(n_paths=150_000, n_steps=20, seed=5))
+    assert est == mc.McEstimate(mean=0.12536913056814272, std_error=0.00012219809155305578,
+                                n_absorbed=112592, n_steps=20, n_blocks=3)
+
+
+def test_worker_count_never_exceeds_cpus_or_blocks():
+    assert mc._workers(1) == 1
+    assert 1 <= mc._workers(10_000) <= os.cpu_count()
 
 
 def test_integer_spot_simulates_like_a_float_spot():

@@ -125,6 +125,21 @@ def test_put_just_outside_the_atm_window():
     assert res.value == pytest.approx(taylor, rel=1e-8)
 
 
+@pytest.mark.parametrize("xlog, ref", [
+    (-1.05e-5, 6.614972217141772e-10),
+    (-2e-5, 2.39998080012446e-09),
+    (-1e-4, 5.999760007742879e-08),
+])
+def test_put_value_near_the_money_matches_mpmath(xlog, ref):
+    # ref: 50-digit mpmath root of (1 + sinh 2x/(2x)) / (2 cosh^2 x) = K and
+    # I = x^2 (sinh 2x/(2x) - 1) / cosh^2 x / sigma^2 at K = exp(xlog);
+    # sinh 2x/(2x) - 1 must not be formed by cancellation
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    res = rate_sqrt(math.exp(xlog), params)
+    assert res.diag.branch == "put"
+    assert res.value == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
 def test_deep_put_stays_finite():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     val = rate_sqrt(1e-4, params).value
