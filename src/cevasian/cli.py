@@ -24,7 +24,7 @@ from .mc import McConfig, simulate_asian, simulate_floating
 from .pricing import (OptionSpec, _bachelier, _lognormal_vol, _normal_vol,
                       equiv_lognormal_vol, price_fixed, price_floating, rate_float)
 from .rate_cev import rate_cev
-from .varsolve import minimize_fixed
+from .varsolve import CERTIFICATE, minimize_fixed
 # not called here (rate_cev, rate_float and the vol-from-rate helpers cover
 # them), but perfbench/worker.py traces the layers by patching these names
 from .float_strike import rate_float_cev  # noqa: F401
@@ -149,9 +149,7 @@ def cmd_rate(args) -> int:
     params = _params(args)
     if args.engine == "varsolve":
         value, info = minimize_fixed(args.strike, params, full_output=True)
-        out = {"rate": value, "engine": "varsolve",
-               "constraint_err": info["constraint_err"],
-               "converged": info["converged"]}
+        out = {"rate": value, "engine": "varsolve", **{k: info[k] for k in CERTIFICATE}}
         branch = None
     else:
         res = rate_cev(args.strike, params)
@@ -199,6 +197,8 @@ def cmd_float(args) -> int:
     vol = _normal_vol(args.kappa, params, lambda *_: res.value)
     out = {"kappa": args.kappa, "rate": res.value, "branch": res.branch,
            "sigma_n": vol}
+    # the variational route's certificate (general beta)
+    out.update({k: getattr(res.diag, k) for k in CERTIFICATE if hasattr(res.diag, k)})
     if args.maturity is not None:
         spec = OptionSpec("floating", args.side, args.kappa, args.maturity)
         pres = _bachelier(spec, params, vol)

@@ -40,6 +40,17 @@ class FloatRateDiag:
     branch: str  # "put" (kappa>1) | "call" (kappa<1) | "atm"
 
 
+@dataclass(frozen=True)
+class VariationalDiag:
+    """Certificate of the variational route (see varsolve.minimize_float)."""
+
+    branch: str           # "put" (kappa>1) | "call" (kappa<1)
+    iterations: int       # Newton steps over all continuation rungs
+    kkt_residual: float   # Newton decrement per unit of action
+    constraint_err: float
+    rungs: int            # certified solves of the continuation ladder
+
+
 def solve_theta_c(kappa: float, params: ModelParams) -> float:
     """Upper boundary theta_c of the finite domain of Lambda_f.
 
@@ -158,8 +169,8 @@ def rate_float_cev(kappa: float, params: ModelParams) -> RateResult:
         raise ValueError(f"kappa must be positive, got {kappa}")
     if kappa == 1.0:
         return RateResult(0.0, FloatRateDiag(0.0, "atm"))
-    from .varsolve import minimize_float
+    from .varsolve import CERTIFICATE, minimize_float
 
-    value = minimize_float(kappa, params)
+    value, info = minimize_float(kappa, params, full_output=True)
     branch = "put" if kappa > 1.0 else "call"
-    return RateResult(value, FloatRateDiag(math.nan, branch))
+    return RateResult(value, VariationalDiag(branch, **{k: info[k] for k in CERTIFICATE}))

@@ -12,10 +12,13 @@ The discretized action (forward differences, midpoint evaluation of g^(2 beta))
 couples only neighbouring nodes, so its Hessian is tridiagonal.  It is jointly
 convex in the path values only at beta = 1/2: the 2x2 Hessian of v^2/u^(2 beta)
 has determinant proportional to 2 beta (1 - 2 beta), negative for beta > 1/2,
-so the Hessian can be indefinite there.  Solves run in two phases: a smooth
-initial path (for fixed strikes, the shooting solution of the Euler-Lagrange
-equation via its first integral; for floating strikes, a feasible exponential
-path), then a Newton solve of the KKT system of the equality-constrained
+so the Hessian can be indefinite there.  Every solve starts from one kind of
+path, S0 (base/S0)^s, with the scalar s chosen so that the averaging
+constraint holds.  The base is a smooth path (S0 e^{2t - t^2} for a fixed
+strike, S0 e^t for a floating one) where K/S0 or kappa is at least ``edge``.
+Below the edge a continuation ladder steps the target down geometrically and
+rescales the certified path of each rung to start the next.  Each start is
+certified by a Newton solve of the KKT system of the equality-constrained
 problem (Nocedal & Wright, Numerical Optimization, ch. 16) with one banded
 solve per step, step-halving to keep g > 0, an Armijo test once the iterate
 is feasible and a Levenberg shift where the Hessian is not positive on the
@@ -32,18 +35,17 @@ import numpy as np
 from scipy.linalg import solve_banded
 # ``minimize`` is unused here; perfbench/worker.py patches ``varsolve.minimize``
 # by name for its per-layer trace, so the name stays importable.
-from scipy.optimize import brentq, minimize  # noqa: F401
+from scipy.optimize import minimize  # noqa: F401
 
-from .model import ConvergenceError, ModelParams, RootBracketError
+from .model import ConvergenceError, ModelParams
 
 default_n = 800    # path intervals
 tol = 1.0e-12      # constraint error per unit of sum |cons_i g_i|, and
                    # Newton decrement per unit of action
 max_newton = 100   # Newton steps per solve
-
-_quad_nodes, _quad_wts = np.polynomial.legendre.leggauss(200)
-_quad_nodes = 0.5 * (_quad_nodes + 1.0)  # map to [0, 1]
-_quad_wts = 0.5 * _quad_wts
+edge = 0.2         # K/S0 or kappa below which the continuation ladder runs
+# the info keys that rate diagnostics and the CLI report with a solved value
+CERTIFICATE = ("iterations", "kkt_residual", "constraint_err", "rungs")
 
 
 @dataclass
@@ -87,109 +89,38 @@ def _trapezoid_weights(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# phase 1: smooth initial paths
+# start: a smooth path rescaled to meet the constraint
 # ---------------------------------------------------------------------------
 
-def _shoot_fixed(K: float, params: ModelParams, n: int):
-    """Shooting solution of the Euler-Lagrange equation for the fixed-strike
-    problem, built from its first integral.
+def _rescaled(base: np.ndarray, w: np.ndarray, ref: int, m: float) -> np.ndarray:
+    """The path S0 (base/S0)^s, S0 = base[0], whose trapezoid mean is m times
+    its node ``ref`` (0 for a fixed strike, -1 for a floating one).
 
-    In the variable y = (g/S0)^(1-beta) the EL equation becomes
-    y'' = C y^gamma with gamma = beta/(1-beta), endpoint condition y'(1) = 0,
-    so (y')^2 = 2C(1-beta)(y^p - y1^p) with p = 1/(1-beta) and y1 = y(1).
-    Quadrature of dt = dy/|y'| fixes C for given y1 (time normalization) and
-    the averaging constraint selects y1.  The substitution
-    y = y1 +/- (1 - y1) s^2 removes the square-root singularity at y = y1.
-    """
-    beta, S0 = params.beta, params.S0
-    p = 1.0 / (1.0 - beta)
-    target = K / S0
-    put = target < 1.0
-
-    def integrals(y1: float):
-        # M = int dy/sqrt(|y^p - y1^p|), N = int y^p dy/sqrt(...), from y1 to 1
-        if put:
-            s = _quad_nodes
-            y = y1 + (1.0 - y1) * s * s
-            jac = 2.0 * (1.0 - y1) * s
-            root = np.sqrt(np.maximum(y ** p - y1 ** p, 0.0))
-        else:
-            s = _quad_nodes
-            y = y1 - (y1 - 1.0) * s * s
-            jac = 2.0 * (y1 - 1.0) * s
-            root = np.sqrt(np.maximum(y1 ** p - y ** p, 0.0))
-        w = jac / np.where(root > 0, root, np.inf)
-        M = float(np.sum(_quad_wts * w))
-        N = float(np.sum(_quad_wts * w * y ** p))
-        return M, N
-
-    def mean_minus_target(y1: float) -> float:
-        M, N = integrals(y1)
-        return N / M - target
-
-    if put:
-        lo = target
-        while mean_minus_target(lo) >= 0.0:
-            lo *= 0.5
-            if lo < 1e-200:
-                raise RootBracketError(f"shooting endpoint not bracketed for K/S0={target}")
-        y1 = brentq(mean_minus_target, lo, 1.0 - 1e-9, xtol=1e-14)
-    else:
-        hi = max(2.0, 2.0 * target)
-        while mean_minus_target(hi) <= 0.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise RootBracketError(f"shooting endpoint not bracketed for K/S0={target}")
-        y1 = brentq(mean_minus_target, 1.0 + 1e-9, hi, xtol=1e-12)
-
-    # reconstruct t(y) on a fine s-grid and sample y on the uniform t-grid
-    m = 4 * n
-    s = np.linspace(0.0, 1.0, m + 1)
-    if put:
-        y = y1 + (1.0 - y1) * s * s
-        jac = 2.0 * (1.0 - y1) * s
-        root2 = y ** p - y1 ** p
-    else:
-        y = y1 - (y1 - 1.0) * s * s
-        jac = 2.0 * (y1 - 1.0) * s
-        root2 = y1 ** p - y ** p
-    integrand = np.zeros_like(s)
-    integrand[1:] = jac[1:] / np.sqrt(np.maximum(root2[1:], 1e-300))
-    # limiting value at s = 0 (turning point): jac/root -> 2 sqrt((1-y1)/(p y1^(p-1)))
-    integrand[0] = 2.0 * math.sqrt(abs(1.0 - y1) / (p * y1 ** (p - 1.0)))
-    F = np.concatenate(([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(s))))
-    t_of_s = 1.0 - F / F[-1]  # t runs 1 -> 0 as s runs 0 -> 1
-    t_grid = np.linspace(0.0, 1.0, n + 1)
-    y_on_t = np.interp(t_grid, t_of_s[::-1], y[::-1])
-    g = S0 * y_on_t ** p
-    g[0] = S0
-    return PathGrid(n, g)
-
-
-def _exp_feasible_float(kappa: float, params: ModelParams, n: int) -> PathGrid:
-    """Exponential path S0 e^{ct} meeting the discrete constraint exactly:
-    the trapezoid mean of e^{c(t-1)} equals kappa."""
-    t = np.linspace(0.0, 1.0, n + 1)
-    w = _trapezoid_weights(n)
-
-    def phi(c: float) -> float:
-        return float(w @ np.exp(c * (t - 1.0))) - kappa
-
-    if kappa < 1.0:
-        hi = 1.0
-        while phi(hi) > 0.0:
-            hi *= 2.0
-        c = brentq(phi, 0.0, hi, xtol=1e-13)
-    else:
-        lo = -1.0
-        while phi(lo) < 0.0:
-            lo *= 2.0
-        c = brentq(phi, lo, 0.0, xtol=1e-13)
-    return PathGrid(n, params.S0 * np.exp(c * t))
+    With L = log(base/S0) and D = L - L[ref], s is the root of
+    F(s) = log(w . e^{sD}) - log m.  F is convex in s (a log-sum-exp of linear
+    functions), so Newton's method from s = 0 overshoots at most once and then
+    converges monotonically.  The sum is shifted by its largest term, so
+    nothing overflows.  Where |F(0)| is at rounding level, as at the money,
+    s = 0 gives the constant path."""
+    L = np.log(base / base[0])
+    D = L - L[ref]
+    s = 0.0
+    for _ in range(max_newton):
+        x = s * D
+        top = np.max(x)
+        e = w * np.exp(x - top)
+        total = np.sum(e)
+        F = math.log(total) + top - math.log(m)
+        if abs(F) <= 1e-14:
+            return base[0] * np.exp(s * L)
+        s -= F * total / (e @ D)  # numpy division: a zero slope gives inf
+        if not math.isfinite(s):
+            break
+    raise ConvergenceError(f"no rescaled start path has mean {m} times its node {ref}")
 
 
 # ---------------------------------------------------------------------------
-# phase 2: Newton-KKT certification
+# Newton-KKT certification
 # ---------------------------------------------------------------------------
 
 def _hessian(g: np.ndarray, n: int, params: ModelParams) -> np.ndarray:
@@ -313,33 +244,51 @@ def _line_search(g: np.ndarray, val: float, slope: float, step: np.ndarray,
     return None
 
 
+def _minimize(m: float, ref: int, params: ModelParams, n: int):
+    """Certified minimum of the action subject to mean(g) = m g[ref].
+
+    At or above ``edge`` the solve starts from a rescaled smooth path:
+    S0 e^{2t - t^2} for a fixed strike, whose end slope is zero like the
+    optimum's, and S0 e^t for a floating one.  Below the edge the target
+    climbs down a ladder edge, edge/2, edge/4, ..., m (numerical continuation;
+    Allgower & Georg, Introduction to Numerical Continuation Methods, SIAM
+    2003), and each rung starts from the certified path of the rung before,
+    rescaled.  ``info`` is that of the last rung, with ``iterations`` summed
+    over the rungs and ``rungs`` their number."""
+    w = _trapezoid_weights(n)
+    t = np.linspace(0.0, 1.0, n + 1)
+    base = params.S0 * np.exp(t * (2.0 - t) if ref == 0 else t)
+    rungs = [edge / 2.0 ** k for k in range(max(0, math.ceil(math.log2(edge / m))))] + [m]
+    iterations = 0
+    # a path that sinks towards 0 can overflow the Hessian; _certify checks
+    # every Hessian, step and trial action and raises on a non-finite one
+    with np.errstate(all="ignore"):
+        for rung in rungs:
+            cons = w.copy()
+            cons[ref] -= rung
+            init = PathGrid(n, _rescaled(base, w, ref, rung))
+            value, info = _certify(init, cons, 0.0, params, n)
+            base = info["path"].values
+            iterations += info["iterations"]
+    info.update(iterations=iterations, rungs=len(rungs))
+    return value, info
+
+
 def minimize_fixed(K: float, params: ModelParams, n: int = default_n,
                    full_output: bool = False):
     """Minimum action subject to the fixed-strike averaging constraint.
 
     Returns the certified minimum (a float), or (value, info) with solver
-    diagnostics when full_output is set: ``iterations`` (Newton steps),
+    diagnostics when full_output is set: ``iterations`` (Newton steps over
+    all rungs), ``rungs`` (certified solves of the continuation ladder),
     ``kkt_residual`` (Newton decrement per unit of action), ``constraint_err``,
     the multiplier ``lam``, ``floor_active`` (min g <= 1e-9 S0) and the path.
     Raises ConvergenceError rather than return an uncertified value.
     """
     if not K > 0:
         raise ValueError(f"strike must be positive, got {K}")
-    S0 = params.S0
-    target = K / S0
-    if abs(target - 1.0) < 1e-8:
-        # constant path is (near-)feasible; polish from the linear tilt
-        c = 2.0 * (target - 1.0)
-        t = np.linspace(0.0, 1.0, n + 1)
-        init = PathGrid(n, S0 * (1.0 + c * t))
-    else:
-        init = _shoot_fixed(K, params, n)
-
-    w = _trapezoid_weights(n)
-    value, info = _certify(init, w, K, params, n)
-    if full_output:
-        return value, info
-    return value
+    value, info = _minimize(K / params.S0, 0, params, n)
+    return (value, info) if full_output else value
 
 
 def minimize_float(kappa: float, params: ModelParams, n: int = default_n,
@@ -348,22 +297,9 @@ def minimize_float(kappa: float, params: ModelParams, n: int = default_n,
 
     The OTM floating constraint mean(g) >= kappa g(1) (put, kappa > 1) or
     <= (call, kappa < 1) is active at the optimum, so it is imposed as an
-    equality; the zero-cost constant path handles kappa = 1.  Returns and
-    raises as :func:`minimize_fixed`.
+    equality.  Returns and raises as :func:`minimize_fixed`.
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    if abs(kappa - 1.0) < 1e-10:
-        if full_output:
-            return 0.0, {"converged": True, "constraint_err": 0.0, "lam": 0.0,
-                         "floor_active": False, "iterations": 0, "kkt_residual": 0.0,
-                         "path": PathGrid(n, np.full(n + 1, params.S0)), "n": n}
-        return 0.0
-    init = _exp_feasible_float(kappa, params, n)
-    w = _trapezoid_weights(n)
-    cons = w.copy()
-    cons[-1] -= kappa
-    value, info = _certify(init, cons, 0.0, params, n)
-    if full_output:
-        return value, info
-    return value
+    value, info = _minimize(kappa, -1, params, n)
+    return (value, info) if full_output else value

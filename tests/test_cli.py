@@ -9,6 +9,7 @@ import pytest
 from cevasian import ModelParams, OptionSpec, price_fixed
 from cevasian.bench import BenchRow, Scenario
 from cevasian.cli import main
+from cevasian.rate_cev import rate_cev
 from cevasian.rate_sqrt import rate_sqrt
 
 
@@ -70,6 +71,36 @@ def test_rate_variational_engine_agrees(capsys):
     value = float(out.split()[1])
     ref = rate_sqrt(1.5, ModelParams(S0=1.0, sigma=0.5, beta=0.5)).value
     assert value == pytest.approx(ref, rel=1e-4)
+
+
+def test_rate_variational_engine_reports_its_certificate(capsys):
+    # beta near 1 at K/S0 = 1e3: the path rises to 1e6 S0
+    rc = main(["rate", "--engine", "varsolve", "--beta", "0.99", "--sigma", "0.5",
+               "--strike", "1000", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert set(out) == {"rate", "engine", "iterations", "kkt_residual",
+                        "constraint_err", "rungs"}
+    assert out["rungs"] == 1 and out["iterations"] >= 1
+    assert 0.0 <= out["kkt_residual"] <= 1e-12
+    ref = rate_cev(1000.0, ModelParams(S0=1.0, sigma=0.5, beta=0.99)).value
+    assert out["rate"] == pytest.approx(ref, rel=1e-4)
+    assert main(["rate", "--engine", "varsolve", "--beta", "0.99", "--sigma", "0.5",
+                 "--strike", "1000"]) == 0
+    assert capsys.readouterr().out.startswith("rate ")
+
+
+def test_float_json_reports_the_variational_certificate(capsys):
+    args = ["float", "--sigma", "0.5", "--kappa", "0.05", "--maturity", "1", "--json"]
+    assert main(args + ["--beta", "0.75"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["rungs"] > 1  # small kappa climbs the continuation ladder
+    assert 0.0 <= out["kkt_residual"] <= 1e-12
+    assert abs(out["constraint_err"]) <= 1e-12 and out["iterations"] >= out["rungs"]
+    # the closed form at beta = 1/2 runs no solver
+    assert main(args[:3] + ["--kappa", "0.5", "--maturity", "1", "--json",
+                            "--beta", "0.5"]) == 0
+    assert "iterations" not in json.loads(capsys.readouterr().out)
 
 
 def test_vol_curve_to_file(tmp_path, capsys):

@@ -132,6 +132,11 @@ def test_general_beta_regression():
     res = rate_float_cev(0.7, params)
     assert isinstance(res, RateResult)
     assert res.value == pytest.approx(2.6938535845207348, rel=1e-4)
+    # the solver's certificate travels with the value
+    assert res.diag.branch == "call"
+    assert res.diag.rungs == 1 and res.diag.iterations >= 1
+    assert 0.0 <= res.diag.kkt_residual <= 1e-12
+    assert abs(res.diag.constraint_err) <= 1e-12
 
 
 def test_general_beta_atm_is_exact_zero():
