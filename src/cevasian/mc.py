@@ -3,10 +3,19 @@
 Full-truncation Euler scheme on S (the origin is absorbing: once a path is
 clamped at zero both drift and diffusion vanish), trapezoidal time average
 and antithetic pairs.  The pairs are simulated in fixed-size blocks, each
-with its own child of ``SeedSequence(seed)``; the blocks run concurrently
-on threads (numpy releases the interpreter lock inside its ufuncs and
-samplers) and their sums are combined with the exact ``math.fsum``, so a
-result is identical for a given seed whatever the number of cores.
+with its own child of ``SeedSequence(seed)``; their sums are combined with
+the exact ``math.fsum``, so a result is identical for a given seed whatever
+the number of cores.
+
+Thread layout (numpy releases the interpreter lock inside its ufuncs and
+samplers, so threads run in parallel): the blocks run on a pool of one
+thread per usable CPU, at most one per block.  Each block thread starts one
+drawing thread of its own, which draws the block's normals ``_CHUNK_STEPS``
+steps at a time, up to ``_CHUNKS_AHEAD`` chunks ahead, while the block
+thread steps both antithetic legs, held as one (2, m) array, through the
+chunk it already has.  That is at most two threads per pool thread.  An
+error on either thread reaches the caller, and a block's drawing thread is
+stopped and joined before the block returns.
 
 ``n_steps`` counts Euler steps per unit of maturity; the actual number of
 steps is max(1, round(n_steps * T)) so that step size is comparable across
@@ -17,15 +26,19 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .model import ModelParams
 from .pricing import OptionSpec
 
 _BLOCK_PAIRS = 32768  # antithetic pairs per block
+_CHUNK_STEPS = 8      # Euler steps per draw of normals
+_CHUNKS_AHEAD = 2     # draws queued ahead of the stepping thread
 
 
 @dataclass(frozen=True)
@@ -35,8 +48,9 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_paths <= 0:
-            raise ValueError(f"n_paths must be positive, got {self.n_paths}")
+        if self.n_paths < 3:
+            # one antithetic pair has no spread to estimate a standard error from
+            raise ValueError(f"n_paths must be at least 3 (two antithetic pairs), got {self.n_paths}")
         if self.n_steps <= 0:
             raise ValueError(f"n_steps must be positive, got {self.n_steps}")
 
@@ -70,31 +84,57 @@ def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
     steps = _steps_for(T, config)
     dt = T / steps
     sqdt = math.sqrt(dt)
+    dw = np.array([[sqdt], [-sqdt]])  # Brownian increment per unit normal, per leg
     mu = params.r - params.q
     sig, beta, S0 = params.sigma, params.beta, float(params.S0)
 
     n_pairs = (config.n_paths + 1) // 2
     n_blocks = (n_pairs + _BLOCK_PAIRS - 1) // _BLOCK_PAIRS
-    children = np.random.SeedSequence(config.seed).spawn(n_blocks)
+    children = SeedSequence(config.seed).spawn(n_blocks)
+    chunks = [min(_CHUNK_STEPS, steps - i) for i in range(0, steps, _CHUNK_STEPS)]
 
     def block(b: int) -> tuple[float, float, int]:
         m = min(_BLOCK_PAIRS, n_pairs - b * _BLOCK_PAIRS)
-        rng = np.random.default_rng(children[b])
-        # (spot, running trapezoid sum, Brownian increment per unit normal);
-        # the sum starts at the S0/2 end term and takes each new spot whole
-        legs = [(np.full(m, S0), np.full(m, 0.5 * S0), dw) for dw in (sqdt, -sqdt)]
-        for _ in range(steps):
-            z = rng.standard_normal(m)
-            for s, acc, dw in legs:
-                s += mu * s * dt + sig * s ** beta * dw * z
-                np.maximum(s, 0.0, out=s)
-                acc += s
-        absorbed = 0
-        for s, acc, _ in legs:
-            acc -= 0.5 * s  # the s_T end term counts half
-            absorbed += int(np.count_nonzero(s <= 0.0))
-        pm = 0.5 * sum(payoff(acc / steps, s) for s, acc, _ in legs)
-        return float(np.sum(pm)), float(np.sum(pm * pm)), absorbed
+        rng = default_rng(children[b])
+        # row 0 is the + leg, row 1 the - leg; the running trapezoid sum
+        # starts at the S0/2 end term and takes each new spot whole
+        s = np.full((2, m), S0)
+        acc = np.full((2, m), 0.5 * S0)
+        drift, diff = np.empty((2, m)), np.empty((2, m))
+
+        def draw(c: int) -> np.ndarray:
+            # one draw of k*m normals is the same stream as k draws of m
+            return rng.standard_normal((chunks[c], m))
+
+        drawer = ThreadPoolExecutor(max_workers=1)
+        try:
+            ahead = deque(drawer.submit(draw, c) for c in range(min(_CHUNKS_AHEAD, len(chunks))))
+            for c in range(len(chunks)):
+                zs = ahead.popleft().result()
+                if c + _CHUNKS_AHEAD < len(chunks):
+                    ahead.append(drawer.submit(draw, c + _CHUNKS_AHEAD))
+                for z in zs:
+                    # s += (mu s) dt + ((sig s^beta) dw) z, in that order;
+                    # np.sqrt is what s ** 0.5 computes, faster than np.power
+                    if beta == 0.5:
+                        np.sqrt(s, out=diff)
+                    else:
+                        np.power(s, beta, out=diff)
+                    diff *= sig
+                    diff *= dw
+                    diff *= z
+                    np.multiply(s, mu, out=drift)
+                    drift *= dt
+                    drift += diff
+                    s += drift
+                    np.maximum(s, 0.0, out=s)
+                    acc += s
+        finally:
+            drawer.shutdown(cancel_futures=True)
+        acc -= 0.5 * s  # the s_T end term counts half
+        pay = payoff(acc / steps, s)
+        pm = 0.5 * (pay[0] + pay[1])
+        return float(np.sum(pm)), float(np.sum(pm * pm)), int(np.count_nonzero(s <= 0.0))
 
     with ThreadPoolExecutor(max_workers=_workers(n_blocks)) as ex:
         sums, sums2, absorbed = zip(*ex.map(block, range(n_blocks)))

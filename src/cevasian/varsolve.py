@@ -244,8 +244,9 @@ def _line_search(g: np.ndarray, val: float, slope: float, step: np.ndarray,
     return None
 
 
-def _minimize(m: float, ref: int, params: ModelParams, n: int):
-    """Certified minimum of the action subject to mean(g) = m g[ref].
+def _minimize(name: str, m: float, ref: int, params: ModelParams, n: int):
+    """Certified minimum of the action subject to mean(g) = m g[ref], where
+    ``name`` is what m is called in the error for an infeasible target.
 
     At or above ``edge`` the solve starts from a rescaled smooth path:
     S0 e^{2t - t^2} for a fixed strike, whose end slope is zero like the
@@ -255,6 +256,11 @@ def _minimize(m: float, ref: int, params: ModelParams, n: int):
     2003), and each rung starts from the certified path of the rung before,
     rescaled.  ``info`` is that of the last rung, with ``iterations`` summed
     over the rungs and ``rungs`` their number."""
+    if not m > 0.5 / n:
+        # node ref alone carries trapezoid weight 1/(2n), so the mean of a
+        # positive path is more than 1/(2n) times it
+        raise ValueError(f"{name} = {m:g} cannot be met on n = {n} intervals: "
+                         f"it must exceed 1/(2n) = {0.5 / n:g}")
     w = _trapezoid_weights(n)
     t = np.linspace(0.0, 1.0, n + 1)
     base = params.S0 * np.exp(t * (2.0 - t) if ref == 0 else t)
@@ -283,11 +289,13 @@ def minimize_fixed(K: float, params: ModelParams, n: int = default_n,
     all rungs), ``rungs`` (certified solves of the continuation ladder),
     ``kkt_residual`` (Newton decrement per unit of action), ``constraint_err``,
     the multiplier ``lam``, ``floor_active`` (min g <= 1e-9 S0) and the path.
-    Raises ConvergenceError rather than return an uncertified value.
+    Raises ValueError for K/S0 <= 1/(2n), which no positive path's trapezoid
+    mean reaches, and ConvergenceError rather than return an uncertified
+    value.
     """
     if not K > 0:
         raise ValueError(f"strike must be positive, got {K}")
-    value, info = _minimize(K / params.S0, 0, params, n)
+    value, info = _minimize("K/S0", K / params.S0, 0, params, n)
     return (value, info) if full_output else value
 
 
@@ -297,9 +305,10 @@ def minimize_float(kappa: float, params: ModelParams, n: int = default_n,
 
     The OTM floating constraint mean(g) >= kappa g(1) (put, kappa > 1) or
     <= (call, kappa < 1) is active at the optimum, so it is imposed as an
-    equality.  Returns and raises as :func:`minimize_fixed`.
+    equality.  Returns and raises as :func:`minimize_fixed`, with kappa in
+    place of K/S0.
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    value, info = _minimize(kappa, -1, params, n)
+    value, info = _minimize("kappa", kappa, -1, params, n)
     return (value, info) if full_output else value

@@ -214,6 +214,27 @@ def test_exit_code_two_on_bad_model(capsys):
         assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate", "--engine", "varsolve", "--strike", "5e-4"],
+    ["float", "--kappa", "5e-4"],
+])
+def test_exit_code_two_on_an_infeasible_variational_target(argv, capsys):
+    rc = main(argv + ["--sigma", "0.5", "--beta", "0.75"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "1/(2n) = 0.000625" in captured.err
+
+
+def test_exit_code_two_on_a_single_antithetic_pair(capsys):
+    rc = main(["mc", "--sigma", "0.5", "--beta", "0.5", "--strike", "1",
+               "--maturity", "1", "--n-paths", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "n_paths" in captured.err
+
+
 def test_exit_code_three_on_unbracketable_root(capsys):
     rc = main(["rate", "--sigma", "0.5", "--beta", "0.5", "--strike", "1e-13"])
     err = capsys.readouterr().err

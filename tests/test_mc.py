@@ -7,6 +7,8 @@ the asymptotic prices on the benchmark scenarios.
 
 import math
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +70,83 @@ def test_estimate_is_bit_identical_for_any_worker_count(monkeypatch, workers):
                          McConfig(n_paths=150_000, n_steps=20, seed=5))
     assert est == mc.McEstimate(mean=0.12536913056814272, std_error=0.00012219809155305578,
                                 n_absorbed=112592, n_steps=20, n_blocks=3)
+
+
+# beta = 0.75 runs the power path: two 3-block cases (32,768 + 32,768 +
+# 9,464 pairs) and one single-block case, recorded with the two antithetic
+# legs stepped one after another and one normal draw per step
+PINNED_POW = [
+    (ModelParams(S0=1.0, sigma=0.6, beta=0.75, r=0.03), OptionSpec("fixed", "put", 0.9, 1.0),
+     McConfig(n_paths=150_000, n_steps=20, seed=21),
+     mc.McEstimate(mean=0.08070240405906039, std_error=0.00025381422046452337,
+                   n_absorbed=0, n_steps=20, n_blocks=3)),
+    (ModelParams(S0=1.0, sigma=0.6, beta=0.75, r=0.03), OptionSpec("floating", "call", 1.0, 1.0),
+     McConfig(n_paths=150_000, n_steps=20, seed=22),
+     mc.McEstimate(mean=0.1426907184216688, std_error=0.0005840561940735077,
+                   n_absorbed=1, n_steps=20, n_blocks=3)),
+    (ModelParams(S0=2.0, sigma=0.8, beta=0.75, r=0.01), OptionSpec("fixed", "call", 2.1, 0.5),
+     McConfig(n_paths=20_000, n_steps=40, seed=23),
+     mc.McEstimate(mean=0.1759041249353272, std_error=0.001986724533104346,
+                   n_absorbed=0, n_steps=20, n_blocks=1)),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", range(len(PINNED_POW)))
+def test_power_path_estimate_is_pinned_for_any_worker_count(monkeypatch, workers, case):
+    monkeypatch.setattr(mc, "_workers", lambda n_blocks: workers)
+    p, spec, config, pinned = PINNED_POW[case]
+    run = simulate_asian if spec.style == "fixed" else simulate_floating
+    assert run(spec, p, config) == pinned
+
+
+class _BrokenDraws:
+    """A generator whose draw of normals number ``call`` raises or, with
+    ``bad_chunk``, returns a chunk that the stepping thread cannot use.  The
+    draws after it are slow, so that a drawing thread left running when the
+    call returns is still alive."""
+
+    def __init__(self, rng, call, bad_chunk):
+        self.rng, self.call, self.bad_chunk, self.calls = rng, call, bad_chunk, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.call:
+            if self.bad_chunk:
+                return np.zeros((1, 7))
+            raise RuntimeError("draw failed")
+        if self.calls > self.call:
+            time.sleep(0.2)
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("call, bad_chunk, error", [
+    (3, False, RuntimeError),  # the drawing thread fails on the last chunk
+    (1, True, ValueError),     # the stepping thread fails with draws queued
+])
+def test_a_failing_draw_or_step_reaches_the_caller_and_stops_every_thread(
+        monkeypatch, call, bad_chunk, error):
+    # 20 steps are chunks of 8, 8 and 4 in each of 3 blocks
+    monkeypatch.setattr(mc, "default_rng",
+                        lambda seed: _BrokenDraws(np.random.default_rng(seed), call, bad_chunk))
+    monkeypatch.setattr(mc, "_workers", lambda n_blocks: 2)
+    before = threading.active_count()
+    raised = []
+
+    def run():
+        try:
+            simulate_asian(OptionSpec("fixed", "put", 0.25, 1.0),
+                           ModelParams(S0=0.25, sigma=1.5, beta=0.75),
+                           McConfig(n_paths=150_000, n_steps=20, seed=5))
+        except Exception as exc:  # handed to the test thread below
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "simulate_asian hung after the failure"
+    assert len(raised) == 1 and isinstance(raised[0], error)
+    assert threading.active_count() == before
 
 
 def test_worker_count_never_exceeds_cpus_or_blocks():
@@ -159,6 +238,13 @@ def test_rate_from_mc_starved_sampling_gives_nan():
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(n_paths=0, n_steps=100, seed=0)
+    # one antithetic pair would report a standard error of exactly 0
+    for n_paths in (1, 2):
+        with pytest.raises(ValueError, match="two antithetic pairs"):
+            McConfig(n_paths=n_paths, n_steps=100, seed=0)
+    assert simulate_asian(OptionSpec("fixed", "call", 1.0, 1.0),
+                          ModelParams(S0=1.0, sigma=0.5, beta=0.5),
+                          McConfig(n_paths=3, n_steps=10, seed=0)).std_error > 0.0
     with pytest.raises(ValueError):
         McConfig(n_paths=100, n_steps=0, seed=0)
 

@@ -149,6 +149,19 @@ def test_invalid_inputs():
         minimize_float(-0.3, params, n=100)
 
 
+@pytest.mark.parametrize("minimize, name", [(minimize_fixed, "K/S0"), (minimize_float, "kappa")])
+def test_target_at_or_below_the_reference_weight_is_refused(minimize, name):
+    # node 0 (fixed) or node n (floating) alone has trapezoid weight 1/(2n),
+    # so no positive path has a mean of 1/(2n) times it or less
+    params = ModelParams(S0=2.0, sigma=0.5, beta=0.75)
+    for m in (5e-4, 1.0 / 1600):
+        target = m * params.S0 if minimize is minimize_fixed else m
+        with pytest.raises(ValueError, match=rf"{name} = .* 1/\(2n\) = 0.000625"):
+            minimize(target, params)
+    with pytest.raises(ValueError, match=r"1/\(2n\) = 0.005"):
+        minimize(0.004 * (params.S0 if minimize is minimize_fixed else 1.0), params, n=100)
+
+
 def trapezoid_mean(values):
     n = len(values) - 1
     w = np.full(n + 1, 1.0 / n)
