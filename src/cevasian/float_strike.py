@@ -10,9 +10,10 @@ against the Legendre-dual sup_theta { -Lambda_f(theta) }.
 For general beta there is no closed form; `rate_float_cev` delegates to the
 discretized variational solver.
 
-Note on signs: the hyperbolic branch is implemented as
+Note on signs: the hyperbolic branch is
 J_f = 2z (tanh z - kappa z)/(1 - kappa z tanh z), which is the positive
-convex branch matching the Legendre dual; and the tanh form of Lambda_f is
+convex branch matching the Legendre dual (`rate_float_sqrt` evaluates it in
+a form that stays exact next to the pole kappa z tanh z = 1); and the tanh form of Lambda_f is
 evaluated as the rational continuation (tanh u - ku)/(1 - ku tanh u) with
 Lambda_f = +inf once 1 - ku tanh u <= 0 (the MGF genuinely diverges there).
 """
@@ -29,7 +30,7 @@ from .rate_sqrt import _require_sqrt_beta
 
 _XTOL = 1.0e-15
 _RTOL = 8.9e-16
-_N_SCAN = 800  # grid used to bracket the first root of the z-equations
+_KAPPA_POLE = 0.04  # below it the kappa < 1 root is taken from its pole asymptote
 
 
 @dataclass(frozen=True)
@@ -101,28 +102,25 @@ def _eqz_trig(z: float, kappa: float) -> float:
 
 
 def _eqz_hyp(z: float, kappa: float) -> float:
-    """kappa < 1 root equation, exp(-2z)-scaled (x2 e^{-2z} times the raw form)."""
-    kz2 = (kappa * z) ** 2
+    """kappa < 1 root equation, exp(-2z)-scaled (x2 e^{-2z} times the raw form).
+
+    With c = kappa z and t = tanh(z/2) it is 2 e^{-2z} (1 - c^2)
+    + (1 - e^{-4z}) (t - c)(1 - c t)/(2 z t): products only, so it keeps its
+    relative accuracy next to the tanh pole, where t - c and 1 - c t are ~e^{-z}.
+    """
     if z == 0.0:
         return 4.0 * (1.0 - kappa)
-    e2 = math.exp(-2.0 * z)
-    return (2.0 * e2 * (1.0 - kz2)
-            + (1.0 + kz2) * (1.0 - e2 * e2) / (2.0 * z)
-            - kappa * (1.0 + e2) ** 2)
+    c = kappa * z
+    t = math.tanh(0.5 * z)
+    return (2.0 * math.exp(-2.0 * z) * (1.0 - c * c)
+            - math.expm1(-4.0 * z) * (t - c) * (1.0 - c * t) / (2.0 * z * t))
 
 
-def _first_root(f, lo: float, hi: float, what: str) -> float:
-    """First sign change of f on (lo, hi), located by grid scan + Brent."""
-    prev_z, prev_f = lo, f(lo)
-    for i in range(1, _N_SCAN + 1):
-        z = lo + (hi - lo) * i / _N_SCAN
-        fz = f(z)
-        if prev_f == 0.0:
-            return prev_z
-        if prev_f * fz < 0.0:
-            return brentq(f, prev_z, z, xtol=_XTOL, rtol=_RTOL)
-        prev_z, prev_f = z, fz
-    raise RootBracketError(f"no sign change of {what} found on ({lo}, {hi})")
+def _root(f, lo: float, hi: float, what: str) -> float:
+    """The root of f on [lo, hi], where each z-equation changes sign once."""
+    if not f(lo) * f(hi) <= 0.0:
+        raise RootBracketError(f"{what} has no sign change on ({lo}, {hi})")
+    return brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
 
 
 def rate_float_sqrt(kappa: float, params: ModelParams) -> RateResult:
@@ -137,22 +135,30 @@ def rate_float_sqrt(kappa: float, params: ModelParams) -> RateResult:
     if kappa > 1.0:
         # root lies below the first tan pole: the equation is negative at 0+
         # (2 - 2 kappa) and positive at pi/2 (1 + k^2 pi^2/4)
-        z = _first_root(lambda t: _eqz_trig(t, kappa), 1e-9, 0.5 * math.pi - 1e-12,
-                        "the trigonometric z-equation")
+        z = _root(lambda t: _eqz_trig(t, kappa), 1e-9, 0.5 * math.pi - 1e-12,
+                  "the trigonometric z-equation")
         jf = 2.0 * z * (kappa * z - math.tan(z)) / (1.0 + kappa * z * math.tan(z))
         return RateResult((S0 / sig ** 2) * jf, FloatRateDiag(z, "put"))
-    # kappa < 1: search below the pole of the rational form, k z tanh z = 1
-    hi = 1.0
-    while kappa * hi * math.tanh(hi) < 1.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise RootBracketError(f"tanh-pole not bracketed for kappa={kappa}")
-    z_pole = brentq(lambda t: kappa * t * math.tanh(t) - 1.0, 1e-12, hi,
-                    xtol=_XTOL, rtol=_RTOL)
-    z = _first_root(lambda t: _eqz_hyp(t, kappa), 1e-9, z_pole * (1.0 - 1e-10),
-                    "the hyperbolic z-equation")
-    th = math.tanh(z)
-    jf = 2.0 * z * (th - kappa * z) / (1.0 - kappa * z * th)
+    if kappa < _KAPPA_POLE:
+        # the root sits 2 e^{-1/kappa} (relative) below z = 1/kappa, which
+        # doubles stop resolving near kappa = 0.027; the asymptote's
+        # remainder, O(e^{-2/kappa}/kappa), is below 1e-17 here
+        z = 1.0 / kappa
+        if math.isinf(z):
+            raise RootBracketError(f"the hyperbolic root 1/kappa overflows for kappa={kappa}")
+        jf = 2.0 * z * (1.0 - 4.0 * math.exp(-z))
+        return RateResult((S0 / sig ** 2) * jf, FloatRateDiag(z, "call"))
+    # z = 1/kappa lies below the pole k z tanh z = 1, and the equation is
+    # negative there (-2 e^{-2z} (1 + e^{-2z})/z at c = 1)
+    z = _root(lambda t: _eqz_hyp(t, kappa), 1e-9, 1.0 / kappa,
+              "the hyperbolic z-equation")
+    # J_f = 2z (tanh z - c)/(1 - c tanh z) with tanh z = 2t/(1 + t^2),
+    # written in 1 - c and (1 - t)^2 so that it stays exact near the pole
+    c = kappa * z
+    e = math.exp(-z)
+    p = 2.0 * math.tanh(0.5 * z) * (1.0 - c)
+    q = (2.0 * e / (1.0 + e)) ** 2
+    jf = 2.0 * z * (p - c * q) / (p + q)
     return RateResult((S0 / sig ** 2) * jf, FloatRateDiag(z, "call"))
 
 

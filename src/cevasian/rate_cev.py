@@ -5,7 +5,9 @@ beta in [1/2, 1), via the hypergeometric solution of the variational problem.
 
 where (a, b) = (a+, b+) for K <= S0 with x in (0, 1] solving
 K/S0 = x + b+(x)/a+(x), and (a-, b-) for K >= S0 with x >= 1 solving
-K/S0 = x - b-(x)/a-(x).  The hypergeometric argument is 1 - 1/x throughout.
+K/S0 = x - b-(x)/a-(x).  Every hypergeometric argument is <= 0: 1 - 1/x on
+the put branch, and 1 - x on the call branch after Pfaff's transformation
+(A&S 15.3.4), which also cancels the x^(-beta) prefactor.
 
 Also provided: the 4th-order log-moneyness Taylor expansion and the leading
 large/small-strike asymptotes.  `rate_cev` is the one fixed-strike dispatch:
@@ -50,15 +52,17 @@ def ab_plus(x: float, beta: float) -> tuple[float, float]:
 
 
 def ab_minus(x: float, beta: float) -> tuple[float, float]:
-    """(a-, b-) of the call branch; x >= 1, hypergeometric argument in [0, 1)."""
+    """(a-, b-) of the call branch; x >= 1, hypergeometric argument 1 - x <= 0.
+
+    2F1(beta, c-1; c; 1-1/x) = x^beta 2F1(beta, 1; c; 1-x) for c = 3/2, 5/2.
+    """
     if not x >= 1.0:
         raise ValueError(f"ab_minus requires x >= 1, got {x}")
     if x == 1.0:
         return 0.0, 0.0
-    z = 1.0 - 1.0 / x
-    xmb = x ** (-beta)
-    a = 2.0 * xmb * math.sqrt(x - 1.0) * hyp2f1(beta, 0.5, 1.5, z)
-    b = (2.0 / 3.0) * xmb * (x - 1.0) ** 1.5 * hyp2f1(beta, 1.5, 2.5, z)
+    z = 1.0 - x
+    a = 2.0 * math.sqrt(x - 1.0) * hyp2f1(beta, 1.0, 1.5, z)
+    b = (2.0 / 3.0) * (x - 1.0) ** 1.5 * hyp2f1(beta, 1.0, 2.5, z)
     return a, b
 
 

@@ -1,11 +1,13 @@
 """Special functions: real-argument Gauss hypergeometric 2F1, log-Gamma, and
 the standard normal CDF/PDF.
 
-2F1 is scipy's (``scipy.special.hyp2f1``).  On the two triples the rate
-function uses, 2F1(beta,1/2;3/2;z) and 2F1(beta,3/2;5/2;z) with beta in
-(1/2, 1) and z from -1e14 to just below 1, it agrees with 40-digit mpmath to
-~2e-9 relative; at beta = 1/2 it matches the elementary arcsin/arctan forms
-to ~5e-15.
+2F1 is scipy's (``scipy.special.hyp2f1``).  The rate function calls it only
+at z <= 0: 2F1(beta,1/2;3/2;z) and 2F1(beta,3/2;5/2;z) on the put branch,
+2F1(beta,1;3/2;z) and 2F1(beta,1;5/2;z) on the call branch.  For beta in
+(1/2, 1) and z from -1e14 to 0 it agrees with 40-digit mpmath to ~1e-9
+relative on the put triples (worst just above beta = 1/2, where b - a nears
+an integer) and to ~5e-12 on the call triples.  At beta = 1/2 it matches the
+elementary arcsin/arctan forms to 3e-12 or better for z from -1e6 to 0.95.
 """
 
 from __future__ import annotations

@@ -6,13 +6,15 @@ maximization, the cumulant itself can be re-derived by integrating the
 underlying Riccati equation, the limiting lognormal-model rate is solved
 from its own transcendental equations, the general-beta rate is recomputed
 as a one-dimensional infimum over the same a, b building blocks without
-root solving, the variational minimum is extrapolated in the grid size, and
+root solving, the variational minimum is extrapolated in the grid size,
 the 2F1 triples of beta = 1/2 are evaluated through their arcsin/arctan
-forms.
+forms, and the beta = 1/2 floating call rate is maximized in many-digit
+arithmetic.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
@@ -74,6 +76,36 @@ def legendre_float(kappa, params):
     upole = brentq(lambda u: kappa * u * math.tanh(u) - 1.0, 1e-12, 1e3 / kappa)
     th_lo = -2.0 * upole ** 2 / params.sigma ** 2 * (1.0 - 1e-9)
     return sup_on_grid(g, th_lo, 0.0)
+
+
+def jf_call_mpmath(kappa, dps=80):
+    """J_f(kappa) for kappa < 1: the maximum over u in (0, u_pole) of
+    -Lambda_f sigma^2/S0 = 2u (tanh u - kappa u)/(1 - kappa u tanh u),
+    kappa u_pole tanh u_pole = 1, by golden-section search in `dps` digits.
+    For small kappa the maximizer sits ~2 e^{-1/kappa} (relative) below the
+    pole, so dps must exceed 0.44/kappa + 16."""
+    with mpmath.workdps(dps):
+        k = mpmath.mpf(kappa)
+
+        def g(u):
+            th = mpmath.tanh(u)
+            return 2 * u * (th - k * u) / (1 - k * u * th)
+
+        lo = mpmath.mpf(0)
+        hi = mpmath.findroot(lambda u: k * u * mpmath.tanh(u) - 1, 1 / k)
+        r = (mpmath.sqrt(5) - 1) / 2
+        a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+        ga, gb = g(a), g(b)
+        for _ in range(int(3.4 * dps)):
+            if ga < gb:
+                lo, a, ga = a, b, gb
+                b = lo + r * (hi - lo)
+                gb = g(b)
+            else:
+                hi, b, gb = b, a, ga
+                a = hi - r * (hi - lo)
+                ga = g(a)
+        return float(max(ga, gb))
 
 
 def riccati_lambda(theta, params, kappa=None):
@@ -180,11 +212,13 @@ def _elem_arctan(z):
     return math.atan(s) / s
 
 
-# the four triples the rate-function formulas produce at beta = 1/2, each
-# reduced to elementary functions (valid for z < 1, z != 0)
+# the triples the rate-function formulas produce at beta = 1/2 (put branch:
+# (1/2, 1/2; 3/2), (1/2, 3/2; 5/2); call branch: (1/2, 1; 3/2), (1/2, 1; 5/2)),
+# and (1, 3/2; 5/2), each reduced to elementary functions (valid for z < 1, z != 0)
 HYP2F1_ELEMENTARY = {
     (0.5, 0.5, 1.5): _elem_arcsin,
     (0.5, 1.0, 1.5): _elem_arctan,
+    (0.5, 1.0, 2.5): lambda z: 1.5 / z * (1.0 + (z - 1.0) * _elem_arctan(z)),
     (0.5, 1.5, 2.5): lambda z: 1.5 / z * (_elem_arcsin(z) - math.sqrt(1.0 - z)),
     (1.0, 1.5, 2.5): lambda z: 3.0 / z * (_elem_arctan(z) - 1.0),
 }

@@ -11,7 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from cevasian import ModelParams, RateResult
+import cevasian.float_strike as float_strike
+from cevasian import ModelParams, RateResult, RootBracketError
+from cevasian.cli import main
 from cevasian.float_strike import (
     cumulant_float,
     jf_taylor,
@@ -22,9 +24,10 @@ from cevasian.float_strike import (
     _eqz_trig,
 )
 from cevasian.rate_sqrt import rate_sqrt
-from oracles import legendre_float, riccati_lambda
+from oracles import jf_call_mpmath, legendre_float, riccati_lambda
 
 duality_rel = 1e-7
+pole_rel = 1e-13  # measured worst is ~1e-14 at kappa 0.99, ~2e-16 next to the pole
 riccati_rel = 1e-9
 taylor_bound = 0.4  # measured sup of |remainder| / |log kappa|^5 is ~0.31
 
@@ -64,9 +67,35 @@ def test_cumulant_domain():
 
 def test_matches_legendre_duality_oracle():
     params = ModelParams(S0=1.0, sigma=0.45, beta=0.5)
-    for kappa in (0.5, 0.7, 0.9, 1.1, 1.5, 2.0, 3.0):
+    for kappa in (0.01, 0.03, 0.05, 0.5, 0.7, 0.9, 1.1, 1.5, 2.0, 3.0):
         ref = legendre_float(kappa, params)
         assert abs(rate_float_sqrt(kappa, params).value / ref - 1.0) < duality_rel
+
+
+def test_hyperbolic_branch_matches_mpmath_next_to_the_pole():
+    # below kappa ~0.06 the root lies within 1e-7 (relative) of the tanh pole,
+    # and below the 0.04 switch to the pole asymptote within 1e-10
+    params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)  # S0/sigma^2 = 1
+    for kappa in (0.01, 0.03, 0.0399, 0.04, 0.05, 0.0544, 0.056, 0.06, 0.1, 0.5, 0.9, 0.99):
+        got = rate_float_sqrt(kappa, params).value
+        assert got == pytest.approx(jf_call_mpmath(kappa), rel=pole_rel)
+
+
+def test_one_signed_equation_raises_root_bracket_error(monkeypatch, capsys):
+    monkeypatch.setattr(float_strike, "_eqz_hyp", lambda z, kappa: 1.0)
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    with pytest.raises(RootBracketError):
+        rate_float_sqrt(0.5, params)
+    rc = main(["float", "--sigma", "0.5", "--beta", "0.5", "--kappa", "0.5"])
+    assert rc == 3
+    assert "no sign change" in capsys.readouterr().err
+
+
+def test_kappa_whose_root_overflows_raises_root_bracket_error():
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    assert math.isfinite(rate_float_sqrt(1e-300, params).value)
+    with pytest.raises(RootBracketError):
+        rate_float_sqrt(5e-324, params)
 
 
 def test_taylor_remainder_ratio():

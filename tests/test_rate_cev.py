@@ -7,8 +7,10 @@ beta -> 1, against the alternative infimum formulation, and against scaling
 laws and asymptote checkpoints.
 """
 
+import importlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from cevasian.rate_sqrt import rate_sqrt
 from oracles import bs_limit_rate, rate_cev_alt
 
 quad_rel = 1e-10
+mpmath_rel = 1e-11    # measured worst over the grid below is ~5e-13
 half_rel = 1e-12      # measured agreement at beta = 1/2 is ~2e-15
 limit_rel = 2e-3      # measured worst at beta = 0.999 is ~8.4e-4
 alt_rel = 1e-10
@@ -68,6 +71,38 @@ def test_ab_minus_matches_quadrature():
             aq, bq = ab_minus_quad(x, beta)
             assert a == pytest.approx(aq, rel=quad_rel)
             assert b == pytest.approx(bq, rel=quad_rel)
+
+
+def test_ab_minus_matches_mpmath_from_one_to_1e12():
+    # 40-digit reference from the defining form, x^-beta 2F1(beta, c-1; c; 1 - 1/x),
+    # whose argument tends to 1 as x grows
+    for beta in (0.5 + 1e-7, 0.6, 0.75, 0.9, 0.99, 0.999):
+        for x in np.geomspace(1.0 + 1e-8, 1e12, 41):
+            a, b = ab_minus(float(x), beta)
+            with mpmath.workdps(40):
+                xm, bm = mpmath.mpf(float(x)), mpmath.mpf(beta)
+                z, xmb = 1 - 1 / xm, xm ** -bm
+                a_ref = 2 * xmb * mpmath.sqrt(xm - 1) * mpmath.hyp2f1(bm, 0.5, 1.5, z)
+                b_ref = 2 * xmb * (xm - 1) ** 1.5 * mpmath.hyp2f1(bm, 1.5, 2.5, z) / 3
+            assert a == pytest.approx(float(a_ref), rel=mpmath_rel)
+            assert b == pytest.approx(float(b_ref), rel=mpmath_rel)
+
+
+def test_every_hypergeometric_argument_is_nonpositive(monkeypatch):
+    module = importlib.import_module("cevasian.rate_cev")
+    hyp2f1, args = module.hyp2f1, []
+
+    def recording(a, b, c, z):
+        args.append(z)
+        return hyp2f1(a, b, c, z)
+
+    monkeypatch.setattr(module, "hyp2f1", recording)
+    branches = set()
+    for beta in (0.6, 0.75, 0.9):
+        for m in (1e-3, 0.3, 0.9, 1.1, 3.0, 1e3, 1e6):
+            branches.add(rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta)).branch)
+    assert branches == {"put", "call"}
+    assert args and max(args) <= 0.0
 
 
 def test_ab_degenerate_at_one():

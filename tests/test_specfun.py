@@ -21,7 +21,8 @@ reduction_tol = 1e-12
 perturbed_tol = 1e-6
 
 # parameter triples that the rate-function code actually uses
-ELEM_TRIPLES = [(0.5, 0.5, 1.5), (0.5, 1.0, 1.5), (0.5, 1.5, 2.5), (1.0, 1.5, 2.5)]
+ELEM_TRIPLES = [(0.5, 0.5, 1.5), (0.5, 1.0, 1.5), (0.5, 1.0, 2.5), (0.5, 1.5, 2.5),
+                (1.0, 1.5, 2.5)]
 
 
 def hyp2f1_euler(a, b, c, z):
@@ -58,6 +59,10 @@ def test_matches_euler_integral_on_general_triples():
     for beta in (0.6, 0.75, 0.9):
         for b, c in ((0.5, 1.5), (1.5, 2.5)):
             for z in (-8.0, -2.0, -0.7, -0.4, 0.25, 0.6, 0.85, 0.97):
+                ref = hyp2f1_euler(beta, b, c, z)
+                assert abs(hyp2f1(beta, b, c, z) / ref - 1.0) < oracle_tol
+        for b, c in ((1.0, 1.5), (1.0, 2.5)):  # the call branch, at z = 1 - x <= 0
+            for z in (-1e4, -50.0, -8.0, -2.0, -0.4, -1e-3):
                 ref = hyp2f1_euler(beta, b, c, z)
                 assert abs(hyp2f1(beta, b, c, z) / ref - 1.0) < oracle_tol
 
@@ -111,7 +116,8 @@ def test_elementary_reductions_match_generic_engine_near_one():
 
 
 def test_elementary_reductions_match_generic_engine_large_negative():
-    _assert_matches_elementary(((0.5, 1.0, 1.5), (1.0, 1.5, 2.5)), np.linspace(-20.0, -1.5, 9))
+    _assert_matches_elementary(((0.5, 1.0, 1.5), (0.5, 1.0, 2.5), (1.0, 1.5, 2.5)),
+                               np.linspace(-20.0, -1.5, 9))
 
 
 def test_degenerate_connection_formulas_via_perturbation():
