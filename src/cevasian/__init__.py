@@ -7,9 +7,8 @@ layers used to validate them.
 """
 
 from .model import ConvergenceError, ModelParams, RateResult, RootBracketError
-from .specfun import hyp2f1, log_gamma, norm_cdf, norm_pdf
-from .rate_sqrt import (cumulant_sqrt, rate_sqrt, rate_sqrt_large_strike,
-                        rate_sqrt_small_strike)
+from .specfun import hyp2f1, norm_cdf, norm_pdf
+from .rate_sqrt import rate_sqrt
 from .rate_cev import (ab_minus, ab_plus, rate_cev, rate_cev_large_strike,
                        rate_cev_small_strike, rate_cev_taylor)
 from .float_strike import (cumulant_float, jf_taylor, rate_float_cev,
@@ -26,8 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "ModelParams", "RateResult", "RootBracketError",
-    "hyp2f1", "log_gamma", "norm_cdf", "norm_pdf",
-    "cumulant_sqrt", "rate_sqrt", "rate_sqrt_large_strike", "rate_sqrt_small_strike",
+    "hyp2f1", "norm_cdf", "norm_pdf", "rate_sqrt",
     "ab_minus", "ab_plus", "rate_cev",
     "rate_cev_large_strike", "rate_cev_small_strike", "rate_cev_taylor",
     "cumulant_float", "jf_taylor", "rate_float_cev", "rate_float_sqrt", "solve_theta_c",

@@ -25,11 +25,9 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .model import ATM_WINDOW, ModelParams, RateResult, RootBracketError
+from .model import _RTOL, _XTOL, ATM_WINDOW, ModelParams, RateResult, RootBracketError
 from .rate_sqrt import _require_sqrt_beta
 
-_XTOL = 1.0e-15
-_RTOL = 8.9e-16
 _KAPPA_POLE = 0.04  # below it the kappa < 1 root is taken from its pole asymptote
 
 
@@ -72,7 +70,8 @@ def solve_theta_c(kappa: float, params: ModelParams) -> float:
 
 def cumulant_float(theta: float, kappa: float, params: ModelParams) -> float:
     """Limiting cumulant Lambda_f(theta) of the average minus kappa times the
-    endpoint, extended-real."""
+    endpoint, extended-real.  kappa = 0 gives the fixed-strike cumulant
+    (sqrt(2 theta)/sigma) tan(sigma sqrt(2 theta)/2) S0 and its tanh analogue."""
     _require_sqrt_beta(params)
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
@@ -131,7 +130,7 @@ def rate_float_sqrt(kappa: float, params: ModelParams) -> RateResult:
     S0, sig = params.S0, params.sigma
     lk = math.log(kappa)
     if abs(lk) < ATM_WINDOW:
-        return RateResult((S0 / sig ** 2) * 1.5 * lk * lk, FloatRateDiag(0.0, "atm"))
+        return RateResult((S0 / sig ** 2) * jf_taylor(kappa), FloatRateDiag(0.0, "atm"))
     if kappa > 1.0:
         # root lies below the first tan pole: the equation is negative at 0+
         # (2 - 2 kappa) and positive at pi/2 (1 + k^2 pi^2/4)

@@ -9,9 +9,9 @@ K/S0 = x - b-(x)/a-(x).  Every hypergeometric argument is <= 0: 1 - 1/x on
 the put branch, and 1 - x on the call branch after Pfaff's transformation
 (A&S 15.3.4), which also cancels the x^(-beta) prefactor.
 
-Also provided: the 4th-order log-moneyness Taylor expansion and the leading
-large/small-strike asymptotes.  `rate_cev` is the one fixed-strike dispatch:
-beta = 1/2 goes to the elementary forms in `rate_sqrt`.
+Also provided: the leading large/small-strike asymptotes; the ATM series
+`rate_cev_taylor` lives in `model` and is re-exported here.  `rate_cev` is the
+one fixed-strike dispatch: beta = 1/2 goes to the elementary forms in `rate_sqrt`.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .model import ATM_WINDOW, ModelParams, RateResult, RootBracketError, beta_is_half
+from .model import (_RTOL, _XTOL, ATM_WINDOW, ModelParams, RateResult, RootBracketError,
+                    beta_is_half, rate_cev_taylor)
 from .rate_sqrt import rate_sqrt
-from .specfun import hyp2f1, log_gamma
-
-_XTOL = 1.0e-15
-_RTOL = 8.9e-16
+from .specfun import hyp2f1
 
 
 @dataclass(frozen=True)
@@ -72,8 +70,8 @@ def _prefactor(params: ModelParams) -> float:
 
 def rate_cev(K: float, params: ModelParams) -> RateResult:
     """Rate function I(K, S0) for the CEV model, with solver diagnostics."""
-    if not K > 0:
-        raise ValueError(f"strike must be positive, got {K}")
+    if not 0 < K < math.inf:
+        raise ValueError(f"strike must be positive and finite, got {K}")
     if beta_is_half(params.beta):
         return rate_sqrt(K, params)
     return _rate_general(K, params)
@@ -125,30 +123,13 @@ def _rate_general(K: float, params: ModelParams) -> RateResult:
                       CevRateDiag(x, "call", abs(x - b / a - target)))
 
 
-def rate_cev_taylor(K: float, params: ModelParams) -> float:
-    """4th-order expansion of the rate in x = log(K/S0).
-
-    I = S0^(2(1-beta))/sigma^2 [ 3/2 x^2 + (-3/10 + 9/5 (1-beta)) x^3
-        + (109/1400 - 117/350 (1-beta) + 198/175 (1-beta)^2) x^4 ].
-    Reduces to 3/2, 3/5, 271/1400 at beta = 1/2.
-    """
-    if not K > 0:
-        raise ValueError(f"strike must be positive, got {K}")
-    u = 1.0 - params.beta
-    x = math.log(K / params.S0)
-    c3 = -0.3 + 1.8 * u
-    c4 = 109.0 / 1400.0 - 117.0 / 350.0 * u + 198.0 / 175.0 * u * u
-    pref = params.S0 ** (2.0 * u) / params.sigma ** 2
-    return pref * (1.5 * x * x + c3 * x ** 3 + c4 * x ** 4)
-
-
 def rate_cev_large_strike(K: float, params: ModelParams) -> float:
     """Leading large-strike asymptote (Gamma-function prefactor form)."""
     if K <= params.S0:
         raise ValueError(f"large-strike asymptote needs K > S0, got K={K}, S0={params.S0}")
     beta = params.beta
     u = 1.0 - beta
-    gamma_ratio_sq = math.exp(2.0 * (log_gamma(u) - log_gamma(1.5 - beta)))
+    gamma_ratio_sq = math.exp(2.0 * (math.lgamma(u) - math.lgamma(1.5 - beta)))
     scale = (3.0 - 2.0 * beta) / (2.0 * u) * K / params.S0
     return (_prefactor(params) * math.pi * gamma_ratio_sq / (3.0 - 2.0 * beta)
             * scale ** (2.0 * u))

@@ -6,9 +6,11 @@ The OTM price decays like exp(-I(K,S0)/T).  For K > S0 (call) the rate is
     I = (S0/sigma^2) * x^2/cos^2 x * (1 - sin 2x/(2x)),
 
 with x in (0, pi/2) solving (1 + sin 2x/(2x)) / (2 cos^2 x) = K/S0; for
-K < S0 (put) the trigonometric functions become hyperbolic.  The hyperbolic
-branch is evaluated in exp(-2x)-scaled form because deep-OTM puts push the
-root to x ~ S0/(2K), far beyond where cosh/sinh overflow.
+K < S0 (put) the trigonometric functions become hyperbolic.  Deep-OTM calls
+push the root to pi/2, where cos x cancels, so it is solved in log(pi/2 - x).
+The hyperbolic branch is evaluated in exp(-2x)-scaled form because deep-OTM
+puts push the root to x ~ S0/(2K), far beyond where cosh/sinh overflow.  The
+cumulant is `float_strike.cumulant_float` at kappa = 0.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .model import ATM_WINDOW, ModelParams, RateResult, RootBracketError, beta_is_half
-
-_XTOL = 1.0e-15
-_RTOL = 8.9e-16           # ~4 ulp, the tightest brentq accepts
+from .model import (_RTOL, _XTOL, ATM_WINDOW, ModelParams, RateResult, RootBracketError,
+                    beta_is_half, rate_cev_taylor)
 
 
 @dataclass(frozen=True)
@@ -38,32 +38,12 @@ def _require_sqrt_beta(params: ModelParams) -> None:
         raise ValueError(f"square-root model requires beta = 1/2, got beta={params.beta}")
 
 
-def cumulant_sqrt(theta: float, params: ModelParams) -> float:
-    """Limiting cumulant Lambda(theta) of the time average, extended-real.
-
-    Lambda(theta) = (sqrt(2 theta)/sigma) tan(sigma sqrt(2 theta)/2) S0 on
-    [0, pi^2/(2 sigma^2)), the tanh analogue for theta <= 0, and +inf at and
-    beyond the tan-pole boundary.
-    """
-    _require_sqrt_beta(params)
-    sig, S0 = params.sigma, params.S0
-    if theta == 0.0:
-        return 0.0
-    if theta > 0.0:
-        if theta >= math.pi ** 2 / (2.0 * sig ** 2):
-            return math.inf
-        s = math.sqrt(2.0 * theta)
-        return (s / sig) * math.tan(0.5 * sig * s) * S0
-    s = math.sqrt(-2.0 * theta)
-    return -(s / sig) * math.tanh(0.5 * sig * s) * S0
-
-
-def _eq_call(x: float) -> float:
-    """(1 + sin 2x/(2x)) / (2 cos^2 x) on (0, pi/2): maps onto (1, inf)."""
-    if x == 0.0:
-        return 1.0
-    c = math.cos(x)
-    return (1.0 + math.sin(2.0 * x) / (2.0 * x)) / (2.0 * c * c)
+def _eq_call(d: float) -> float:
+    """(1 + sin 2x/(2x)) / (2 cos^2 x) at x = pi/2 - d, with cos x = sin d;
+    maps d in (0, pi/2) onto (inf, 1)."""
+    x = 0.5 * math.pi - d
+    s = math.sin(d)
+    return (1.0 + math.sin(2.0 * x) / (2.0 * x)) / (2.0 * s * s)
 
 
 def _eq_put(x: float) -> float:
@@ -88,51 +68,35 @@ def _sinhc_excess(y: float, e: float) -> float:
     return -2.0 * math.expm1(-2.0 * y) / y - 4.0 * e
 
 
-def _taylor(xlog: float, params: ModelParams) -> float:
-    """Series 3/2 x^2 + 3/5 x^3 + 271/1400 x^4 in x = log(K/S0), times S0/sigma^2."""
-    pref = params.S0 / params.sigma ** 2
-    return pref * (1.5 * xlog ** 2 + 0.6 * xlog ** 3 + 271.0 / 1400.0 * xlog ** 4)
-
-
 def rate_sqrt(K: float, params: ModelParams) -> RateResult:
     """Rate function I(K, S0) for beta = 1/2, with solver diagnostics."""
     _require_sqrt_beta(params)
-    if not K > 0:
-        raise ValueError(f"strike must be positive, got {K}")
+    if not 0 < K < math.inf:
+        raise ValueError(f"strike must be positive and finite, got {K}")
     S0, sig = params.S0, params.sigma
     target = K / S0
+    if not 1e-308 < target < 1e308:  # beyond it K/S0 or S0/K leaves the normal doubles
+        raise RootBracketError(f"K/S0={target} lies beyond the range where its root is bracketed")
     xlog = math.log(target)
     if abs(xlog) < ATM_WINDOW:
-        return RateResult(_taylor(xlog, params), SqrtRateDiag(0.0, 0.0, "atm"))
+        return RateResult(rate_cev_taylor(K, params), SqrtRateDiag(0.0, 0.0, "atm"))
     if target > 1.0:
-        x = brentq(lambda t: _eq_call(t) - target, 1e-12, 0.5 * math.pi - 1e-12,
+        # d = pi/2 - x = c e^u, c = 1/sqrt(2 target) the deep-call limit of d,
+        # keeps u O(1), so brentq's tolerances stay relative in d.  _eq_call
+        # is above target at d = c/2 (sin d <= d) and below it at d = 2 sqrt(2) c
+        # (sin d >= 2d/pi bounds it by pi^2 target/16)
+        c = math.sqrt(0.5 / target)
+        u = brentq(lambda u: _eq_call(c * math.exp(u)) - target, math.log(0.5),
+                   math.log(min(2.0 * math.sqrt(2.0), (0.5 * math.pi - 1e-12) / c)),
                    xtol=_XTOL, rtol=_RTOL)
-        c = math.cos(x)
-        value = (S0 / sig ** 2) * x * x / (c * c) * (1.0 - math.sin(2.0 * x) / (2.0 * x))
+        d = c * math.exp(u)
+        x = 0.5 * math.pi - d
+        s = math.sin(d)
+        value = (S0 / sig ** 2) * x * x / (s * s) * (1.0 - math.sin(2.0 * x) / (2.0 * x))
         return RateResult(value, SqrtRateDiag(x, 2.0 * x * x / sig ** 2, "call"))
-    # put branch: bracket grows geometrically until the monotone map crosses target
-    hi = 1.0
-    while _eq_put(hi) > target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RootBracketError(f"put-branch root not bracketed for K/S0={target}")
-    x = brentq(lambda t: _eq_put(t) - target, 1e-12, hi, xtol=_XTOL, rtol=_RTOL)
+    # put branch: _eq_put(x) < 1/(2x) + 2 e^{-2x} is below K/S0 at x = S0/K
+    x = brentq(lambda t: _eq_put(t) - target, 1e-12, 1.0 / target,
+               xtol=_XTOL, rtol=_RTOL)
     e2 = math.exp(-2.0 * x)
-    value = (S0 / sig ** 2) * x * x * _sinhc_excess(2.0 * x, e2) / (1.0 + e2) ** 2
+    value = (S0 / sig ** 2) * x * (x * _sinhc_excess(2.0 * x, e2)) / (1.0 + e2) ** 2
     return RateResult(value, SqrtRateDiag(x, -2.0 * x * x / sig ** 2, "put"))
-
-
-def rate_sqrt_large_strike(K: float, params: ModelParams) -> float:
-    """Leading large-strike asymptote pi^2 K / (2 sigma^2) (valid as K/S0 -> inf)."""
-    _require_sqrt_beta(params)
-    if K <= params.S0:
-        raise ValueError(f"large-strike asymptote needs K > S0, got K={K}, S0={params.S0}")
-    return math.pi ** 2 * K / (2.0 * params.sigma ** 2)
-
-
-def rate_sqrt_small_strike(K: float, params: ModelParams) -> float:
-    """Leading small-strike asymptote S0^2 / (2 sigma^2 K) (valid as K -> 0)."""
-    _require_sqrt_beta(params)
-    if not 0 < K < params.S0:
-        raise ValueError(f"small-strike asymptote needs 0 < K < S0, got K={K}, S0={params.S0}")
-    return params.S0 ** 2 / (2.0 * params.sigma ** 2 * K)

@@ -1,5 +1,5 @@
-"""Special functions: real-argument Gauss hypergeometric 2F1, log-Gamma, and
-the standard normal CDF/PDF.
+"""Special functions: real-argument Gauss hypergeometric 2F1 and the standard
+normal CDF/PDF.
 
 2F1 is scipy's (``scipy.special.hyp2f1``).  The rate function calls it only
 at z <= 0: 2F1(beta,1/2;3/2;z) and 2F1(beta,3/2;5/2;z) on the put branch,
@@ -38,13 +38,6 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     if not math.isfinite(value):
         raise ConvergenceError(f"2F1 evaluation is not finite for (a,b,c,z)=({a},{b},{c},{z})")
     return value
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def norm_cdf(x: float) -> float:

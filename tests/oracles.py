@@ -8,8 +8,8 @@ from its own transcendental equations, the general-beta rate is recomputed
 as a one-dimensional infimum over the same a, b building blocks without
 root solving, the variational minimum is extrapolated in the grid size,
 the 2F1 triples of beta = 1/2 are evaluated through their arcsin/arctan
-forms, and the beta = 1/2 floating call rate is maximized in many-digit
-arithmetic.
+forms, and the beta = 1/2 fixed-strike root and floating call rate are
+solved in many-digit arithmetic.
 """
 
 import math
@@ -22,7 +22,6 @@ from scipy.optimize import brentq, minimize_scalar
 from cevasian.float_strike import cumulant_float, solve_theta_c
 from cevasian.model import RateResult, RootBracketError
 from cevasian.rate_cev import CevRateDiag, ab_minus, ab_plus
-from cevasian.rate_sqrt import cumulant_sqrt
 from cevasian.varsolve import minimize_fixed
 
 
@@ -41,11 +40,12 @@ def sup_on_grid(f, lo, hi, n=4000):
 
 
 def legendre_fixed(K, params):
-    """sup_theta { theta*K - Lambda(theta) } for the fixed-strike cumulant."""
+    """sup_theta { theta*K - Lambda(theta) } for the fixed-strike cumulant,
+    the floating one at kappa = 0."""
     pole = math.pi ** 2 / (2.0 * params.sigma ** 2)
 
     def g(th):
-        lam = cumulant_sqrt(th, params)
+        lam = cumulant_float(th, 0.0, params)
         if math.isinf(lam):
             return -math.inf
         return th * K - lam
@@ -106,6 +106,41 @@ def jf_call_mpmath(kappa, dps=80):
                 a = hi - r * (hi - lo)
                 ga = g(a)
         return float(max(ga, gb))
+
+
+def rate_sqrt_mpmath(m, dps=60):
+    """beta = 1/2 fixed-strike rate in units of S0/sigma^2 at K/S0 = m != 1.
+
+    Bisection in `dps` digits on the log of the root variable: delta = pi/2 - x
+    of (1 + sin 2x/(2x)) / (2 cos^2 x) = m for a call, x of the hyperbolic
+    equation in its exp(-2x)-scaled form for a put (so that neither overflows
+    up to m = 1e300 or down to 1e-300)."""
+    with mpmath.workdps(dps):
+        m = mpmath.mpf(m)
+        if m > 1:
+            def eq(d):
+                x = mpmath.pi / 2 - d
+                return (1 + mpmath.sin(2 * x) / (2 * x)) / (2 * mpmath.sin(d) ** 2)
+
+            lo, hi = mpmath.log(1 / (4 * mpmath.sqrt(2 * m))), mpmath.log(mpmath.pi / 2 - 1e-30)
+        else:
+            def eq(x):
+                e = mpmath.exp(-2 * x)
+                return (2 * e + (1 - e * e) / (2 * x)) / (1 + e) ** 2
+
+            lo, hi = mpmath.log(mpmath.mpf(1e-30)), mpmath.log(2 / m)
+        for _ in range(int(3.4 * dps) + 40):  # both equations fall as u rises
+            mid = (lo + hi) / 2
+            if eq(mpmath.exp(mid)) > m:
+                lo = mid
+            else:
+                hi = mid
+        r = mpmath.exp((lo + hi) / 2)
+        if m > 1:
+            x = mpmath.pi / 2 - r
+            return float(x ** 2 / mpmath.sin(r) ** 2 * (1 - mpmath.sin(2 * x) / (2 * x)))
+        e = mpmath.exp(-2 * r)
+        return float(r * r * ((1 - e * e) / r - 4 * e) / (1 + e) ** 2)
 
 
 def riccati_lambda(theta, params, kappa=None):

@@ -236,10 +236,19 @@ def test_exit_code_two_on_a_single_antithetic_pair(capsys):
 
 
 def test_exit_code_three_on_unbracketable_root(capsys):
-    rc = main(["rate", "--sigma", "0.5", "--beta", "0.5", "--strike", "1e-13"])
+    # a put-branch root of the general-beta route still lost just above beta = 1/2
+    rc = main(["rate", "--sigma", "0.5", "--beta", "0.5001", "--strike", "1.3e-3"])
     err = capsys.readouterr().err
     assert rc == 3
     assert "not bracketed" in err
+
+
+def test_rate_far_out_of_the_money_call_exits_zero(capsys):
+    rc = main(["rate", "--sigma", "0.5", "--beta", "0.5", "--strike", "1e24", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["branch"] == "call"
+    assert math.isfinite(out["rate"])
 
 
 def test_float_solves_the_variational_problem_once(monkeypatch, capsys):

@@ -4,7 +4,8 @@ Over the documented domain every call must return a finite, non-negative
 rate or raise one of the documented numerical errors (CLI exit 3).  The known
 failures stay in the sweep as explicit examples that must keep raising
 `RootBracketError` until the program is mended there.  The beta = 1/2
-floating rate has none left on kappa in [1e-2, 1e2], so it must always return.
+rates have none left, fixed-strike on K/S0 in [1e-300, 1e300] and floating on
+kappa in [1e-2, 1e2], so they must always return.
 """
 
 import math
@@ -42,6 +43,17 @@ def test_rate_cev_is_finite_or_a_documented_error(beta, m):
     failed = _outcome(lambda: rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta)))
     if (beta, m) in PUT_FLOOR:
         assert failed is RootBracketError
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(m=_log_uniform(1e-300, 1e300))
+@example(m=1e-300)
+@example(m=1e-13)
+@example(m=1e24)
+@example(m=1e300)
+def test_rate_cev_at_beta_half_is_finite_over_the_domain(m):
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    assert _outcome(lambda: rate_cev(m, params)) is None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -33,8 +33,9 @@ taylor_bound = 0.4  # measured sup of |remainder| / |log kappa|^5 is ~0.31
 
 
 def test_cumulant_matches_riccati_equation():
+    # kappa = 0 is the fixed-strike cumulant (Riccati start w(0) = 0)
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    for kappa in (0.8, 1.3):
+    for kappa in (0.0, 0.8, 1.3):
         for theta in (-4.0, -1.0, 0.5, 3.0, 10.0):
             ref = riccati_lambda(theta, params, kappa=kappa)
             got = cumulant_float(theta, kappa, params)
@@ -79,6 +80,16 @@ def test_hyperbolic_branch_matches_mpmath_next_to_the_pole():
     for kappa in (0.01, 0.03, 0.0399, 0.04, 0.05, 0.0544, 0.056, 0.06, 0.1, 0.5, 0.9, 0.99):
         got = rate_float_sqrt(kappa, params).value
         assert got == pytest.approx(jf_call_mpmath(kappa), rel=pole_rel)
+
+
+def test_atm_series_edge_matches_mpmath():
+    # inside the ATM window the rate is the 4-term series, not its leading
+    # term (1.1e-5 relative off at the window's edge)
+    params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
+    kappa = math.exp(-0.99e-5)
+    res = rate_float_sqrt(kappa, params)
+    assert res.diag.branch == "atm"
+    assert res.value == pytest.approx(jf_call_mpmath(kappa), rel=1e-9, abs=0.0)
 
 
 def test_one_signed_equation_raises_root_bracket_error(monkeypatch, capsys):

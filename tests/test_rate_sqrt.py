@@ -1,9 +1,10 @@
 """Fixed-strike rate function in the square-root diffusion model.
 
 The closed trigonometric/hyperbolic forms are validated against a direct
-Legendre-Fenchel maximization of the cumulant and against the cumulant
-re-derived from its Riccati equation, plus scaling laws, asymptote
-checkpoints, and a Taylor-remainder bound.
+Legendre-Fenchel maximization of the cumulant (the floating-strike one at
+kappa = 0) and against a many-digit root solve, plus scaling laws and a
+Taylor-remainder bound.  The Riccati check of the cumulant and the asymptote
+checkpoints run with the general-beta ones (test_float_strike, test_rate_cev).
 """
 
 import math
@@ -13,37 +14,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cevasian import ModelParams, RootBracketError
-from cevasian.rate_cev import rate_cev_taylor
-from cevasian.rate_sqrt import (
-    cumulant_sqrt,
-    rate_sqrt,
-    rate_sqrt_large_strike,
-    rate_sqrt_small_strike,
-)
-from oracles import legendre_fixed, riccati_lambda
+from cevasian.float_strike import cumulant_float
+from cevasian.rate_cev import rate_cev_small_strike, rate_cev_taylor
+from cevasian.rate_sqrt import rate_sqrt
+from oracles import legendre_fixed, rate_sqrt_mpmath
 
-riccati_rel = 1e-9
 legendre_rel = 1e-8
+mpmath_rel = 1e-13  # measured worst ~1e-15 from |log K/S0| = 0.1 out to 1e+-300
 taylor_bound = 0.05  # measured sup of |remainder| / |x|^5 is ~0.037
-
-
-def test_cumulant_matches_riccati_equation():
-    params = ModelParams(S0=2.0, sigma=0.5, beta=0.5)
-    for theta in (-8.0, -2.0, 0.5, 2.0, 4.0):
-        ref = riccati_lambda(theta, params)
-        assert abs(cumulant_sqrt(theta, params) / ref - 1.0) < riccati_rel
 
 
 def test_cumulant_boundary_behaviour():
     params = ModelParams(S0=1.0, sigma=0.3, beta=0.5)
     pole = math.pi ** 2 / (2.0 * 0.3 ** 2)
-    assert cumulant_sqrt(0.0, params) == 0.0
-    assert math.isinf(cumulant_sqrt(pole, params))
-    assert math.isinf(cumulant_sqrt(pole * 1.01, params))
-    assert cumulant_sqrt(pole * (1.0 - 1e-10), params) > 1e3
+    assert cumulant_float(0.0, 0.0, params) == 0.0
+    assert math.isinf(cumulant_float(pole, 0.0, params))
+    assert math.isinf(cumulant_float(pole * 1.01, 0.0, params))
+    assert cumulant_float(pole * (1.0 - 1e-10), 0.0, params) > 1e3
     # increasing in theta
     thetas = np.linspace(-30.0, pole * 0.999, 60)
-    vals = [cumulant_sqrt(float(t), params) for t in thetas]
+    vals = [cumulant_float(float(t), 0.0, params) for t in thetas]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -51,7 +41,7 @@ def test_cumulant_slope_at_origin_is_spot():
     # Lambda'(0) = S0: the average converges to the spot as T -> 0
     params = ModelParams(S0=1.7, sigma=0.4, beta=0.5)
     h = 1e-6
-    fd = (cumulant_sqrt(h, params) - cumulant_sqrt(-h, params)) / (2.0 * h)
+    fd = (cumulant_float(h, 0.0, params) - cumulant_float(-h, 0.0, params)) / (2.0 * h)
     assert fd == pytest.approx(1.7, rel=1e-8)
 
 
@@ -68,7 +58,7 @@ def test_value_attains_the_dual_supremum():
     for K in (0.5, 0.8, 1.3, 3.0):
         res = rate_sqrt(K, params)
         theta = res.diag.theta_star
-        dual = theta * K - cumulant_sqrt(theta, params)
+        dual = theta * K - cumulant_float(theta, 0.0, params)
         assert res.value == pytest.approx(dual, rel=1e-9)
         assert (theta > 0.0) == (K > 1.0)
 
@@ -91,27 +81,6 @@ def test_taylor_remainder_ratio():
         err = abs(rate_sqrt(K, params).value - rate_cev_taylor(K, params))
         worst = max(worst, err / abs(x) ** 5)
     assert worst < taylor_bound
-
-
-def test_large_strike_asymptote_checkpoints():
-    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    expect = {5.0: 0.333485, 50.0: 0.758059, 1e3: 0.943673}
-    ratios = []
-    for K, ref in expect.items():
-        ratio = rate_sqrt(K, params).value / rate_sqrt_large_strike(K, params)
-        assert ratio == pytest.approx(ref, abs=1e-3)
-        ratios.append(ratio)
-    assert ratios == sorted(ratios)  # approaches the asymptote from below
-
-
-def test_small_strike_asymptote_checkpoints():
-    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    r02 = rate_sqrt(0.2, params).value / rate_sqrt_small_strike(0.2, params)
-    assert r02 == pytest.approx(0.975605, abs=1e-3)
-    # corrections decay exponentially for deep puts
-    for K in (0.02, 1e-3):
-        ratio = rate_sqrt(K, params).value / rate_sqrt_small_strike(K, params)
-        assert abs(ratio - 1.0) < 1e-10
 
 
 def test_put_just_outside_the_atm_window():
@@ -140,11 +109,21 @@ def test_put_value_near_the_money_matches_mpmath(xlog, ref):
     assert res.value == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
+@pytest.mark.parametrize("m", [1e3, 1e12, 1e23, 1e100, 1e300, 1e-13, 1e-100, 1e-300])
+def test_value_far_from_the_money_matches_mpmath(m):
+    # calls: cos x cancels next to x = pi/2, so the root is solved in
+    # pi/2 - x; puts: the bracket reaches x = S0/K and x^2 must not overflow
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    res = rate_sqrt(m, params)
+    assert res.branch == ("call" if m > 1.0 else "put")
+    assert res.value == pytest.approx(4.0 * rate_sqrt_mpmath(m), rel=mpmath_rel, abs=0.0)
+
+
 def test_deep_put_stays_finite():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     val = rate_sqrt(1e-4, params).value
     assert math.isfinite(val)
-    assert val == pytest.approx(rate_sqrt_small_strike(1e-4, params), rel=1e-6)
+    assert val == pytest.approx(rate_cev_small_strike(1e-4, params), rel=1e-6)
 
 
 @settings(max_examples=50, deadline=None)
@@ -195,15 +174,12 @@ def test_invalid_inputs():
         rate_sqrt(-2.0, params)
     with pytest.raises(ValueError, match="square-root"):
         rate_sqrt(1.5, ModelParams(S0=1.0, sigma=0.5, beta=0.6))
-    with pytest.raises(RootBracketError):
-        rate_sqrt(1e-13, params)
-
-
-def test_asymptote_domain_checks():
-    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    # a strike far below the old 1e-12 bracket cap is a value, not an error
+    assert rate_sqrt(1e-13, params).value == pytest.approx(
+        rate_cev_small_strike(1e-13, params), rel=1e-12)
     with pytest.raises(ValueError):
-        rate_sqrt_large_strike(0.9, params)
-    with pytest.raises(ValueError):
-        rate_sqrt_small_strike(1.1, params)
-    with pytest.raises(ValueError):
-        rate_sqrt_small_strike(0.0, params)
+        rate_sqrt(math.inf, params)
+    # at 1e+-308 in K/S0 the root brackets leave the normal doubles
+    for K in (1e-310, 1e308):
+        with pytest.raises(RootBracketError):
+            rate_sqrt(K, params)

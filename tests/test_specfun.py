@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from cevasian.specfun import hyp2f1, log_gamma, norm_cdf, norm_pdf
+from cevasian.specfun import hyp2f1, norm_cdf, norm_pdf
 from oracles import HYP2F1_ELEMENTARY
 
 oracle_tol = 1e-9
@@ -144,16 +144,6 @@ def test_rejects_unsupported_arguments():
         hyp2f1(0.5, 0.5, 0.0, 0.3)
     with pytest.raises(ValueError):
         hyp2f1(0.5, 0.5, -2.0, 0.3)
-
-
-def test_log_gamma():
-    assert log_gamma(0.5) == pytest.approx(0.5723649429247001, abs=1e-15)
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.3)
 
 
 def test_normal_helpers():
