@@ -194,14 +194,6 @@ def test_taylor_remainder_ratio_beta_three_quarters():
 
 
 def test_large_strike_checkpoints():
-    # beta = 1/2, where the asymptote is pi^2 K / (2 sigma^2): approached from below
-    p12 = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    ratios = []
-    for K, ref in {5.0: 0.333485, 50.0: 0.758059, 1e3: 0.943673}.items():
-        ratio = rate_cev(K, p12).value / rate_cev_large_strike(K, p12)
-        assert ratio == pytest.approx(ref, abs=1e-3)
-        ratios.append(ratio)
-    assert ratios == sorted(ratios)
     p34 = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
     r5 = rate_cev(5.0, p34).value / rate_cev_large_strike(5.0, p34)
     r1k = rate_cev(1e3, p34).value / rate_cev_large_strike(1e3, p34)
@@ -215,14 +207,6 @@ def test_large_strike_checkpoints():
 
 
 def test_small_strike_checkpoints():
-    # beta = 1/2, where the asymptote is S0^2 / (2 sigma^2 K) and the
-    # corrections decay exponentially for deep puts
-    p12 = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    assert rate_cev(0.2, p12).value / rate_cev_small_strike(0.2, p12) == pytest.approx(
-        0.975605, abs=1e-3
-    )
-    for K in (0.02, 1e-3):
-        assert abs(rate_cev(K, p12).value / rate_cev_small_strike(K, p12) - 1.0) < 1e-10
     p34 = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
     assert rate_cev(0.2, p34).value / rate_cev_small_strike(0.2, p34) == pytest.approx(
         0.848944, abs=1e-3
@@ -238,8 +222,6 @@ def test_asymptote_domain_checks():
         rate_cev_large_strike(0.9, params)
     with pytest.raises(ValueError):
         rate_cev_small_strike(1.1, params)
-    with pytest.raises(ValueError):
-        rate_cev_small_strike(0.0, params)
 
 
 @settings(max_examples=40, deadline=None)

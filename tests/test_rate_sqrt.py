@@ -3,8 +3,8 @@
 The closed trigonometric/hyperbolic forms are validated against a direct
 Legendre-Fenchel maximization of the cumulant (the floating-strike one at
 kappa = 0) and against a many-digit root solve, plus scaling laws and a
-Taylor-remainder bound.  The Riccati check of the cumulant and the asymptote
-checkpoints run with the general-beta ones (test_float_strike, test_rate_cev).
+against the cumulant re-derived from its Riccati equation, plus scaling laws,
+the general-beta asymptotes at beta = 1/2 and a Taylor-remainder bound.
 """
 
 import math
@@ -15,13 +15,22 @@ from hypothesis import given, settings, strategies as st
 
 from cevasian import ModelParams, RootBracketError
 from cevasian.float_strike import cumulant_float
-from cevasian.rate_cev import rate_cev_small_strike, rate_cev_taylor
+from cevasian.rate_cev import rate_cev_large_strike, rate_cev_small_strike, rate_cev_taylor
 from cevasian.rate_sqrt import rate_sqrt
-from oracles import legendre_fixed, rate_sqrt_mpmath
+from oracles import legendre_fixed, rate_sqrt_mpmath, riccati_lambda
 
+riccati_rel = 1e-9
 legendre_rel = 1e-8
 mpmath_rel = 1e-13  # measured worst ~1e-15 from |log K/S0| = 0.1 out to 1e+-300
 taylor_bound = 0.05  # measured sup of |remainder| / |x|^5 is ~0.037
+
+
+def test_cumulant_matches_riccati_equation():
+    # the fixed-strike cumulant is the floating one at kappa = 0
+    params = ModelParams(S0=2.0, sigma=0.5, beta=0.5)
+    for theta in (-8.0, -2.0, 0.5, 2.0, 4.0):
+        ref = riccati_lambda(theta, params)
+        assert abs(cumulant_float(theta, 0.0, params) / ref - 1.0) < riccati_rel
 
 
 def test_cumulant_boundary_behaviour():
@@ -81,6 +90,29 @@ def test_taylor_remainder_ratio():
         err = abs(rate_sqrt(K, params).value - rate_cev_taylor(K, params))
         worst = max(worst, err / abs(x) ** 5)
     assert worst < taylor_bound
+
+
+def test_large_strike_asymptote_checkpoints():
+    # at beta = 1/2 the general-beta asymptote is pi^2 K / (2 sigma^2)
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    expect = {5.0: 0.333485, 50.0: 0.758059, 1e3: 0.943673}
+    ratios = []
+    for K, ref in expect.items():
+        ratio = rate_sqrt(K, params).value / rate_cev_large_strike(K, params)
+        assert ratio == pytest.approx(ref, abs=1e-3)
+        ratios.append(ratio)
+    assert ratios == sorted(ratios)  # approaches the asymptote from below
+
+
+def test_small_strike_asymptote_checkpoints():
+    # at beta = 1/2 the general-beta asymptote is S0^2 / (2 sigma^2 K)
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    r02 = rate_sqrt(0.2, params).value / rate_cev_small_strike(0.2, params)
+    assert r02 == pytest.approx(0.975605, abs=1e-3)
+    # corrections decay exponentially for deep puts
+    for K in (0.02, 1e-3):
+        ratio = rate_sqrt(K, params).value / rate_cev_small_strike(K, params)
+        assert abs(ratio - 1.0) < 1e-10
 
 
 def test_put_just_outside_the_atm_window():
@@ -183,3 +215,13 @@ def test_invalid_inputs():
     for K in (1e-310, 1e308):
         with pytest.raises(RootBracketError):
             rate_sqrt(K, params)
+
+
+def test_asymptote_domain_checks():
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    with pytest.raises(ValueError):
+        rate_cev_large_strike(0.9, params)
+    with pytest.raises(ValueError):
+        rate_cev_small_strike(1.1, params)
+    with pytest.raises(ValueError):
+        rate_cev_small_strike(0.0, params)
