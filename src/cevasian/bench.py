@@ -17,8 +17,8 @@ import time
 from dataclasses import dataclass
 
 from .model import ModelParams
-from .pricing import (OptionSpec, PricingResult, _bachelier, _black, _lognormal_vol,
-                      _normal_vol, average_forward, price_fixed, price_floating)
+from .pricing import (OptionSpec, PricingResult, _bachelier, _black, _equiv_vol, _note,
+                      average_forward, price_fixed, price_floating)
 from .mc import McConfig, simulate_asian, simulate_floating
 from .varsolve import minimize_fixed, minimize_float
 
@@ -155,10 +155,12 @@ def _price_scenario(sc: Scenario, mc_config: McConfig | None = None) -> float:
 
 def _price_from_variational(spec: OptionSpec, params: ModelParams) -> PricingResult:
     """Price with the equivalent volatility taken from the variational solver."""
-    if spec.style == "fixed":
-        vol = _lognormal_vol(spec.strike, params, minimize_fixed)
-        return _black(spec, params, average_forward(params, spec.maturity), vol)
-    return _bachelier(spec, params, _normal_vol(spec.strike, params, minimize_float))
+    fixed = spec.style == "fixed"
+    vol = _equiv_vol(spec.style, spec.strike, params, minimize_fixed if fixed else minimize_float)
+    note = _note(spec.style, spec.strike, params, True)
+    if fixed:
+        return _black(spec, params, average_forward(params, spec.maturity), vol, note)
+    return _bachelier(spec, params, vol, note)
 
 
 def run_custom(path: str, mc_config: McConfig | None = None) -> list[BenchRow]:

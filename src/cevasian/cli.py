@@ -19,10 +19,10 @@ import numpy as np
 
 from .model import ModelParams, ConvergenceError, RootBracketError
 from . import bench as bench_mod
-from .float_strike import jf_taylor, rate_float_sqrt
+from .float_strike import VariationalDiag, jf_taylor, rate_float_sqrt
 from .mc import McConfig, simulate_asian, simulate_floating
-from .pricing import (OptionSpec, _bachelier, _lognormal_vol, _normal_vol,
-                      equiv_lognormal_vol, price_fixed, price_floating, rate_float)
+from .pricing import (OptionSpec, _bachelier, _equiv_vol, _note, equiv_lognormal_vol,
+                      price_fixed, price_floating, rate_float)
 from .rate_cev import rate_cev, rate_cev_taylor
 from .varsolve import CERTIFICATE, minimize_fixed
 # not called here (rate_cev, rate_float and the vol-from-rate helpers cover
@@ -173,7 +173,7 @@ def cmd_vol_curve(args) -> int:
     for m in ratios:
         K = m * params.S0
         rate = rate_cev(K, params).value
-        rows.append((m, K, rate, _lognormal_vol(K, params, lambda *_: rate)))
+        rows.append((m, K, rate, _equiv_vol("fixed", K, params, lambda *_: rate)))
     if args.json:
         print(json.dumps([{"K_over_S0": a, "K": b, "rate": c, "sigma_ln": d}
                           for a, b, c, d in rows]))
@@ -194,14 +194,15 @@ def cmd_vol_curve(args) -> int:
 def cmd_float(args) -> int:
     params = _params(args)
     res = rate_float(args.kappa, params)
-    vol = _normal_vol(args.kappa, params, lambda *_: res.value)
+    vol = _equiv_vol("floating", args.kappa, params, lambda *_: res.value)
     out = {"kappa": args.kappa, "rate": res.value, "branch": res.branch,
            "sigma_n": vol}
     # the variational route's certificate (general beta)
     out.update({k: getattr(res.diag, k) for k in CERTIFICATE if hasattr(res.diag, k)})
     if args.maturity is not None:
         spec = OptionSpec("floating", args.side, args.kappa, args.maturity)
-        pres = _bachelier(spec, params, vol)
+        note = _note("floating", args.kappa, params, isinstance(res.diag, VariationalDiag))
+        pres = _bachelier(spec, params, vol, note)
         out.update({"price": pres.price, "side": args.side,
                     "maturity": args.maturity, "note": pres.note})
     if args.json:
@@ -306,7 +307,7 @@ def cmd_figures(args) -> int:
     # floating-strike rate vs kappa, its expansion, and the fixed-strike rate
     kappas = np.exp(np.linspace(math.log(0.4), math.log(2.5), 241))
     kappas[120] = 1.0
-    jf = np.array([0.0 if k == 1.0 else rate_float_sqrt(k, base).value for k in kappas])
+    jf = np.array([rate_float_sqrt(k, base).value for k in kappas])
     jt = np.array([jf_taylor(k) for k in kappas])
     ifix = np.array([fixed_rate(k, base) for k in kappas])
     _write_csv(os.path.join(args.out_dir, "fig3_float_rate.csv"),

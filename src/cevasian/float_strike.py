@@ -8,7 +8,10 @@ kappa < 1 (OTM call).  The limiting cumulant Lambda_f(theta) of
 against the Legendre-dual sup_theta { -Lambda_f(theta) }.
 
 For general beta there is no closed form; `rate_float_cev` delegates to the
-discretized variational solver.
+discretized variational solver.  Inside ATM_WINDOW both rates return `model`'s
+floating ATM series (branch "atm"): at general beta its leading term alone.
+Above _KAPPA_FLAT the kappa > 1 root, ~(3/kappa)^(1/4), is solved in
+w = z (kappa/3)^(1/4), so every finite kappa > 1 returns, with J_f -> 2.
 
 Note on signs: the hyperbolic branch is
 J_f = 2z (tanh z - kappa z)/(1 - kappa z tanh z), which is the positive
@@ -25,10 +28,12 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .model import _RTOL, _XTOL, ATM_WINDOW, ModelParams, RateResult, RootBracketError
+from .model import (_RTOL, _XTOL, ATM_WINDOW, ModelParams, RateResult, RootBracketError,
+                    atm_floating, rate_unit)
 from .rate_sqrt import _require_sqrt_beta
 
 _KAPPA_POLE = 0.04  # below it the kappa < 1 root is taken from its pole asymptote
+_KAPPA_FLAT = 1e8   # above it the kappa > 1 root is solved with _eqw_flat
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,21 @@ def _eqz_trig(z: float, kappa: float) -> float:
     return 1.0 + kz2 + (1.0 - kz2) * sinc - 2.0 * kappa * math.cos(z) ** 2
 
 
+def _eqw_flat(w: float, kappa: float) -> float:
+    """kappa > 1 root equation at z = w (3/kappa)^(1/4), divided by 2 kappa:
+    w^4 S(2z) - cos^2 z + (1 + sin 2z/(2z))/(2 kappa), where S(y) =
+    6 (1 - sin y/y)/y^2 is summed from its series; for kappa >= _KAPPA_FLAT
+    and w <= 2, y < 0.053 and the truncation is below 1e-17.  Negative at
+    w = 0 (1/kappa - 1), positive at w = 2 (16 S - cos^2 z > 15)."""
+    z = w * (3.0 / kappa) ** 0.25
+    if z == 0.0:
+        return 1.0 / kappa - 1.0
+    y2 = 4.0 * z * z
+    series = 1.0 - y2 * (1.0 / 20.0 - y2 * (1.0 / 840.0 - y2 / 60480.0))
+    sinc = math.sin(2.0 * z) / (2.0 * z)
+    return w ** 4 * series - math.cos(z) ** 2 + (1.0 + sinc) / (2.0 * kappa)
+
+
 def _eqz_hyp(z: float, kappa: float) -> float:
     """kappa < 1 root equation, exp(-2z)-scaled (x2 e^{-2z} times the raw form).
 
@@ -128,14 +148,17 @@ def rate_float_sqrt(kappa: float, params: ModelParams) -> RateResult:
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     S0, sig = params.S0, params.sigma
-    lk = math.log(kappa)
-    if abs(lk) < ATM_WINDOW:
-        return RateResult((S0 / sig ** 2) * jf_taylor(kappa), FloatRateDiag(0.0, "atm"))
+    if abs(math.log(kappa)) < ATM_WINDOW:
+        return _atm_rate(kappa, params)
     if kappa > 1.0:
-        # root lies below the first tan pole: the equation is negative at 0+
-        # (2 - 2 kappa) and positive at pi/2 (1 + k^2 pi^2/4)
-        z = _root(lambda t: _eqz_trig(t, kappa), 1e-9, 0.5 * math.pi - 1e-12,
-                  "the trigonometric z-equation")
+        if kappa < _KAPPA_FLAT:
+            # root lies below the first tan pole: the equation is negative at 0+
+            # (2 - 2 kappa) and positive at pi/2 (1 + k^2 pi^2/4)
+            z = _root(lambda t: _eqz_trig(t, kappa), 1e-9, 0.5 * math.pi - 1e-12,
+                      "the trigonometric z-equation")
+        else:
+            z = (3.0 / kappa) ** 0.25 * _root(lambda w: _eqw_flat(w, kappa), 0.0, 2.0,
+                                             "the scaled trigonometric z-equation")
         jf = 2.0 * z * (kappa * z - math.tan(z)) / (1.0 + kappa * z * math.tan(z))
         return RateResult((S0 / sig ** 2) * jf, FloatRateDiag(z, "put"))
     if kappa < _KAPPA_POLE:
@@ -162,18 +185,26 @@ def rate_float_sqrt(kappa: float, params: ModelParams) -> RateResult:
 
 
 def jf_taylor(kappa: float) -> float:
-    """Expansion of J_f around kappa = 1:
-    3/2 log^2 k - 33/20 log^3 k + 5809/5600 log^4 k."""
+    """Expansion of J_f around kappa = 1 to log^4 kappa: log^2 kappa
+    `model.atm_floating`(log kappa) at beta = 1/2."""
     lk = math.log(kappa)
-    return 1.5 * lk ** 2 - 33.0 / 20.0 * lk ** 3 + 5809.0 / 5600.0 * lk ** 4
+    return lk * lk * atm_floating(lk, 0.5)
+
+
+def _atm_rate(kappa: float, params: ModelParams) -> RateResult:
+    """The floating ATM series rate_unit log^2 kappa atm_floating(log kappa)."""
+    lk = math.log(kappa)
+    return RateResult(rate_unit(params) * lk * lk * atm_floating(lk, params.beta),
+                      FloatRateDiag(0.0, "atm"))
 
 
 def rate_float_cev(kappa: float, params: ModelParams) -> RateResult:
-    """Floating-strike rate for general beta via the variational solver."""
+    """Floating-strike rate for general beta via the variational solver, and
+    the ATM series inside ATM_WINDOW."""
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    if kappa == 1.0:
-        return RateResult(0.0, FloatRateDiag(0.0, "atm"))
+    if abs(math.log(kappa)) < ATM_WINDOW:
+        return _atm_rate(kappa, params)
     from .varsolve import CERTIFICATE, minimize_float
 
     value, info = minimize_float(kappa, params, full_output=True)

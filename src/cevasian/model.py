@@ -3,8 +3,11 @@
 The CEV diffusion is dS = (r - q) S dt + sigma S^beta dW with beta in [1/2, 1).
 All rate-function modules take a :class:`ModelParams` and return a
 :class:`RateResult` whose ``diag`` field carries solver internals specific to
-the branch that produced the value.  The ATM series `rate_cev_taylor`, which
-every fixed-strike route uses inside ATM_WINDOW, sits here with the window.
+the branch that produced the value.
+
+Inside ATM_WINDOW every rate route and both equivalent vols read the ATM
+series written here once each: I = rate_unit x^2 P(x), x = log(K/S0)
+(`atm_fixed`) or log kappa (`atm_floating`, leading term only at beta != 1/2).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ BETA_TOL = 1.0e-7    # how far beta may sit from 1/2 and still take the beta = 1
 ATM_WINDOW = 1.0e-5  # |log-moneyness| below which rates and vols use their ATM series
 _XTOL = 1.0e-15      # brentq tolerances of every root solve
 _RTOL = 8.9e-16      # ~4 ulp, the tightest brentq accepts
+_C2 = 1.5            # log-moneyness^2 coefficient of both ATM series
 
 
 class ConvergenceError(RuntimeError):
@@ -61,21 +65,35 @@ def beta_is_half(beta: float) -> bool:
     return abs(beta - 0.5) <= BETA_TOL
 
 
-def rate_cev_taylor(K: float, params: ModelParams) -> float:
-    """4th-order expansion of the rate in x = log(K/S0), used inside ATM_WINDOW.
+def rate_unit(params: ModelParams) -> float:
+    """S0^(2-2beta)/sigma^2, the unit of the rate functions."""
+    return params.S0 ** (2.0 * (1.0 - params.beta)) / params.sigma ** 2
 
-    I = S0^(2(1-beta))/sigma^2 [ 3/2 x^2 + (-3/10 + 9/5 (1-beta)) x^3
-        + (109/1400 - 117/350 (1-beta) + 198/175 (1-beta)^2) x^4 ].
-    Reduces to 3/2, 3/5, 271/1400 at beta = 1/2.
-    """
-    if not K > 0:
-        raise ValueError(f"strike must be positive, got {K}")
-    u = 1.0 - params.beta
-    x = math.log(K / params.S0)
+
+def atm_fixed(x: float, beta: float) -> float:
+    """P(x) = c2 + c3(beta) x + c4(beta) x^2 of the fixed-strike ATM series
+    I = rate_unit x^2 P(x), x = log(K/S0)."""
+    u = 1.0 - beta
     c3 = -0.3 + 1.8 * u
     c4 = 109.0 / 1400.0 - 117.0 / 350.0 * u + 198.0 / 175.0 * u * u
-    pref = params.S0 ** (2.0 * u) / params.sigma ** 2
-    return pref * (1.5 * x * x + c3 * x ** 3 + c4 * x ** 4)
+    return _C2 + x * (c3 + x * c4)
+
+
+def atm_floating(x: float, beta: float) -> float:
+    """P(x) = c2 + c3 x + c4 x^2 of the floating-strike ATM series
+    I_f = rate_unit x^2 P(x), x = log kappa; c3 and c4 are known at beta = 1/2
+    only, so at general beta P is the leading c2."""
+    c3, c4 = (-33.0 / 20.0, 5809.0 / 5600.0) if beta_is_half(beta) else (0.0, 0.0)
+    return _C2 + x * (c3 + x * c4)
+
+
+def rate_cev_taylor(K: float, params: ModelParams) -> float:
+    """The fixed-strike ATM series rate_unit x^2 atm_fixed(x), x = log(K/S0),
+    which every fixed-strike route returns inside ATM_WINDOW."""
+    if not K > 0:
+        raise ValueError(f"strike must be positive, got {K}")
+    x = math.log(K / params.S0)
+    return rate_unit(params) * x * x * atm_fixed(x, params.beta)
 
 
 @dataclass(frozen=True)

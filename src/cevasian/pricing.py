@@ -4,10 +4,10 @@ Fixed-strike Asian calls/puts are priced with a Black-type formula on the
 forward of the average, using the equivalent log-normal volatility
 Sigma_LN^2 = ln^2(K/S0) / (2 I(K)); floating-strike options use a Bachelier
 formula with the equivalent normal volatility
-Sigma_N^2 = S0^2 (kappa - 1)^2 / (2 I_f(kappa)).  At the money both
-volatilities degenerate to 0/0 and are replaced by their expansions
-(level sigma S0^(beta-1)/sqrt(3), log-normal case, resp. sigma S0^beta/sqrt(3),
-normal case).
+Sigma_N^2 = S0^2 (kappa - 1)^2 / (2 I_f(kappa)).  At the money both are 0/0;
+inside ATM_WINDOW `_equiv_vol` cancels the x^2 of `model`'s ATM series
+against the numerator (levels sigma S0^(beta-1)/sqrt(3), sigma S0^beta/sqrt(3)).
+Each price's note names the route of its vol.
 
 Floating-strike payoff convention: call = (kappa S_T - A_T)^+,
 put = (A_T - kappa S_T)^+, where A_T is the arithmetic average.
@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import ATM_WINDOW, ModelParams, RateResult, beta_is_half
+from .model import (ATM_WINDOW, ModelParams, RateResult, atm_fixed, atm_floating,
+                    beta_is_half)
 from .specfun import norm_cdf, norm_pdf
 from .rate_cev import rate_cev
-from .float_strike import rate_float_sqrt, rate_float_cev
+from .float_strike import VariationalDiag, rate_float_sqrt, rate_float_cev
 # not called here (rate_cev dispatches to it), but perfbench/worker.py traces
 # the rate layers by patching this module name
 from .rate_sqrt import rate_sqrt  # noqa: F401
@@ -84,39 +85,50 @@ def rate_float(kappa: float, params: ModelParams) -> RateResult:
     return rate_float_cev(kappa, params)
 
 
-def _lognormal_vol(K: float, params: ModelParams, rate_fn) -> float:
-    """Equivalent log-normal vol at strike K: the ATM series inside the
-    window, |log(K/S0)| / sqrt(2 I) with I = rate_fn(K, params) outside."""
-    if not K > 0:
-        raise ValueError(f"strike must be positive, got {K}")
-    x = math.log(K / params.S0)
+def _equiv_vol(style: str, strike: float, params: ModelParams, rate_fn) -> float:
+    """Equivalent vol num / sqrt(2 I), I = rate_fn(strike, params): log-normal
+    for style "fixed" (x = log(K/S0), num = |x|), normal for "floating"
+    (x = log kappa, num = S0 |kappa - 1|).
+
+    Inside ATM_WINDOW, I is the ATM series rate_unit x^2 P(x), so the vol is
+    num/|x| (at x = 0 its limit, 1 resp. S0) times sigma S0^(beta-1)/sqrt(2 P(x)),
+    formed as level (P(x)/P(0))^(-1/2) with the level and its O(x) deviation
+    rounded apart, so that the vol adds about one rounding to the level's."""
+    if not strike > 0:
+        raise ValueError(f"strike must be positive, got {strike}")
+    if style == "fixed":
+        x = math.log(strike / params.S0)
+        num, slope, series = abs(x), 1.0, atm_fixed
+    else:
+        x = math.log(strike)
+        num, slope, series = params.S0 * abs(strike - 1.0), params.S0, atm_floating
+    if abs(x) >= ATM_WINDOW:
+        return num / math.sqrt(2.0 * rate_fn(strike, params))
+    if x != 0.0:
+        slope = num / abs(x)
+    p0 = series(0.0, params.beta)
+    level = params.sigma / math.sqrt(2.0 * p0) * params.S0 ** (params.beta - 1.0)
+    dev = math.expm1(-0.5 * math.log1p(series(x, params.beta) / p0 - 1.0))
+    return slope * (level + level * dev)
+
+
+def _note(style: str, strike: float, params: ModelParams, variational: bool) -> str:
+    """The note naming the route of a price's vol: the ATM series inside the
+    window, else the variational solver when it produced the rate."""
+    x = math.log(strike / params.S0) if style == "fixed" else math.log(strike)
     if abs(x) < ATM_WINDOW:
-        level = params.sigma / math.sqrt(3.0) * params.S0 ** (params.beta - 1.0)
-        bm1 = params.beta - 1.0
-        c1 = 0.1 + 0.6 * bm1
-        c2 = -23.0 / 2100.0 + 12.0 / 175.0 * bm1 + 57.0 / 350.0 * bm1 * bm1
-        return level * (1.0 + c1 * x + c2 * x * x)
-    return abs(x) / math.sqrt(2.0 * rate_fn(K, params))
-
-
-def _normal_vol(kappa: float, params: ModelParams, rate_fn) -> float:
-    """Equivalent normal vol at multiplier kappa: the ATM value inside the
-    window, S0 |kappa - 1| / sqrt(2 I) with I = rate_fn(kappa, params) outside."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if abs(math.log(kappa)) < ATM_WINDOW:
-        return params.sigma * params.S0 ** params.beta / math.sqrt(3.0)
-    return params.S0 * abs(kappa - 1.0) / math.sqrt(2.0 * rate_fn(kappa, params))
+        return "vol from at-the-money series"
+    return "rate from variational solver" if variational else ""
 
 
 def equiv_lognormal_vol(K: float, params: ModelParams) -> float:
     """Equivalent log-normal volatility of the average at strike K (T -> 0)."""
-    return _lognormal_vol(K, params, lambda k, p: rate_cev(k, p).value)
+    return _equiv_vol("fixed", K, params, lambda k, p: rate_cev(k, p).value)
 
 
 def equiv_normal_vol(kappa: float, params: ModelParams) -> float:
     """Equivalent normal (Bachelier) volatility for the floating-strike payoff."""
-    return _normal_vol(kappa, params, lambda k, p: rate_float(k, p).value)
+    return _equiv_vol("floating", kappa, params, lambda k, p: rate_float(k, p).value)
 
 
 def _black(spec: OptionSpec, params: ModelParams, A: float, vol: float,
@@ -135,7 +147,8 @@ def _black(spec: OptionSpec, params: ModelParams, A: float, vol: float,
     return PricingResult(max(price, 0.0), vol, "lognormal", d1, d2, A, note)
 
 
-def _bachelier(spec: OptionSpec, params: ModelParams, vol: float) -> PricingResult:
+def _bachelier(spec: OptionSpec, params: ModelParams, vol: float,
+               note: str = "") -> PricingResult:
     """Bachelier formula on kappa S_T - A_T with forward
     F = S0 (kappa e^{(r-q)T} - (e^{(r-q)T} - 1)/((r-q)T)), floored at 0."""
     kappa, T = spec.strike, spec.maturity
@@ -148,11 +161,6 @@ def _bachelier(spec: OptionSpec, params: ModelParams, vol: float) -> PricingResu
         price = disc * (F * norm_cdf(d) + sq * norm_pdf(d))
     else:
         price = disc * (-F * norm_cdf(-d) + sq * norm_pdf(d))
-    note = ""
-    if abs(math.log(kappa)) < ATM_WINDOW:
-        note = "vol from at-the-money value"
-    elif not beta_is_half(params.beta):
-        note = "rate from variational solver"
     return PricingResult(max(price, 0.0), vol, "normal", d, d, F, note)
 
 
@@ -170,10 +178,7 @@ def price_fixed(spec: OptionSpec, params: ModelParams,
     A = average_forward(params, spec.maturity)
     centre = replace(params, S0=A) if center_on_forward else params
     vol = equiv_lognormal_vol(K, centre)
-    note = ""
-    if abs(math.log(K / centre.S0)) < ATM_WINDOW:
-        note = "vol from at-the-money series"
-    return _black(spec, params, A, vol, note)
+    return _black(spec, params, A, vol, _note("fixed", K, centre, False))
 
 
 def atm_price(params: ModelParams, T: float) -> float:
@@ -191,7 +196,10 @@ def price_floating(spec: OptionSpec, params: ModelParams) -> PricingResult:
     """Asymptotic floating-strike Asian price (Bachelier formula)."""
     if spec.style != "floating":
         raise ValueError(f"price_floating needs a floating-strike spec, got style {spec.style!r}")
-    return _bachelier(spec, params, equiv_normal_vol(spec.strike, params))
+    res = rate_float(spec.strike, params)
+    vol = _equiv_vol("floating", spec.strike, params, lambda *_: res.value)
+    note = _note("floating", spec.strike, params, isinstance(res.diag, VariationalDiag))
+    return _bachelier(spec, params, vol, note)
 
 
 def parity_gap(call_price: float, put_price: float, K: float,

@@ -9,9 +9,10 @@ K/S0 = x - b-(x)/a-(x).  Every hypergeometric argument is <= 0: 1 - 1/x on
 the put branch, and 1 - x on the call branch after Pfaff's transformation
 (A&S 15.3.4), which also cancels the x^(-beta) prefactor.
 
-Also provided: the leading large/small-strike asymptotes; the ATM series
-`rate_cev_taylor` lives in `model` and is re-exported here.  `rate_cev` is the
-one fixed-strike dispatch: beta = 1/2 goes to the elementary forms in `rate_sqrt`.
+Also provided: the leading large/small-strike asymptotes.  Inside ATM_WINDOW
+the rate is `model`'s ATM series `rate_cev_taylor`, re-exported here.
+`rate_cev` is the one fixed-strike dispatch: beta = 1/2 goes to the
+elementary forms in `rate_sqrt`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .model import (_RTOL, _XTOL, ATM_WINDOW, ModelParams, RateResult, RootBracketError,
-                    beta_is_half, rate_cev_taylor)
+                    beta_is_half, rate_cev_taylor, rate_unit)
 from .rate_sqrt import rate_sqrt
 from .specfun import hyp2f1
 
@@ -64,10 +65,6 @@ def ab_minus(x: float, beta: float) -> tuple[float, float]:
     return a, b
 
 
-def _prefactor(params: ModelParams) -> float:
-    return params.S0 ** (2.0 * (1.0 - params.beta)) / (2.0 * params.sigma ** 2)
-
-
 def rate_cev(K: float, params: ModelParams) -> RateResult:
     """Rate function I(K, S0) for the CEV model, with solver diagnostics."""
     if not 0 < K < math.inf:
@@ -105,7 +102,7 @@ def _rate_general(K: float, params: ModelParams) -> RateResult:
                    xtol=_XTOL, rtol=_RTOL)
         x = math.exp(u)
         a, b = ab_plus(x, beta)
-        return RateResult(_prefactor(params) * a * b,
+        return RateResult(0.5 * rate_unit(params) * a * b,
                           CevRateDiag(x, "put", abs(x + b / a - target)))
 
     def call_eq(x: float) -> float:
@@ -119,7 +116,7 @@ def _rate_general(K: float, params: ModelParams) -> RateResult:
             raise RootBracketError(f"call-branch root not bracketed for K/S0={target}")
     x = brentq(call_eq, 1.0 + 1e-12, hi, xtol=_XTOL, rtol=_RTOL)
     a, b = ab_minus(x, beta)
-    return RateResult(_prefactor(params) * a * b,
+    return RateResult(0.5 * rate_unit(params) * a * b,
                       CevRateDiag(x, "call", abs(x - b / a - target)))
 
 
@@ -131,7 +128,7 @@ def rate_cev_large_strike(K: float, params: ModelParams) -> float:
     u = 1.0 - beta
     gamma_ratio_sq = math.exp(2.0 * (math.lgamma(u) - math.lgamma(1.5 - beta)))
     scale = (3.0 - 2.0 * beta) / (2.0 * u) * K / params.S0
-    return (_prefactor(params) * math.pi * gamma_ratio_sq / (3.0 - 2.0 * beta)
+    return (0.5 * rate_unit(params) * math.pi * gamma_ratio_sq / (3.0 - 2.0 * beta)
             * scale ** (2.0 * u))
 
 

@@ -10,7 +10,9 @@ K < S0 (put) the trigonometric functions become hyperbolic.  Deep-OTM calls
 push the root to pi/2, where cos x cancels, so it is solved in log(pi/2 - x).
 The hyperbolic branch is evaluated in exp(-2x)-scaled form because deep-OTM
 puts push the root to x ~ S0/(2K), far beyond where cosh/sinh overflow.  The
-cumulant is `float_strike.cumulant_float` at kappa = 0.
+cumulant is `float_strike.cumulant_float` at kappa = 0.  Where the rate itself
+exceeds the largest double (K/S0 near 1e308 or 1e-308 at S0/sigma^2 = 4),
+`rate_sqrt` raises `ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -20,13 +22,16 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .model import (_RTOL, _XTOL, ATM_WINDOW, ModelParams, RateResult, RootBracketError,
-                    beta_is_half, rate_cev_taylor)
+from .model import (_RTOL, _XTOL, ATM_WINDOW, ConvergenceError, ModelParams, RateResult,
+                    RootBracketError, beta_is_half, rate_cev_taylor)
 
 
 @dataclass(frozen=True)
 class SqrtRateDiag:
-    """Solver internals: root variable x, Legendre optimizer, branch tag."""
+    """Solver internals: root variable x, Legendre optimizer, branch tag.
+
+    theta_star = -2 x^2/sigma^2 on the put branch is -inf once x passes
+    ~1e154, below K/S0 ~ 4e-155, while the rate is still finite."""
 
     x: float
     theta_star: float
@@ -77,10 +82,9 @@ def rate_sqrt(K: float, params: ModelParams) -> RateResult:
     target = K / S0
     if not 1e-308 < target < 1e308:  # beyond it K/S0 or S0/K leaves the normal doubles
         raise RootBracketError(f"K/S0={target} lies beyond the range where its root is bracketed")
-    xlog = math.log(target)
-    if abs(xlog) < ATM_WINDOW:
-        return RateResult(rate_cev_taylor(K, params), SqrtRateDiag(0.0, 0.0, "atm"))
-    if target > 1.0:
+    if abs(math.log(target)) < ATM_WINDOW:
+        value, diag = rate_cev_taylor(K, params), SqrtRateDiag(0.0, 0.0, "atm")
+    elif target > 1.0:
         # d = pi/2 - x = c e^u, c = 1/sqrt(2 target) the deep-call limit of d,
         # keeps u O(1), so brentq's tolerances stay relative in d.  _eq_call
         # is above target at d = c/2 (sin d <= d) and below it at d = 2 sqrt(2) c
@@ -93,10 +97,14 @@ def rate_sqrt(K: float, params: ModelParams) -> RateResult:
         x = 0.5 * math.pi - d
         s = math.sin(d)
         value = (S0 / sig ** 2) * x * x / (s * s) * (1.0 - math.sin(2.0 * x) / (2.0 * x))
-        return RateResult(value, SqrtRateDiag(x, 2.0 * x * x / sig ** 2, "call"))
-    # put branch: _eq_put(x) < 1/(2x) + 2 e^{-2x} is below K/S0 at x = S0/K
-    x = brentq(lambda t: _eq_put(t) - target, 1e-12, 1.0 / target,
-               xtol=_XTOL, rtol=_RTOL)
-    e2 = math.exp(-2.0 * x)
-    value = (S0 / sig ** 2) * x * (x * _sinhc_excess(2.0 * x, e2)) / (1.0 + e2) ** 2
-    return RateResult(value, SqrtRateDiag(x, -2.0 * x * x / sig ** 2, "put"))
+        diag = SqrtRateDiag(x, 2.0 * x * x / sig ** 2, "call")
+    else:
+        # put branch: _eq_put(x) < 1/(2x) + 2 e^{-2x} is below K/S0 at x = S0/K
+        x = brentq(lambda t: _eq_put(t) - target, 1e-12, 1.0 / target,
+                   xtol=_XTOL, rtol=_RTOL)
+        e2 = math.exp(-2.0 * x)
+        value = (S0 / sig ** 2) * x * (x * _sinhc_excess(2.0 * x, e2)) / (1.0 + e2) ** 2
+        diag = SqrtRateDiag(x, -2.0 * x * x / sig ** 2, "put")
+    if math.isinf(value):
+        raise ConvergenceError(f"the rate at K/S0={target} overflows a double")
+    return RateResult(value, diag)

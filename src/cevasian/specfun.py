@@ -8,6 +8,8 @@ at z <= 0: 2F1(beta,1/2;3/2;z) and 2F1(beta,3/2;5/2;z) on the put branch,
 relative on the put triples (worst just above beta = 1/2, where b - a nears
 an integer) and to ~5e-12 on the call triples.  At beta = 1/2 it matches the
 elementary arcsin/arctan forms to 3e-12 or better for z from -1e6 to 0.95.
+The one exception: for 2F1(1/2, 1/2; 3/2; z) scipy returns inf at
+z <= -1.5e13, so that triple is evaluated as asinh(sqrt(-z))/sqrt(-z) at z < 0.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         raise ValueError(f"2F1 parameter c must not be a non-positive integer, got c={c}")
     if a > b:  # 2F1 is symmetric in (a, b); one order makes it exactly so
         a, b = b, a
+    if a == b == 0.5 and c == 1.5 and z < 0.0:
+        s = math.sqrt(-z)
+        return math.asinh(s) / s
     value = float(_scipy_hyp2f1(a, b, c, z))
     if not math.isfinite(value):
         raise ConvergenceError(f"2F1 evaluation is not finite for (a,b,c,z)=({a},{b},{c},{z})")

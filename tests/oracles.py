@@ -108,6 +108,27 @@ def jf_call_mpmath(kappa, dps=80):
         return float(max(ga, gb))
 
 
+def jf_put_mpmath(kappa, dps=320):
+    """(J_f(kappa), z) for kappa > 1: the root z = c w of
+    (1 + s) + k^2 z^2 (1 - s) = 2k cos^2 z, s = sin 2z/(2z), by findroot on w
+    in `dps` digits, with c = min(1, (3/kappa)^(1/4)) from the root's
+    large-kappa limit, and J_f = 2z (kz - tan z)/(1 + kz tan z).  1 - s ~
+    2z^2/3 is formed directly, so dps must exceed 2 log10(1/z) + 20
+    (z ~ 1e-77 at kappa = 1.8e308)."""
+    with mpmath.workdps(dps):
+        k = mpmath.mpf(kappa)
+        c = min(mpmath.mpf(1), (3 / k) ** 0.25)
+
+        def eq(w):
+            z = c * w
+            s = mpmath.sin(2 * z) / (2 * z)
+            return ((1 + s) + k * k * z * z * (1 - s)) / (2 * k) - mpmath.cos(z) ** 2
+
+        z = c * mpmath.findroot(eq, 1)
+        t = mpmath.tan(z)
+        return float(2 * z * (k * z - t) / (1 + k * z * t)), float(z)
+
+
 def rate_sqrt_mpmath(m, dps=60):
     """beta = 1/2 fixed-strike rate in units of S0/sigma^2 at K/S0 = m != 1.
 

@@ -53,6 +53,28 @@ def test_price_variational_engine_reports_the_same_fields(style, capsys):
         assert varsolve[key] == pytest.approx(closed[key], rel=1e-4)
 
 
+@pytest.mark.parametrize("args, note", [
+    (["--beta", "0.5", "--strike", "1.3"], ""),
+    (["--beta", "0.5", "--strike", "1.3", "--engine", "varsolve"],
+     "rate from variational solver"),
+    (["--beta", "0.75", "--strike", "1.3", "--engine", "varsolve"],
+     "rate from variational solver"),
+    (["--beta", "0.75", "--strike", "1.000001", "--engine", "varsolve"],
+     "vol from at-the-money series"),
+    (["--beta", "0.5", "--style", "floating", "--strike", "1.3"], ""),
+    (["--beta", "0.5", "--style", "floating", "--strike", "1.3", "--engine", "varsolve"],
+     "rate from variational solver"),
+    (["--beta", "0.75", "--style", "floating", "--strike", "1.3"],
+     "rate from variational solver"),
+    (["--beta", "0.75", "--style", "floating", "--strike", "1.000001"],
+     "vol from at-the-money series"),
+])
+def test_price_note_names_the_route_used(args, note, capsys):
+    rc = main(["price", "--sigma", "0.5", "--maturity", "0.5", "--json"] + args)
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["note"] == note
+
+
 def test_rate_closed_form(capsys):
     rc = main(["rate", "--sigma", "0.5", "--beta", "0.5", "--strike", "1.5"])
     out = capsys.readouterr().out

@@ -1,18 +1,21 @@
-"""Domain sweep of the closed-form rates.
+"""Domain sweep of the closed-form rates and the asymptotic prices.
 
 Over the documented domain every call must return a finite, non-negative
-rate or raise one of the documented numerical errors (CLI exit 3).  The known
-failures stay in the sweep as explicit examples that must keep raising
-`RootBracketError` until the program is mended there.  The beta = 1/2
+rate or price, or raise one of the documented numerical errors (CLI exit 3).
+The known failures stay in the sweep as explicit examples that must keep
+raising `RootBracketError` until the program is mended there.  The beta = 1/2
 rates have none left, fixed-strike on K/S0 in [1e-300, 1e300] and floating on
-kappa in [1e-2, 1e2], so they must always return.
+kappa in [1e-2, 1e2], so they and the floating prices must always return.
 """
 
 import math
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cevasian import ConvergenceError, ModelParams, RootBracketError
+from cevasian import (ConvergenceError, ModelParams, OptionSpec, RootBracketError,
+                      price_fixed, price_floating)
+from cevasian.cli import main
 from cevasian.float_strike import rate_float_sqrt
 from cevasian.rate_cev import rate_cev
 
@@ -24,11 +27,15 @@ def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
+# both sides of the ATM window's edge, |log-moneyness| = 1e-5 (1 +- 1e-9)
+EDGES = [math.exp(s * 1e-5 * (1.0 + d)) for s in (1.0, -1.0) for d in (1e-9, -1e-9)]
+
+
 def _outcome(call):
     """The documented error type raised by call(), or None after checking
-    that the value it returned is finite and >= 0."""
+    that the number it returned is finite and >= 0."""
     try:
-        value = call().value
+        value = call()
     except (RootBracketError, ConvergenceError) as exc:
         return type(exc)
     assert math.isfinite(value) and value >= 0.0, value
@@ -40,7 +47,7 @@ def _outcome(call):
 @example(beta=0.5001, m=1.3e-3)
 @example(beta=0.501, m=1e-4)
 def test_rate_cev_is_finite_or_a_documented_error(beta, m):
-    failed = _outcome(lambda: rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta)))
+    failed = _outcome(lambda: rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta)).value)
     if (beta, m) in PUT_FLOOR:
         assert failed is RootBracketError
 
@@ -53,7 +60,7 @@ def test_rate_cev_is_finite_or_a_documented_error(beta, m):
 @example(m=1e300)
 def test_rate_cev_at_beta_half_is_finite_over_the_domain(m):
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    assert _outcome(lambda: rate_cev(m, params)) is None
+    assert _outcome(lambda: rate_cev(m, params).value) is None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -63,4 +70,54 @@ def test_rate_cev_at_beta_half_is_finite_over_the_domain(m):
 @example(kappa=0.05)
 def test_rate_float_sqrt_is_finite_over_the_domain(kappa):
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    assert _outcome(lambda: rate_float_sqrt(kappa, params)) is None
+    assert _outcome(lambda: rate_float_sqrt(kappa, params).value) is None
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(beta=st.floats(0.5, 1.0, exclude_max=True), m=_log_uniform(1e-3, 1e6),
+       T=_log_uniform(1e-4, 10.0), side=st.sampled_from(["call", "put"]))
+@example(beta=0.5001, m=1.3e-3, T=1.0, side="put")
+@example(beta=0.501, m=1e-4, T=1.0, side="call")
+@example(beta=0.5, m=EDGES[0], T=1e-4, side="call")
+@example(beta=0.75, m=EDGES[1], T=10.0, side="put")
+@example(beta=0.9, m=EDGES[2], T=1.0, side="call")
+@example(beta=0.99, m=EDGES[3], T=1.0, side="put")
+def test_price_fixed_is_finite_or_a_documented_error(beta, m, T, side):
+    params = ModelParams(S0=1.0, sigma=0.5, beta=beta, r=0.02)
+    failed = _outcome(lambda: price_fixed(OptionSpec("fixed", side, m, T), params).price)
+    if (beta, m) in PUT_FLOOR:
+        assert failed is RootBracketError
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kappa=_log_uniform(1e-2, 1e2), T=_log_uniform(1e-4, 10.0),
+       side=st.sampled_from(["call", "put"]))
+@example(kappa=EDGES[0], T=1e-4, side="call")
+@example(kappa=EDGES[1], T=10.0, side="put")
+@example(kappa=EDGES[2], T=1.0, side="call")
+@example(kappa=EDGES[3], T=1.0, side="put")
+def test_price_floating_at_beta_half_is_finite_over_the_domain(kappa, T, side):
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5, r=0.02)
+    spec = OptionSpec("floating", side, kappa, T)
+    assert _outcome(lambda: price_floating(spec, params).price) is None
+
+
+@pytest.mark.parametrize("args, code", [
+    (["price", "--beta", "0.5", "--strike", "1e-3", "--maturity", "1e-4", "--side", "put"], 0),
+    (["price", "--beta", "0.75", "--strike", "1e6", "--maturity", "10"], 0),
+    (["price", "--beta", "0.99", "--strike", repr(EDGES[0]), "--maturity", "1"], 0),
+    (["price", "--beta", "0.5001", "--strike", "1.3e-3", "--maturity", "1", "--side", "put"], 3),
+    (["price", "--beta", "0.5", "--strike", "9e307", "--maturity", "1"], 3),
+    (["price", "--beta", "0.5", "--style", "floating", "--strike", "1e-2",
+      "--maturity", "1e-4", "--side", "call"], 0),
+    (["price", "--beta", "0.5", "--style", "floating", "--strike", "1e2", "--maturity", "10"], 0),
+    (["price", "--beta", "0.75", "--style", "floating", "--strike", repr(EDGES[3]),
+      "--maturity", "1"], 0),
+    (["price", "--beta", "0.5", "--strike", "1", "--maturity", "0"], 2),
+    (["float", "--beta", "0.5", "--kappa", "1e200"], 0),
+    (["float", "--beta", "0.75", "--kappa", "1.000000001", "--maturity", "1"], 0),
+    (["rate", "--beta", "0.5", "--strike", "1e-300"], 0),
+])
+def test_cli_exits_zero_two_or_three_over_the_domain(args, code, capsys):
+    # an undocumented exception would escape main() and exit 1 with a traceback
+    assert main(args + ["--sigma", "0.5"]) == code

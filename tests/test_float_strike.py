@@ -6,6 +6,7 @@ cumulant against its Riccati representation, and the general-elasticity
 route against the closed form where both exist.
 """
 
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from cevasian.float_strike import (
     _eqz_trig,
 )
 from cevasian.rate_sqrt import rate_sqrt
-from oracles import jf_call_mpmath, legendre_float, riccati_lambda
+from oracles import jf_call_mpmath, jf_put_mpmath, legendre_float, riccati_lambda
 
 duality_rel = 1e-7
 pole_rel = 1e-13  # measured worst is ~1e-14 at kappa 0.99, ~2e-16 next to the pole
@@ -89,6 +90,29 @@ def test_atm_series_edge_matches_mpmath():
     res = rate_float_sqrt(kappa, params)
     assert res.diag.branch == "atm"
     assert res.value == pytest.approx(jf_call_mpmath(kappa), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("kappa", [3.0, 1e6, 1e8 * (1 - 1e-12), 1e8 * (1 + 1e-12), 1e12,
+                                   1e36, 1e100, 1e200, 1.7976931348623157e308])
+def test_put_branch_up_to_the_largest_kappa_matches_mpmath(kappa):
+    # the root falls like (3/kappa)^(1/4); above kappa = 1e8 it is solved in
+    # w = z (kappa/3)^(1/4), inside (0, 2).  Measured worst: 2.2e-16 on J_f,
+    # 1.3e-13 on z just below 1e8, where 1 - sin 2z/(2z) starts to cancel
+    params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
+    jf, z = jf_put_mpmath(kappa)
+    res = rate_float_sqrt(kappa, params)
+    assert res.diag.branch == "put"
+    assert 0.0 < res.diag.z_star < 2.0 * min(1.0, (3.0 / kappa) ** 0.25)
+    assert res.diag.z_star == pytest.approx(z, rel=1e-12, abs=0.0)
+    assert res.value == pytest.approx(jf, rel=1e-15, abs=0.0)
+
+
+def test_float_cli_at_huge_kappa_returns_the_limit_two(capsys):
+    rc = main(["float", "--sigma", "0.5", "--beta", "0.5", "--kappa", "1e200", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["branch"] == "put"
+    assert out["rate"] == pytest.approx(2.0 / 0.25, rel=1e-15)
 
 
 def test_one_signed_equation_raises_root_bracket_error(monkeypatch, capsys):
@@ -182,6 +206,21 @@ def test_general_beta_atm_is_exact_zero():
     res = rate_float_cev(1.0, ModelParams(S0=1.0, sigma=0.4, beta=0.8))
     assert res.value == 0.0
     assert res.diag.branch == "atm"
+
+
+def test_general_beta_returns_the_atm_series_inside_the_window(capsys):
+    # the leading term 3/2 log^2 kappa in units of S0^(2-2beta)/sigma^2; at
+    # kappa = 1 + 1e-9 the variational solver would stall (CLI exit 3)
+    params = ModelParams(S0=1.7, sigma=0.4, beta=0.8)
+    for kappa in (1.0 + 1e-9, 1.0 - 3e-6, 1.0 + 0.99e-5):
+        res = rate_float_cev(kappa, params)
+        assert res.diag.branch == "atm"
+        assert res.value == pytest.approx(1.7 ** 0.4 / 0.16 * 1.5 * math.log(kappa) ** 2,
+                                          rel=1e-14, abs=0.0)
+    rc = main(["float", "--sigma", "0.5", "--beta", "0.75", "--kappa", "1.000000001", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["branch"] == "atm"
 
 
 def test_invalid_inputs():

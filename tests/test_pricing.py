@@ -20,6 +20,7 @@ from cevasian import (
     parity_gap,
     price_fixed,
     price_floating,
+    rate_float,
 )
 from cevasian.rate_cev import rate_cev
 from cevasian.rate_sqrt import rate_sqrt
@@ -148,6 +149,37 @@ def test_normal_vol_level_and_continuity():
     assert abs(up / atm - 1.0) < 2e-4
     assert abs(dn / atm - 1.0) < 2e-4
     assert up > atm > dn  # skew has a definite sign near the money
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.6, 0.75, 0.9, 0.99])
+def test_vols_are_continuous_across_the_atm_window_edge(beta):
+    # the ATM series inside |x| < 1e-5, the rate outside.  Measured worst:
+    # 1.0e-11 (fixed), 2.1e-11 (floating at beta = 1/2) and, where the
+    # floating series is its leading term alone, 1.3e-6 to 4.8e-6
+    p = ModelParams(S0=1.3, sigma=0.5, beta=beta)
+    float_tol = 1e-10 if beta == 0.5 else 5e-6
+    for x in (1e-5, -1e-5):
+        inside, outside = math.exp(x * (1.0 - 1e-9)), math.exp(x * (1.0 + 1e-9))
+        ln_in, ln_out = equiv_lognormal_vol(1.3 * inside, p), equiv_lognormal_vol(1.3 * outside, p)
+        assert abs(ln_in / ln_out - 1.0) <= 1e-10
+        n_in, n_out = equiv_normal_vol(inside, p), equiv_normal_vol(outside, p)
+        assert abs(n_in / n_out - 1.0) <= float_tol
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.75])
+def test_atm_vols_and_rates_read_one_series(beta):
+    # inside the window vol^2 = num^2 / (2 I) holds with I the rate routes' own
+    # ATM series, num = log(K/S0) resp. S0 (kappa - 1)
+    p = ModelParams(S0=1.3, sigma=0.5, beta=beta)
+    for m in (1.0 + 1e-9, 1.0 - 3e-6, 1.0 + 0.99e-5):
+        assert rate_cev(1.3 * m, p).branch == "atm"
+        x = math.log(1.3 * m / 1.3)
+        lhs = 2.0 * equiv_lognormal_vol(1.3 * m, p) ** 2 * rate_cev(1.3 * m, p).value
+        assert lhs == pytest.approx(x * x, rel=1e-14, abs=0.0)
+        res = rate_float(m, p)
+        assert res.branch == "atm"
+        lhs = 2.0 * equiv_normal_vol(m, p) ** 2 * res.value
+        assert lhs == pytest.approx((1.3 * (m - 1.0)) ** 2, rel=1e-14, abs=0.0)
 
 
 def test_floating_prices_are_positive_and_noted():

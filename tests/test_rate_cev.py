@@ -88,6 +88,20 @@ def test_ab_minus_matches_mpmath_from_one_to_1e12():
             assert b == pytest.approx(float(b_ref), rel=mpmath_rel)
 
 
+def test_ab_plus_at_beta_half_matches_mpmath_down_to_1e_300():
+    # scipy's 2F1(1/2, 1/2; 3/2; z) is inf for z <= -1.5e13 (x below ~7e-14);
+    # measured worst is ~1e-12, on b near x = 7e-14
+    for x in (0.5, 1e-3, 1e-10, 7e-14, 1e-14, 1e-20, 1e-50, 1e-100, 1e-200, 1e-300):
+        a, b = ab_plus(x, 0.5)
+        with mpmath.workdps(40):
+            xm, half = mpmath.mpf(x), mpmath.mpf(1) / 2
+            z, xmb = 1 - 1 / xm, 1 / mpmath.sqrt(xm)
+            a_ref = 2 * xmb * mpmath.sqrt(1 - xm) * mpmath.hyp2f1(half, half, 1.5, z)
+            b_ref = 2 * xmb * (1 - xm) ** 1.5 * mpmath.hyp2f1(half, 1.5, 2.5, z) / 3
+        assert a == pytest.approx(float(a_ref), rel=mpmath_rel)
+        assert b == pytest.approx(float(b_ref), rel=mpmath_rel)
+
+
 def test_every_hypergeometric_argument_is_nonpositive(monkeypatch):
     module = importlib.import_module("cevasian.rate_cev")
     hyp2f1, args = module.hyp2f1, []

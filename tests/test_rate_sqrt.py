@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cevasian import ModelParams, RootBracketError
+from cevasian import ConvergenceError, ModelParams, RootBracketError
+from cevasian.cli import main
 from cevasian.float_strike import cumulant_float
 from cevasian.rate_cev import rate_cev_large_strike, rate_cev_small_strike, rate_cev_taylor
 from cevasian.rate_sqrt import rate_sqrt
@@ -149,6 +150,22 @@ def test_value_far_from_the_money_matches_mpmath(m):
     res = rate_sqrt(m, params)
     assert res.branch == ("call" if m > 1.0 else "put")
     assert res.value == pytest.approx(4.0 * rate_sqrt_mpmath(m), rel=mpmath_rel, abs=0.0)
+
+
+def test_rate_beyond_the_largest_double_raises_convergence_error(capsys):
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    for m in (9e307, 1.1e-308):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            rate_sqrt(m, params)
+    # below K/S0 ~ 4e-155 the put diagnostic theta_star = -2 x^2/sigma^2 is
+    # -inf while the rate is finite
+    res = rate_sqrt(1e-200, params)
+    assert res.value == pytest.approx(4.0 * rate_sqrt_mpmath(1e-200), rel=mpmath_rel)
+    assert res.diag.theta_star == -math.inf
+    rc = main(["price", "--beta", "0.5", "--sigma", "0.5", "--strike", "9e307",
+               "--maturity", "1"])
+    assert rc == 3
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_deep_put_stays_finite():
