@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -61,14 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vol from the closed forms or the variational solver "
                         "(Monte Carlo prices: the mc subcommand)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_price)
 
     p = sub.add_parser("rate", help="fixed-strike rate function at a strike")
     model_flags(p)
     p.add_argument("--strike", type=float, required=True)
     p.add_argument("--engine", choices=["closed", "varsolve"], default="closed")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("vol-curve",
                        help="equivalent log-normal vol across strikes (CSV)")
@@ -78,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=41, help="number of strikes")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_vol_curve)
 
     p = sub.add_parser("float", help="floating-strike rate and normal vol")
     model_flags(p)
@@ -87,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maturity", type=float,
                    help="if given, also print the Bachelier price")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_float)
 
     p = sub.add_parser("mc", help="Monte Carlo price")
     model_flags(p)
@@ -100,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-steps", type=int, default=400,
                    help="Euler steps per unit maturity")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("bench", help="run benchmark tables or a scenario CSV")
     p.add_argument("--table", choices=["1", "2", "floating", "all"], default="all")
@@ -108,11 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
                    f"(header: {','.join(bench_mod.CSV_HEADER)})")
     p.add_argument("--out", help="write results CSV here")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("figures", help="write the figure data sets as CSV")
     p.add_argument("--out-dir", default="figures")
-    p.set_defaults(func=cmd_figures)
 
     return parser
 
@@ -154,7 +148,8 @@ def cmd_rate(args) -> int:
     else:
         res = rate_cev(args.strike, params)
         branch = res.branch
-        out = {"rate": res.value, "engine": "closed", "branch": branch}
+        out = {"rate": res.value, "engine": "closed", "branch": branch,
+               "iterations": res.diag.iterations, "residual": res.diag.residual}
     if args.json:
         print(json.dumps(out))
     else:
@@ -327,11 +322,17 @@ def cmd_figures(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a patched cmd_* is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (RootBracketError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -8,6 +8,7 @@ the branch that produced the value.
 Inside ATM_WINDOW every rate route and both equivalent vols read the ATM
 series written here once each: I = rate_unit x^2 P(x), x = log(K/S0)
 (`atm_fixed`) or log kappa (`atm_floating`, leading term only at beta != 1/2).
+`_newton` is the root solve of both fixed-strike closed forms.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from typing import Any
 
 BETA_TOL = 1.0e-7    # how far beta may sit from 1/2 and still take the beta = 1/2 forms
 ATM_WINDOW = 1.0e-5  # |log-moneyness| below which rates and vols use their ATM series
-_XTOL = 1.0e-15      # brentq tolerances of every root solve
-_RTOL = 8.9e-16      # ~4 ulp, the tightest brentq accepts
+_XTOL = 1.0e-15      # brentq tolerances of the floating-strike root solves, which
+_RTOL = 8.9e-16      # have no cheap derivative; 8.9e-16 (~4 ulp) is the tightest brentq accepts
 _C2 = 1.5            # log-moneyness^2 coefficient of both ATM series
+_EPS = 2.0 ** -52    # the spacing of doubles at 1
+_FLOOR = 1.0e-6      # relative size below which a step that stops shrinking is rounding noise
 
 
 class ConvergenceError(RuntimeError):
@@ -58,6 +61,52 @@ class ModelParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not 0.5 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [1/2, 1), got {self.beta}")
+
+
+def _newton(eq, t: float, lo: float, hi: float, lo_known: bool = True,
+            hi_known: bool = True) -> tuple[float, float, Any, int]:
+    """Root of an increasing function by Newton's method from t, kept inside
+    the sign bracket lo < root < hi.
+
+    eq(t) returns (f, df/dt, data).  Every evaluation narrows the bracket, and
+    a Newton step that leaves it, or fails to halve the step before, is
+    replaced by bisection.  An end whose sign is assumed rather than known
+    (lo_known/hi_known False) is evaluated only when an iterate would cross
+    it; RootBracketError if f has the wrong sign there.  The iteration stops
+    when the step falls below 4 ulp of max(|t|, 1), or when it stops
+    shrinking below _FLOOR of that, which is f's rounding noise.  t is a log
+    variable in every caller, so these are relative tolerances on the root.
+
+    Returns (t, f, data, evaluations) of the last point evaluated, so the
+    caller needs no further evaluation at the root.
+    """
+    prev = math.inf
+    for n in range(1, 101):
+        f, df, data = eq(t)
+        if (f > 0.0 and t <= lo) or (f < 0.0 and t >= hi):
+            raise RootBracketError(f"no sign change on [{lo}, {hi}]")
+        if f < 0.0:
+            lo, lo_known = t, True
+        elif f > 0.0:
+            hi, hi_known = t, True
+        step = f / df if df > 0.0 else math.inf
+        scale = max(abs(t), 1.0)
+        if abs(step) <= 4.0 * _EPS * scale or hi - lo <= 4.0 * _EPS * scale:
+            return t, f, data, n
+        if abs(step) > 0.5 * prev:
+            if abs(step) <= _FLOOR * scale:
+                return t, f, data, n
+            step = t - 0.5 * (lo + hi)
+        new = t - step
+        if not lo < new < hi:
+            if new <= lo and not lo_known:
+                new = lo
+            elif new >= hi and not hi_known:
+                new = hi
+            else:
+                new = 0.5 * (lo + hi)
+        prev, t = abs(new - t), new
+    raise ConvergenceError(f"Newton iteration did not converge on [{lo}, {hi}]")
 
 
 def beta_is_half(beta: float) -> bool:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import (ATM_WINDOW, ModelParams, RateResult, atm_fixed, atm_floating,
-                    beta_is_half)
+from .model import (ATM_WINDOW, ConvergenceError, ModelParams, RateResult, atm_fixed,
+                    atm_floating, beta_is_half)
 from .specfun import norm_cdf, norm_pdf
 from .rate_cev import rate_cev
 from .float_strike import VariationalDiag, rate_float_sqrt, rate_float_cev
@@ -103,7 +103,10 @@ def _equiv_vol(style: str, strike: float, params: ModelParams, rate_fn) -> float
         x = math.log(strike)
         num, slope, series = params.S0 * abs(strike - 1.0), params.S0, atm_floating
     if abs(x) >= ATM_WINDOW:
-        return num / math.sqrt(2.0 * rate_fn(strike, params))
+        vol = num / math.sqrt(2.0 * rate_fn(strike, params))
+        if math.isinf(vol):  # S0 |kappa - 1| beyond the largest double
+            raise ConvergenceError(f"the equivalent vol at strike {strike} overflows a double")
+        return vol
     if x != 0.0:
         slope = num / abs(x)
     p0 = series(0.0, params.beta)
@@ -150,10 +153,13 @@ def _black(spec: OptionSpec, params: ModelParams, A: float, vol: float,
 def _bachelier(spec: OptionSpec, params: ModelParams, vol: float,
                note: str = "") -> PricingResult:
     """Bachelier formula on kappa S_T - A_T with forward
-    F = S0 (kappa e^{(r-q)T} - (e^{(r-q)T} - 1)/((r-q)T)), floored at 0."""
+    F = S0 (kappa e^{(r-q)T} - (e^{(r-q)T} - 1)/((r-q)T)), floored at 0;
+    ConvergenceError where F overflows a double."""
     kappa, T = spec.strike, spec.maturity
     growth = math.exp((params.r - params.q) * T)
     F = kappa * params.S0 * growth - average_forward(params, T)
+    if math.isinf(F):
+        raise ConvergenceError(f"the forward at kappa {kappa} overflows a double")
     sq = vol * math.sqrt(T)
     d = F / sq
     disc = math.exp(-params.r * T)

@@ -8,8 +8,8 @@ from its own transcendental equations, the general-beta rate is recomputed
 as a one-dimensional infimum over the same a, b building blocks without
 root solving, the variational minimum is extrapolated in the grid size,
 the 2F1 triples of beta = 1/2 are evaluated through their arcsin/arctan
-forms, and the beta = 1/2 fixed-strike root and floating call rate are
-solved in many-digit arithmetic.
+forms, and the fixed-strike root (beta = 1/2 and general beta) and the
+floating call rate are solved in many-digit arithmetic.
 """
 
 import math
@@ -162,6 +162,42 @@ def rate_sqrt_mpmath(m, dps=60):
             return float(x ** 2 / mpmath.sin(r) ** 2 * (1 - mpmath.sin(2 * x) / (2 * x)))
         e = mpmath.exp(-2 * r)
         return float(r * r * ((1 - e * e) / r - 4 * e) / (1 + e) ** 2)
+
+
+def rate_cev_mpmath(m, beta, dps=30):
+    """General-beta fixed-strike rate in units of S0^(2-2beta)/sigma^2 at
+    K/S0 = m != 1, re-solved in `dps` digits.
+
+    Root of x +- b/a = m in u = log x by mpmath's bracketing Anderson-Bjork
+    solver.  (a, b) come from the defining x^-beta 2F1(beta, c - 1; c; 1 - 1/x)
+    on the put branch and from 2F1(beta, 1; c; 1 - x) on the call branch,
+    where the defining argument nears 1 and mpmath's series stalls
+    (c = 3/2, 5/2)."""
+    with mpmath.workdps(dps):
+        bm, mm = mpmath.mpf(beta), mpmath.mpf(m)
+        put = m < 1
+
+        def ab(u):
+            x = mpmath.exp(u)
+            d = abs(1 - x)
+            if put:
+                xmb, z = x ** -bm, 1 - 1 / x
+                f1, f2 = xmb * mpmath.hyp2f1(bm, 0.5, 1.5, z), xmb * mpmath.hyp2f1(bm, 1.5, 2.5, z)
+            else:
+                f1, f2 = mpmath.hyp2f1(bm, 1, 1.5, 1 - x), mpmath.hyp2f1(bm, 1, 2.5, 1 - x)
+            return x, 2 * mpmath.sqrt(d) * f1, 2 * d ** 1.5 * f2 / 3
+
+        def f(u):
+            x, a, b = ab(u)
+            return x + (b / a if put else -b / a) - mm
+
+        lo = hi = mpmath.log(mm)  # f = +-b/a there, so one end holds already
+        while put and f(lo) >= 0:
+            lo = 2 * lo - 1
+        while not put and f(hi) <= 0:
+            hi += 1
+        x, a, b = ab(mpmath.findroot(f, (lo, hi), solver="anderson"))
+        return float(a * b / 2)
 
 
 def riccati_lambda(theta, params, kappa=None):

@@ -314,3 +314,72 @@ def test_vol_curve_solves_each_rate_once(monkeypatch, capsys):
             assert row["sigma_ln"] == pytest.approx(abs(x) / math.sqrt(2.0 * row["rate"]),
                                                     rel=1e-14)
 
+
+
+def test_rate_json_reports_the_root_solve(capsys):
+    for beta, strike, branch in (("0.75", "1.5", "call"), ("0.75", "0.5", "put"),
+                                 ("0.5", "1.5", "call"), ("0.5", "0.5", "put"),
+                                 ("0.75", "1.000001", "atm")):
+        assert main(["rate", "--sigma", "0.5", "--beta", beta, "--strike", strike,
+                     "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["branch"] == branch
+        if branch == "atm":
+            assert out["iterations"] == 0 and out["residual"] == 0.0
+        else:
+            assert 1 <= out["iterations"] <= 12
+            assert 0.0 <= out["residual"] < 1e-12
+
+
+SEQUENCE = [
+    ["price", "--sigma", "0.5", "--beta", "0.75", "--strike", "1.2", "--maturity", "1",
+     "--json"],
+    ["rate", "--sigma", "0.5", "--beta", "0.5", "--strike", "0.7", "--json"],
+    ["vol-curve", "--sigma", "0.5", "--beta", "0.9", "--n", "5", "--json"],
+    ["float", "--sigma", "0.5", "--beta", "0.5", "--kappa", "1.3", "--maturity", "1",
+     "--json"],
+    ["price", "--sigma", "0.5", "--beta", "0.5", "--style", "floating", "--strike", "0.8",
+     "--maturity", "0.5", "--side", "put"],
+    ["rate", "--sigma", "0.5", "--beta", "0.5001", "--strike", "1.3e-3"],
+    ["rate", "--sigma", "0.5", "--beta", "0.75", "--strike", "2"],
+]
+
+
+def test_consecutive_commands_match_fresh_parsers(monkeypatch, capsys):
+    cli = importlib.import_module("cevasian.cli")
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    consecutive = []
+    for argv in SEQUENCE:
+        rc = main(argv)
+        consecutive.append((rc, capsys.readouterr()))
+    assert len(built) == 1  # one parser for the whole sequence
+    for argv, seen in zip(SEQUENCE, consecutive):
+        cli._parser.cache_clear()
+        rc = main(argv)
+        assert (rc, capsys.readouterr()) == seen
+    assert [rc for rc, _ in consecutive] == [0, 0, 0, 0, 0, 3, 0]
+    cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("cmd_float", ["float", "--sigma", "0.5", "--beta", "0.5", "--kappa", "1.3"]),
+    ("cmd_vol_curve", ["vol-curve", "--sigma", "0.5", "--beta", "0.75"]),
+    ("cmd_rate", ["rate", "--sigma", "0.5", "--beta", "0.75", "--strike", "1.5"]),
+])
+def test_a_patched_command_is_the_one_that_runs(name, argv, monkeypatch, capsys):
+    cli = importlib.import_module("cevasian.cli")
+    main(argv)  # the parser exists before the patch
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, name, lambda args: seen.append(args.command) or 7)
+    assert main(argv) == 7
+    assert seen == [argv[0]]
+    assert capsys.readouterr().out == ""

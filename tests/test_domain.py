@@ -5,7 +5,8 @@ rate or price, or raise one of the documented numerical errors (CLI exit 3).
 The known failures stay in the sweep as explicit examples that must keep
 raising `RootBracketError` until the program is mended there.  The beta = 1/2
 rates have none left, fixed-strike on K/S0 in [1e-300, 1e300] and floating on
-kappa in [1e-2, 1e2], so they and the floating prices must always return.
+kappa in [1e-2, 1e2], so they must always return, and so must the floating
+prices up to kappa = 1e308 unless their forward overflows a double.
 """
 
 import math
@@ -19,7 +20,7 @@ from cevasian.cli import main
 from cevasian.float_strike import rate_float_sqrt
 from cevasian.rate_cev import rate_cev
 
-# put-branch roots lost just above beta = 1/2 (ROADMAP item 2)
+# put-branch roots lost just above beta = 1/2 (ROADMAP item 3)
 PUT_FLOOR = {(0.5001, 1.3e-3), (0.501, 1e-4)}
 
 
@@ -46,6 +47,7 @@ def _outcome(call):
 @given(beta=st.floats(0.5, 1.0, exclude_max=True), m=_log_uniform(1e-3, 1e6))
 @example(beta=0.5001, m=1.3e-3)
 @example(beta=0.501, m=1e-4)
+@example(beta=0.75, m=1e280)  # the call root lies beyond x = 1e15
 def test_rate_cev_is_finite_or_a_documented_error(beta, m):
     failed = _outcome(lambda: rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta)).value)
     if (beta, m) in PUT_FLOOR:
@@ -90,16 +92,23 @@ def test_price_fixed_is_finite_or_a_documented_error(beta, m, T, side):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(kappa=_log_uniform(1e-2, 1e2), T=_log_uniform(1e-4, 10.0),
-       side=st.sampled_from(["call", "put"]))
-@example(kappa=EDGES[0], T=1e-4, side="call")
-@example(kappa=EDGES[1], T=10.0, side="put")
-@example(kappa=EDGES[2], T=1.0, side="call")
-@example(kappa=EDGES[3], T=1.0, side="put")
-def test_price_floating_at_beta_half_is_finite_over_the_domain(kappa, T, side):
-    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5, r=0.02)
+@given(kappa=_log_uniform(1e-2, 1e308), T=_log_uniform(1e-4, 10.0),
+       side=st.sampled_from(["call", "put"]), S0=st.floats(0.5, 2.0))
+@example(kappa=EDGES[0], T=1e-4, side="call", S0=1.0)
+@example(kappa=EDGES[1], T=10.0, side="put", S0=1.0)
+@example(kappa=EDGES[2], T=1.0, side="call", S0=1.0)
+@example(kappa=EDGES[3], T=1.0, side="put", S0=1.0)
+@example(kappa=1e300, T=1.0, side="call", S0=2.0)
+@example(kappa=1.7e308, T=1.0, side="call", S0=2.0)
+@example(kappa=1.7e308, T=1.0, side="put", S0=0.5)
+def test_price_floating_at_beta_half_is_finite_over_the_domain(kappa, T, side, S0):
+    # the price returns wherever kappa S0 e^{rT}, which bounds the forward and
+    # S0 |kappa - 1|, is a double; beyond, ConvergenceError
+    params = ModelParams(S0=S0, sigma=0.5, beta=0.5, r=0.02)
     spec = OptionSpec("floating", side, kappa, T)
-    assert _outcome(lambda: price_floating(spec, params).price) is None
+    failed = _outcome(lambda: price_floating(spec, params).price)
+    overflow = math.isinf(kappa * S0 * math.exp(0.02 * T))
+    assert failed is (ConvergenceError if overflow else None)
 
 
 @pytest.mark.parametrize("args, code", [
@@ -117,6 +126,9 @@ def test_price_floating_at_beta_half_is_finite_over_the_domain(kappa, T, side):
     (["float", "--beta", "0.5", "--kappa", "1e200"], 0),
     (["float", "--beta", "0.75", "--kappa", "1.000000001", "--maturity", "1"], 0),
     (["rate", "--beta", "0.5", "--strike", "1e-300"], 0),
+    (["price", "--beta", "0.5", "--style", "floating", "--s0", "2", "--strike", "1.7e308",
+      "--maturity", "1"], 3),
+    (["rate", "--beta", "0.75", "--strike", "1e280"], 3),
 ])
 def test_cli_exits_zero_two_or_three_over_the_domain(args, code, capsys):
     # an undocumented exception would escape main() and exit 1 with a traceback

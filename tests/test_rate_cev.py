@@ -25,9 +25,11 @@ from cevasian.rate_cev import (
     rate_cev_small_strike,
     rate_cev_taylor,
     _rate_general,
+    _root_equation,
 )
 from cevasian.rate_sqrt import rate_sqrt
-from oracles import bs_limit_rate, rate_cev_alt
+from cevasian.model import RootBracketError
+from oracles import bs_limit_rate, rate_cev_alt, rate_cev_mpmath
 
 quad_rel = 1e-10
 mpmath_rel = 1e-11    # measured worst over the grid below is ~5e-13
@@ -35,6 +37,16 @@ half_rel = 1e-12      # measured agreement at beta = 1/2 is ~2e-15
 limit_rel = 2e-3      # measured worst at beta = 0.999 is ~8.4e-4
 alt_rel = 1e-10
 taylor_bound = 0.01   # measured sup of |remainder| / |x|^5 at beta = 3/4 is ~0.0034
+# the parent's brentq solve, measured against rate_cev_mpmath on the grid of
+# test_rate_matches_mpmath_over_beta_and_strike: worst 2.12e-11 for beta in
+# [0.5001, 0.99] (at the ATM window's edge, where x = 1 - 1.5e-5 carries its
+# rounding into a and b).  At beta = 1/2 + 2e-7 (puts) and 1 - 1e-9 (calls)
+# scipy's 2F1 jitters as b - a nears an integer: the rate a b/2 scatters over
+# -1.6e-10..6.0e-10 resp. -1.5e-6..-1.1e-7 across the band of roots f cannot
+# tell apart, so any solver lands at a draw from it (brentq 2.2e-10 and
+# 1.6e-7, this solver 2.9e-10 and 2.4e-7)
+solve_rel = 2.2e-11
+jitter_rel = {0.5 + 2e-7: 1e-9, 1.0 - 1e-9: 2e-6}
 
 
 def ab_plus_quad(x, beta):
@@ -265,3 +277,57 @@ def test_at_the_money_and_validation():
         rate_cev(-1.0, params)
     with pytest.raises(ValueError):
         rate_cev_alt(1.0, params)
+
+
+def test_rate_matches_mpmath_over_beta_and_strike():
+    edges = [math.exp(s * 1e-5 * (1.0 + d)) for s in (1.0, -1.0) for d in (1e-9, -1e-9)]
+    for beta in (0.5 + 2e-7, 0.5001, 0.6, 0.75, 0.9, 0.99, 1.0 - 1e-9):
+        params = ModelParams(S0=1.0, sigma=1.0, beta=beta)
+        for m in [1e-3, 0.3, 0.9999, 1.0001, 3.0, 1e3, 1e6] + edges:
+            if beta <= 0.5001 and m == 1e-3:  # put-branch root lost (ROADMAP item 3)
+                with pytest.raises(RootBracketError):
+                    rate_cev(m, params)
+                continue
+            ref = rate_cev_mpmath(m, beta)
+            rel = jitter_rel.get(beta, solve_rel)
+            assert rate_cev(m, params).value == pytest.approx(ref, rel=rel, abs=0.0), (beta, m)
+
+
+def test_each_rate_takes_few_evaluations(monkeypatch):
+    # counts evaluations of (a, b), the root equation's whole cost (two 2F1)
+    module = importlib.import_module("cevasian.rate_cev")
+    calls = []
+    for name in ("ab_plus", "ab_minus"):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda x, beta, real=real: calls.append(x) or real(x, beta))
+    counts = []
+    for beta in (0.6, 0.75, 0.9, 0.99):
+        params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
+        for m in np.geomspace(0.5, 2.0, 41):
+            calls.clear()
+            res = rate_cev(float(m), params)
+            assert res.diag.iterations == len(calls)
+            counts.append(len(calls))
+    assert np.median(counts) <= 6
+    assert max(counts) <= 12
+    for beta, m in ((0.5001, 1.3e-3), (0.501, 1e-4)):
+        calls.clear()
+        with pytest.raises(RootBracketError, match="not bracketed"):
+            rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta))
+        assert len(calls) <= 12
+
+
+def test_root_equation_derivative_matches_central_differences():
+    # the target K/S0 only shifts f; setting it to x keeps f, and so the
+    # differences' rounding, small
+    h = 1e-4
+    for beta in (0.5001, 0.6, 0.75, 0.9, 0.99):
+        for x in np.geomspace(1e-6, 1e6, 49):
+            if abs(math.log(x)) < 1e-3:
+                continue
+            u, put, m = math.log(x), x < 1.0, float(x)
+            _, df, _ = _root_equation(u, m, beta, put)
+            fd = (_root_equation(u + h, m, beta, put)[0]
+                  - _root_equation(u - h, m, beta, put)[0]) / (2.0 * h)
+            assert df == pytest.approx(fd, rel=1e-7), (beta, x)

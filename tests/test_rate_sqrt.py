@@ -17,7 +17,7 @@ from cevasian import ConvergenceError, ModelParams, RootBracketError
 from cevasian.cli import main
 from cevasian.float_strike import cumulant_float
 from cevasian.rate_cev import rate_cev_large_strike, rate_cev_small_strike, rate_cev_taylor
-from cevasian.rate_sqrt import rate_sqrt
+from cevasian.rate_sqrt import _eq_call, _eq_put, rate_sqrt
 from oracles import legendre_fixed, rate_sqrt_mpmath, riccati_lambda
 
 riccati_rel = 1e-9
@@ -242,3 +242,41 @@ def test_asymptote_domain_checks():
         rate_cev_small_strike(1.1, params)
     with pytest.raises(ValueError):
         rate_cev_small_strike(0.0, params)
+
+
+def test_root_equations_derivatives_match_central_differences():
+    # _eq_call returns (g - 1, d g'/g) in d, _eq_put (g, 1 - g, x g') in x;
+    # both are differenced in the log of their variable, the put's g through
+    # whichever of g and 1 - g is smaller
+    h = 1e-5
+    for d in np.geomspace(1e-8, 1.5, 40):
+        gm1, dlog = _eq_call(float(d))
+        fd = (math.log1p(_eq_call(d * math.exp(h))[0])
+              - math.log1p(_eq_call(d * math.exp(-h))[0])) / (2.0 * h)
+        assert dlog == pytest.approx(fd, rel=1e-7)
+    for x in np.geomspace(1e-3, 1e3, 40):
+        g, gc, xdg = _eq_put(float(x))
+        assert g + gc == pytest.approx(1.0, abs=1e-15)
+        k, sign = (0, 1.0) if g < 0.5 else (1, -1.0)
+        fd = sign * (_eq_put(x * math.exp(h))[k] - _eq_put(x * math.exp(-h))[k]) / (2.0 * h)
+        assert xdg == pytest.approx(fd, rel=1e-7)
+
+
+def test_diagnostics_report_the_root_solve():
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    for m in (1e-300, 1e-3, 0.5, 0.9999, 1.0001, 2.0, 1e3, 1e300):
+        diag = rate_sqrt(m, params).diag
+        assert 1 <= diag.iterations <= 12
+        assert diag.residual < 1e-12  # relative; log x = 690 at 1e-300 has ulp 1.1e-13
+    assert rate_sqrt(1.000001, params).diag.iterations == 0
+
+
+@pytest.mark.parametrize("xlog", [1.00001e-5, 2e-5, 1e-4, 1e-3, -1.00001e-5, -2e-5, -1e-4])
+def test_root_near_the_money_is_solved_without_cancellation(xlog):
+    # g - 1 and 1 - g are O(x^2) = O(|log K/S0|); formed as differences of
+    # O(1) terms they would cost ~1e-11 of the rate (the brentq solve on
+    # g - K/S0 scattered up to 3e-11 here)
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    m = math.exp(xlog)
+    res = rate_sqrt(m, params)
+    assert res.value == pytest.approx(4.0 * rate_sqrt_mpmath(m), rel=1e-12, abs=0.0)
