@@ -247,7 +247,8 @@ def cmd_bench(args) -> int:
         print(json.dumps([{
             "id": r.scenario.id, "engine": r.scenario.engine, "price": r.price,
             "ref_name": r.scenario.ref_name, "ref_value": r.scenario.ref_value,
-            "rel_err": r.rel_err, "ok": r.ok} for r in rows]))
+            "rel_err": r.rel_err, "ok": r.ok, "runtime_ms": r.runtime_ms}
+            for r in rows]))
     else:
         for r in rows:
             ref = "" if math.isnan(r.scenario.ref_value) \

@@ -6,10 +6,14 @@ at z <= 0: 2F1(beta,1/2;3/2;z) and 2F1(beta,3/2;5/2;z) on the put branch,
 2F1(beta,1;3/2;z) and 2F1(beta,1;5/2;z) on the call branch.  For beta in
 (1/2, 1) and z from -1e14 to 0 it agrees with 40-digit mpmath to ~1e-9
 relative on the put triples (worst just above beta = 1/2, where b - a nears
-an integer) and to ~5e-12 on the call triples.  At beta = 1/2 it matches the
-elementary arcsin/arctan forms to 3e-12 or better for z from -1e6 to 0.95.
-The one exception: for 2F1(1/2, 1/2; 3/2; z) scipy returns inf at
-z <= -1.5e13, so that triple is evaluated as asinh(sqrt(-z))/sqrt(-z) at z < 0.
+an integer).  On the call triples it agrees to ~1e-14 up to beta = 0.99, but
+less as b - a = 1 - beta nears 0: 3e-12 at 1 - 1e-4, 1e-6 at 1 - 1e-9, 5e-4 at
+1 - 1e-12, no digit at 1 - 1e-14.  Then ``rate_cev`` at S0 = sigma = 1, K/S0 =
+1e3 gives 39.0411 at 1 - 1e-9 (mpmath 39.04105), 39.0437 at 1 - 1e-12 and
+45.265 at 1 - 1e-14.  At beta = 1/2 it matches the elementary arcsin/arctan
+forms to 3e-12 or better for z from -1e6 to 0.95.  The one exception: for
+2F1(1/2, 1/2; 3/2; z) scipy returns inf at z <= -1.5e13, so that triple is
+evaluated as asinh(sqrt(-z))/sqrt(-z) at z < 0.
 """
 
 from __future__ import annotations

@@ -19,11 +19,11 @@ strike, S0 e^t for a floating one) where K/S0 or kappa is at least ``edge``.
 Below the edge a continuation ladder steps the target down geometrically and
 rescales the certified path of each rung to start the next.  Each start is
 certified by a Newton solve of the KKT system of the equality-constrained
-problem (Nocedal & Wright, Numerical Optimization, ch. 16) with one banded
-solve per step, step-halving to keep g > 0, an Armijo test once the iterate
-is feasible and a Levenberg shift where the Hessian is not positive on the
-constraint's tangent space.  A solve that does not meet its tolerances raises
-ConvergenceError.
+problem (Nocedal & Wright, Numerical Optimization, ch. 16) with one LAPACK
+tridiagonal solve (``gtsv``) per step, step-halving to keep g > 0, an Armijo
+test once the iterate is feasible and a Levenberg shift where the Hessian is
+not positive on the constraint's tangent space.  A solve that does not meet
+its tolerances raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 # ``minimize`` is unused here; perfbench/worker.py patches ``varsolve.minimize``
 # by name for its per-layer trace, so the name stays importable.
 from scipy.optimize import minimize  # noqa: F401
@@ -67,6 +67,7 @@ def action(path: PathGrid, params: ModelParams) -> float:
 
 
 def _action_and_grad(g: np.ndarray, n: int, params: ModelParams):
+    """Action, gradient and the interval terms (dg, mid, mpow) at the path g."""
     beta, sig = params.beta, params.sigma
     h = 1.0 / n
     dg = np.diff(g)
@@ -78,7 +79,7 @@ def _action_and_grad(g: np.ndarray, n: int, params: ModelParams):
     grad = np.zeros_like(g)
     grad[:-1] += -t1 + t2
     grad[1:] += t1 + t2
-    return val, grad
+    return val, grad, (dg, mid, mpow)
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:
@@ -123,43 +124,37 @@ def _rescaled(base: np.ndarray, w: np.ndarray, ref: int, m: float) -> np.ndarray
 # Newton-KKT certification
 # ---------------------------------------------------------------------------
 
-def _hessian(g: np.ndarray, n: int, params: ModelParams) -> np.ndarray:
-    """Tridiagonal Hessian of the action in g[1:] (g[0] = S0 is fixed), in the
-    (1, 1)-banded layout of ``scipy.linalg.solve_banded``."""
+def _hessian(terms: tuple, n: int, params: ModelParams):
+    """Tridiagonal Hessian (diag, off) of the action in g[1:] (g[0] = S0 is
+    fixed), from the interval terms of :func:`_action_and_grad` at that path."""
+    dg, mid, mpow = terms
     beta = params.beta
     c = 0.5 * n / params.sigma ** 2
-    dg = np.diff(g)
-    mid = 0.5 * (g[:-1] + g[1:])
-    mpow = mid ** (-2.0 * beta)
     # second derivatives of dg^2 mid^(-2 beta) in (dg, mid)
     f_dd = 2.0 * mpow
     f_dm = -4.0 * beta * dg * mpow / mid
     f_mm = 2.0 * beta * (2.0 * beta + 1.0) * dg * dg * mpow / (mid * mid)
-    diag = np.zeros_like(g)
-    diag[:-1] += c * (f_dd - f_dm + 0.25 * f_mm)
-    diag[1:] += c * (f_dd + f_dm + 0.25 * f_mm)
-    off = c * (0.25 * f_mm - f_dd)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off[1:]
-    ab[1] = diag[1:]
-    ab[2, :-1] = off[1:]
-    return ab
+    # node i + 1 ends interval i and starts interval i + 1
+    diag = c * (f_dd + f_dm + 0.25 * f_mm)
+    diag[:-1] += c * (f_dd[1:] - f_dm[1:] + 0.25 * f_mm[1:])
+    return diag, c * (0.25 * f_mm[1:] - f_dd[1:])
 
 
-def _kkt_step(H: np.ndarray, grad: np.ndarray, a: np.ndarray, e: float,
-              shift: float):
+def _kkt_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray, a: np.ndarray,
+              e: float, shift: float):
     """Newton step of the KKT system [[H + shift I, a], [a', 0]] [d; nu] =
-    [-grad; -e].  With (H + shift I) x1 = grad and (H + shift I) x2 = a,
-    nu = (e - a.x1)/(a.x2) and d = -x1 - nu x2.  Returns (d, nu, dec), where
-    dec = d_t' (H + shift I) d_t is the Newton decrement of the step d_t for
-    e = 0, so that a rounding-level constraint error does not enter it."""
-    if shift:
-        H = H.copy()
-        H[1] += shift
-    try:
-        x = solve_banded((1, 1), H, np.column_stack((grad, a)), check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular Newton system: {exc}") from exc
+    [-grad; -e], H = tridiag(off, diag, off).  One LAPACK ``gtsv`` call solves
+    (H + shift I) [x1, x2] = [grad, a]; nu = (e - a.x1)/(a.x2), d = -x1 - nu x2.
+    Returns (d, nu, dec), where dec = d_t' (H + shift I) d_t is the Newton
+    decrement of the step d_t for e = 0, so that a rounding-level constraint
+    error does not enter it."""
+    b = np.array((grad, a)).T  # Fortran order, as gtsv takes it
+    if diag.size == 1:  # 1 x 1: the gtsv wrapper refuses an empty off-diagonal
+        x, info = b / (diag + shift), 0
+    else:
+        _, _, _, x, info = dgtsv(off, diag + shift, off, b, overwrite_d=1, overwrite_b=1)
+    if info:
+        raise ConvergenceError("singular Newton system: singular matrix")
     x1, x2 = x[:, 0], x[:, 1]
     ax2 = a @ x2  # a numpy scalar: a zero gives inf, caught below
     nu_t = -(a @ x1) / ax2
@@ -185,18 +180,18 @@ def _certify(init: PathGrid, cons_vec: np.ndarray, cons_target: float,
     S0 = params.S0
     a = cons_vec[1:]
     g = np.asarray(init.values, dtype=float).copy()
-    val, grad = _action_and_grad(g, n, params)
+    val, grad, terms = _action_and_grad(g, n, params)
 
     for it in range(1, max_newton + 1):
-        H = _hessian(g, n, params)
-        if not np.all(np.isfinite(H)):
+        diag, off = _hessian(terms, n, params)
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
             raise ConvergenceError(f"non-finite Hessian at Newton step {it}")
         e = float(cons_vec @ g) - cons_target
         feasible = abs(e) <= tol * float(np.abs(cons_vec) @ np.abs(g))
-        base = float(np.max(np.abs(H[1])))
+        base = float(np.max(np.abs(diag)))
         shift = 0.0
         for _ in range(20):  # shifts up to 1e8 times the largest diagonal entry
-            step, nu, dec = _kkt_step(H, grad[1:], a, e, shift)
+            step, nu, dec = _kkt_step(diag, off, grad[1:], a, e, shift)
             # converged: feasible, no negative curvature along the unshifted
             # step, and a decrement at the tolerance
             if shift == 0.0 and feasible and 0.0 <= dec <= tol * val:
@@ -219,7 +214,7 @@ def _certify(init: PathGrid, cons_vec: np.ndarray, cons_target: float,
         else:
             raise ConvergenceError(f"no acceptable step at Newton step {it} "
                                    f"(Levenberg shift {shift:.3g})")
-        g, val, grad = trial
+        g, val, grad, terms = trial
     raise ConvergenceError(f"Newton-KKT solve not converged in {max_newton} steps: "
                            f"decrement {dec:.3g}, constraint error {e:.3g}")
 
@@ -228,7 +223,7 @@ def _line_search(g: np.ndarray, val: float, slope: float, step: np.ndarray,
                  armijo: bool, params: ModelParams, n: int):
     """Halve the step until g stays positive and, with ``armijo``, the action
     falls by at least 1e-4 of the predicted decrease.  Returns (g, value,
-    grad) at the accepted point, or None if there is none (which, with
+    grad, terms) at the accepted point, or None if there is none (which, with
     ``armijo``, includes a step that is not a descent direction)."""
     if armijo and not slope < 0.0:
         return None
@@ -237,9 +232,9 @@ def _line_search(g: np.ndarray, val: float, slope: float, step: np.ndarray,
         trial = g.copy()
         trial[1:] += alpha * step
         if np.min(trial) > 0.0:
-            tval, tgrad = _action_and_grad(trial, n, params)
+            tval, tgrad, terms = _action_and_grad(trial, n, params)
             if math.isfinite(tval) and (not armijo or tval <= val + 1e-4 * alpha * slope):
-                return trial, tval, tgrad
+                return trial, tval, tgrad, terms
         alpha *= 0.5
     return None
 
@@ -256,6 +251,8 @@ def _minimize(name: str, m: float, ref: int, params: ModelParams, n: int):
     2003), and each rung starts from the certified path of the rung before,
     rescaled.  ``info`` is that of the last rung, with ``iterations`` summed
     over the rungs and ``rungs`` their number."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not m > 0.5 / n:
         # node ref alone carries trapezoid weight 1/(2n), so the mean of a
         # positive path is more than 1/(2n) times it
@@ -289,9 +286,9 @@ def minimize_fixed(K: float, params: ModelParams, n: int = default_n,
     all rungs), ``rungs`` (certified solves of the continuation ladder),
     ``kkt_residual`` (Newton decrement per unit of action), ``constraint_err``,
     the multiplier ``lam``, ``floor_active`` (min g <= 1e-9 S0) and the path.
-    Raises ValueError for K/S0 <= 1/(2n), which no positive path's trapezoid
-    mean reaches, and ConvergenceError rather than return an uncertified
-    value.
+    Raises ValueError for an n that is not an integer >= 1 and for
+    K/S0 <= 1/(2n), which no positive path's trapezoid mean reaches, and
+    ConvergenceError rather than return an uncertified value.
     """
     if not K > 0:
         raise ValueError(f"strike must be positive, got {K}")

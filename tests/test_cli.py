@@ -200,6 +200,20 @@ def test_bench_custom_csv_and_out(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_bench_json_reports_each_rows_runtime(tmp_path, capsys):
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    runs = []
+    for out in outs:
+        assert main(["bench", "--table", "floating", "--json", "--out", str(out)]) == 0
+        runs.append(json.loads(capsys.readouterr().out.splitlines()[0]))
+    for rows in runs:
+        assert rows and all(type(r["runtime_ms"]) is float and r["runtime_ms"] > 0.0
+                            for r in rows)
+    # the CSV leaves the runtime out, so that it stays deterministic
+    assert outs[0].read_text() == outs[1].read_text()
+    assert "runtime" not in outs[0].read_text()
+
+
 def test_figures_outputs(tmp_path, capsys):
     rc = main(["figures", "--out-dir", str(tmp_path)])
     capsys.readouterr()

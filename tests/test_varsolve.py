@@ -5,6 +5,7 @@ minimizer is cross-checked against the closed-form rates and, through the
 envelope identity, its Lagrange multiplier against their strike derivative.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from cevasian import ConvergenceError, ModelParams
 from cevasian.float_strike import rate_float_sqrt
 from cevasian.rate_cev import rate_cev
 from cevasian.rate_sqrt import rate_sqrt
-from cevasian.varsolve import (PathGrid, _action_and_grad, _hessian, _rescaled,
+from cevasian.varsolve import (PathGrid, _action_and_grad, _hessian, _kkt_step, _rescaled,
                                _trapezoid_weights, action, minimize_fixed, minimize_float)
 from oracles import richardson_fixed
 
@@ -162,6 +163,15 @@ def test_target_at_or_below_the_reference_weight_is_refused(minimize, name):
         minimize(0.004 * (params.S0 if minimize is minimize_fixed else 1.0), params, n=100)
 
 
+@pytest.mark.parametrize("minimize", [minimize_fixed, minimize_float])
+def test_grid_size_must_be_a_positive_integer(minimize):
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
+    for n in (0, -3, 2.5, 800.0, True, "800", None):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+            minimize(1.5, params, n=n)
+    assert minimize(1.5, params, n=np.int64(400)) == minimize(1.5, params, n=400)
+
+
 def trapezoid_mean(values):
     n = len(values) - 1
     w = np.full(n + 1, 1.0 / n)
@@ -202,8 +212,8 @@ def test_deep_put_matches_closed_form():
 
 
 def dense_hessian(g, n, params):
-    banded = _hessian(g, n, params)
-    return np.diag(banded[1]) + np.diag(banded[0, 1:], 1) + np.diag(banded[2, :-1], -1)
+    diag, off = _hessian(_action_and_grad(g, n, params)[2], n, params)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.75, 0.9])
@@ -224,6 +234,42 @@ def test_hessian_matches_central_differences(beta):
     np.testing.assert_allclose(dense, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
 
 
+def kkt_problem(beta, n=12):
+    """The Hessian and gradient at a path that rises, then falls below S0,
+    with the floating-strike constraint vector at kappa = 0.7."""
+    params = ModelParams(S0=1.0, sigma=0.7, beta=beta)
+    t = np.linspace(0.0, 1.0, n + 1)
+    g = 1.0 + 0.4 * np.sin(5.0 * t) - 0.3 * t
+    _, grad, terms = _action_and_grad(g, n, params)
+    a = np.full(n, 1.0 / n)
+    a[-1] = 0.5 / n - 0.7
+    return _hessian(terms, n, params), grad[1:], a
+
+
+@pytest.mark.parametrize("beta, shift", [(0.5, 0.0), (0.9, 0.0), (0.9, 3.5)])
+def test_kkt_step_solves_the_bordered_system(beta, shift):
+    (diag, off), grad, a = kkt_problem(beta)
+    n, e = len(diag), 2.5e-3
+    H = np.diag(diag + shift) + np.diag(off, 1) + np.diag(off, -1)
+    kkt = np.block([[H, a[:, None]], [a[None, :], np.zeros((1, 1))]])
+    dense = np.linalg.solve(kkt, -np.concatenate((grad, [e])))
+    step_t = np.linalg.solve(kkt, -np.concatenate((grad, [0.0])))[:n]
+    step, nu, dec = _kkt_step(diag, off, grad, a, e, shift)
+    scale = np.max(np.abs(dense[:n]))
+    np.testing.assert_allclose(step, dense[:n], rtol=1e-12, atol=1e-12 * scale)
+    assert nu == pytest.approx(dense[n], rel=1e-12)
+    assert dec == pytest.approx(step_t @ H @ step_t, rel=1e-12)
+    assert a @ step == pytest.approx(-e, rel=1e-12)
+
+
+def test_kkt_step_refuses_a_singular_tridiagonal_system():
+    # [[1, 1], [1, 1]] in the leading block: elimination leaves an exact zero
+    diag, off = np.ones(12), np.zeros(11)
+    off[0] = 1.0
+    with pytest.raises(ConvergenceError, match="^singular Newton system"):
+        _kkt_step(diag, off, np.ones(12), np.ones(12), 0.0, 0.0)
+
+
 def test_indefinite_hessian_start_converges_to_a_kkt_point():
     # beta > 1/2: the Hessian at the exponential start has a negative
     # eigenvalue, so the Levenberg safeguard has to act
@@ -236,7 +282,7 @@ def test_indefinite_hessian_start_converges_to_a_kkt_point():
     val, info = minimize_float(kappa, params, n=n, full_output=True)
     assert val < action(start, params)
     g = info["path"].values
-    _, grad = _action_and_grad(g, n, params)
+    grad = _action_and_grad(g, n, params)[1]
     a = np.full(n, 1.0 / n)
     a[-1] = 0.5 / n - kappa
     residual = grad[1:] - info["lam"] * a
@@ -317,3 +363,41 @@ def test_richardson_extrapolated_minimum_matches_closed_form(beta):
     for m in (0.1, 0.3, 0.6, 1.5, 3.0, 100.0):
         assert richardson_fixed(m, params) == pytest.approx(rate_cev(m, params).value,
                                                             rel=1e-9)
+
+
+# (constraint, beta, K/S0 or kappa, n, value, iterations, rungs, kkt_residual,
+#  lam, constraint_err, sha256 of the path's bytes), S0 = 1, sigma = 0.5,
+# r = 0.03, q = 0.01: a ladder case (K/S0 = 0.05), the Levenberg-shift case
+# (beta = 0.9, kappa = 0.2, n = 200) and the smallest grids among them
+PINNED = [
+    ("fixed", 0.5, 1.5, 800, 1.1690070048305974, 3, 1, 4.923557891965687e-17, 4.1845896237676605, 3.16714268008865e-16, "325f8530b68bd253"),
+    ("fixed", 0.75, 0.6, 800, 1.5039502927595207, 3, 1, 7.027343679138588e-24, -9.674508717166619, -1.6746442065338182e-16, "995f9b9d408d038e"),
+    ("fixed", 0.9, 3.0, 800, 6.871747530630587, 4, 1, 1.9298679847168644e-23, 4.124186153073909, 1.1408148671061227e-15, "3967f874e4d8e432"),
+    ("float", 0.5, 2.0, 800, 1.4336664285865326, 5, 1, 2.3911477269011372e-21, 4.018205324404013, 6.413840896272736e-17, "bba4d07a59d8e975"),
+    ("float", 0.75, 0.5, 800, 4.629846128061814, 7, 1, 2.8608041684286004e-18, -12.626564564348925, 5.694026374973517e-15, "5c7e77fed381c59a"),
+    ("float", 0.9, 1.5, 800, 0.8519639745153413, 5, 1, 1.0569210594919252e-18, 4.758133483952323, 3.9503839634781954e-17, "7e08dff17eea7d5a"),
+    ("fixed", 0.75, 0.05, 800, 70.64564731395635, 15, 3, 4.551838457348699e-15, -1436.9990107634278, -1.0637269305939268e-18, "f2e75d3515d5e3d0"),
+    ("float", 0.9, 0.2, 200, 32.44821452436935, 8, 1, 2.8503894287827504e-21, -30.129879420944498, 2.441516636082209e-16, "59a829f2cb2fc868"),
+    ("fixed", 0.75, 1.3, 1, 0.48575521069312516, 1, 1, -0.0, 2.6778812897185036, 4.440892098500626e-16, "d699ab30b303bfe7"),
+    ("float", 0.75, 1.3, 1, 0.3840232127713135, 1, 1, -0.0, 3.0032584588525717, 3.275157922644212e-16, "1c3b6dd4443620eb"),
+    ("fixed", 0.5, 0.8, 2, 0.29680915717477635, 3, 1, 2.6917306417274105e-22, -3.207661579047996, 2.7755575615628914e-17, "e0c1812bd18f93c9"),
+    ("float", 0.9, 0.7, 2, 0.9872267493061305, 6, 1, 8.13764801583588e-18, -4.776289826654602, 3.6139786867337666e-17, "0a9cb6a792a108c8"),
+    ("fixed", 0.9, 2.0, 3, 2.68043650107272, 3, 1, 9.964859744773741e-19, 3.6676621532924276, 3.043265873986263e-17, "7cc1143129b637e9"),
+    ("float", 0.5, 3.0, 3, 2.4778062979043436, 5, 1, 4.5391329684022836e-18, 4.012796224202407, 1.0419974315154806e-16, "1587b80ebb7a6c57"),
+]
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c[0]}-beta{c[1]}-x{c[2]}-n{c[3]}")
+def test_certified_results_are_bit_for_bit_pinned(case):
+    """Every solve's results equal, with ==, the recorded ones.  The figures
+    hold for the floating-point libraries they were recorded with (numpy 2.4,
+    scipy 1.17 with OpenBLAS, x86-64).  An edit that reorders any arithmetic
+    of the solve changes some of them; one that means to re-records them."""
+    kind, beta, x, n, *expected = case
+    params = ModelParams(S0=1.0, sigma=0.5, beta=beta, r=0.03, q=0.01)
+    minimize = minimize_fixed if kind == "fixed" else minimize_float
+    value, info = minimize(x, params, n=n, full_output=True)
+    digest = hashlib.sha256(info["path"].values.tobytes()).hexdigest()[:16]
+    got = [value, info["iterations"], info["rungs"], info["kkt_residual"], info["lam"],
+           info["constraint_err"], digest]
+    assert got == expected
