@@ -14,9 +14,9 @@ from .rate_cev import (ab_minus, ab_plus, rate_cev, rate_cev_large_strike,
 from .float_strike import (cumulant_float, jf_taylor, rate_float_cev,
                            rate_float_sqrt, solve_theta_c)
 from .varsolve import PathGrid, action, minimize_fixed, minimize_float
-from .pricing import (OptionSpec, PricingResult, atm_price, average_forward,
-                      equiv_lognormal_vol, equiv_normal_vol, parity_gap,
-                      price_fixed, price_floating, rate_float)
+from .pricing import (OptionSpec, PricingResult, atm_price, average_forward, equiv_lognormal_vol,
+                      equiv_normal_vol, equiv_vol, parity_gap, price_fixed, price_floating,
+                      price_from_rate, price_variational, rate_float)
 from .mc import McConfig, McEstimate, rate_from_mc, simulate_asian, simulate_floating
 from .bench import (BenchRow, Scenario, run_custom, run_floating, run_table1,
                     run_table2, to_csv)
@@ -31,8 +31,8 @@ __all__ = [
     "cumulant_float", "jf_taylor", "rate_float_cev", "rate_float_sqrt", "solve_theta_c",
     "PathGrid", "action", "minimize_fixed", "minimize_float",
     "OptionSpec", "PricingResult", "atm_price", "average_forward",
-    "equiv_lognormal_vol", "equiv_normal_vol", "parity_gap",
-    "price_fixed", "price_floating", "rate_float",
+    "equiv_lognormal_vol", "equiv_normal_vol", "equiv_vol", "parity_gap",
+    "price_fixed", "price_floating", "price_from_rate", "price_variational", "rate_float",
     "McConfig", "McEstimate", "rate_from_mc", "simulate_asian", "simulate_floating",
     "BenchRow", "Scenario", "run_custom", "run_floating", "run_table1",
     "run_table2", "to_csv",

@@ -17,10 +17,8 @@ import time
 from dataclasses import dataclass
 
 from .model import ModelParams
-from .pricing import (OptionSpec, PricingResult, _bachelier, _black, _equiv_vol, _note,
-                      average_forward, price_fixed, price_floating)
+from .pricing import OptionSpec, price_fixed, price_floating, price_variational
 from .mc import McConfig, simulate_asian, simulate_floating
-from .varsolve import minimize_fixed, minimize_float
 
 CSV_HEADER = ["id", "S0", "K_or_kappa", "style", "side", "r", "q", "sigma",
               "beta", "T", "engine", "ref_name", "ref_value"]
@@ -149,18 +147,8 @@ def _price_scenario(sc: Scenario, mc_config: McConfig | None = None) -> float:
             return simulate_asian(spec, params, config).mean
         return simulate_floating(spec, params, config).mean
     if sc.engine == "varsolve":
-        return _price_from_variational(spec, params).price
+        return price_variational(spec, params).price
     raise ValueError(f"unknown engine {sc.engine!r}")
-
-
-def _price_from_variational(spec: OptionSpec, params: ModelParams) -> PricingResult:
-    """Price with the equivalent volatility taken from the variational solver."""
-    fixed = spec.style == "fixed"
-    vol = _equiv_vol(spec.style, spec.strike, params, minimize_fixed if fixed else minimize_float)
-    note = _note(spec.style, spec.strike, params, True)
-    if fixed:
-        return _black(spec, params, average_forward(params, spec.maturity), vol, note)
-    return _bachelier(spec, params, vol, note)
 
 
 def run_custom(path: str, mc_config: McConfig | None = None) -> list[BenchRow]:

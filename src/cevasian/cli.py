@@ -20,13 +20,13 @@ import numpy as np
 
 from .model import ModelParams, ConvergenceError, RootBracketError
 from . import bench as bench_mod
-from .float_strike import VariationalDiag, jf_taylor, rate_float_sqrt
+from .float_strike import jf_taylor, rate_float_sqrt
 from .mc import McConfig, simulate_asian, simulate_floating
-from .pricing import (OptionSpec, _bachelier, _equiv_vol, _note, equiv_lognormal_vol,
-                      price_fixed, price_floating, rate_float)
+from .pricing import (OptionSpec, equiv_lognormal_vol, equiv_vol, price_fixed, price_floating,
+                      price_from_rate, price_variational, rate_float)
 from .rate_cev import rate_cev, rate_cev_taylor
 from .varsolve import CERTIFICATE, minimize_fixed
-# not called here (rate_cev, rate_float and the vol-from-rate helpers cover
+# not called here (rate_cev, rate_float and `equiv_vol` on their results cover
 # them), but perfbench/worker.py traces the layers by patching these names
 from .float_strike import rate_float_cev  # noqa: F401
 from .pricing import equiv_normal_vol  # noqa: F401
@@ -120,7 +120,7 @@ def cmd_price(args) -> int:
     params = _params(args)
     spec = OptionSpec(args.style, args.side, args.strike, args.maturity)
     if args.engine == "varsolve":
-        res = bench_mod._price_from_variational(spec, params)
+        res = price_variational(spec, params)
     elif args.style == "fixed":
         res = price_fixed(spec, params)
     else:
@@ -167,8 +167,8 @@ def cmd_vol_curve(args) -> int:
     rows = []
     for m in ratios:
         K = m * params.S0
-        rate = rate_cev(K, params).value
-        rows.append((m, K, rate, _equiv_vol("fixed", K, params, lambda *_: rate)))
+        rate = rate_cev(K, params)
+        rows.append((m, K, rate.value, equiv_vol("fixed", K, params, rate)))
     if args.json:
         print(json.dumps([{"K_over_S0": a, "K": b, "rate": c, "sigma_ln": d}
                           for a, b, c, d in rows]))
@@ -189,15 +189,14 @@ def cmd_vol_curve(args) -> int:
 def cmd_float(args) -> int:
     params = _params(args)
     res = rate_float(args.kappa, params)
-    vol = _equiv_vol("floating", args.kappa, params, lambda *_: res.value)
+    vol = equiv_vol("floating", args.kappa, params, res)
     out = {"kappa": args.kappa, "rate": res.value, "branch": res.branch,
            "sigma_n": vol}
     # the variational route's certificate (general beta)
     out.update({k: getattr(res.diag, k) for k in CERTIFICATE if hasattr(res.diag, k)})
     if args.maturity is not None:
         spec = OptionSpec("floating", args.side, args.kappa, args.maturity)
-        note = _note("floating", args.kappa, params, isinstance(res.diag, VariationalDiag))
-        pres = _bachelier(spec, params, vol, note)
+        pres = price_from_rate(spec, params, res)
         out.update({"price": pres.price, "side": args.side,
                     "maturity": args.maturity, "note": pres.note})
     if args.json:

@@ -46,9 +46,10 @@ class FloatRateDiag:
 
 @dataclass(frozen=True)
 class VariationalDiag:
-    """Certificate of the variational route (see varsolve.minimize_float)."""
+    """Certificate of the variational route (see varsolve.minimize_float and
+    minimize_fixed)."""
 
-    branch: str           # "put" (kappa>1) | "call" (kappa<1)
+    branch: str           # "put" (kappa > 1 or K < S0) | "call" (kappa < 1 or K > S0)
     iterations: int       # Newton steps over all continuation rungs
     kkt_residual: float   # Newton decrement per unit of action
     constraint_err: float

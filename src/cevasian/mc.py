@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .model import ModelParams
-from .pricing import OptionSpec
+from .model import ConvergenceError, ModelParams, _exp
+from .pricing import OptionSpec, average_forward
 
 _BLOCK_PAIRS = 32768  # antithetic pairs per block
 _CHUNK_STEPS = 8      # Euler steps per draw of normals
@@ -80,7 +80,11 @@ def _steps_for(T: float, config: McConfig) -> int:
 
 def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
     """Simulate antithetic pairs in blocks; payoff(avg, s_final) -> per-path
-    payoffs.  A pair counts as one sample: the mean of its two payoffs."""
+    payoffs.  A pair counts as one sample: the mean of its two payoffs.
+    ConvergenceError where the forward or the discount (checked before any
+    path is drawn), the price or its standard error is not a finite double."""
+    average_forward(params, T)
+    disc = _exp(-params.r * T, "discount factor")
     steps = _steps_for(T, config)
     dt = T / steps
     sqdt = math.sqrt(dt)
@@ -141,9 +145,10 @@ def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
 
     mean = math.fsum(sums) / n_pairs
     var = max(math.fsum(sums2) / n_pairs - mean * mean, 0.0)
-    se = math.sqrt(var / n_pairs)
-    disc = math.exp(-params.r * T)
-    return McEstimate(disc * mean, disc * se, sum(absorbed), steps, n_blocks)
+    price, se = disc * mean, disc * math.sqrt(var / n_pairs)
+    if not math.isfinite(price + se):  # payoffs or their squares beyond the doubles
+        raise ConvergenceError(f"the simulated price {price:g} +- {se:g} is not finite")
+    return McEstimate(price, se, sum(absorbed), steps, n_blocks)
 
 
 def simulate_asian(spec: OptionSpec, params: ModelParams, config: McConfig) -> McEstimate:
@@ -186,7 +191,7 @@ def rate_from_mc(K: float, params: ModelParams, T_grid, config: McConfig,
     for i, T in enumerate(T_grid):
         spec = OptionSpec("fixed", side, K, float(T))
         est = simulate_asian(spec, params, config)
-        undisc = est.mean * math.exp(params.r * T)
+        undisc = est.mean * _exp(params.r * T, "undiscounting factor")
         if undisc <= 0.0 or est.mean < 2.0 * est.std_error:
             out[i] = math.nan
         else:

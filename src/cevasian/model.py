@@ -8,12 +8,14 @@ the branch that produced the value.
 Inside ATM_WINDOW every rate route and both equivalent vols read the ATM
 series written here once each: I = rate_unit x^2 P(x), x = log(K/S0)
 (`atm_fixed`) or log kappa (`atm_floating`, leading term only at beta != 1/2).
-`_newton` is the root solve of both fixed-strike closed forms.
+`_newton` is the root solve of both fixed-strike closed forms, and `_exp` the
+overflow-checked exponential of the discount factors.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -24,6 +26,7 @@ _RTOL = 8.9e-16      # have no cheap derivative; 8.9e-16 (~4 ulp) is the tightes
 _C2 = 1.5            # log-moneyness^2 coefficient of both ATM series
 _EPS = 2.0 ** -52    # the spacing of doubles at 1
 _FLOOR = 1.0e-6      # relative size below which a step that stops shrinking is rounding noise
+_LOG_MAX = math.log(sys.float_info.max)  # the largest x whose e^x is a double
 
 
 class ConvergenceError(RuntimeError):
@@ -107,6 +110,13 @@ def _newton(eq, t: float, lo: float, hi: float, lo_known: bool = True,
                 new = 0.5 * (lo + hi)
         prev, t = abs(new - t), new
     raise ConvergenceError(f"Newton iteration did not converge on [{lo}, {hi}]")
+
+
+def _exp(x: float, what: str) -> float:
+    """e^x, or ConvergenceError naming it ``what`` where it overflows a double."""
+    if x > _LOG_MAX:
+        raise ConvergenceError(f"the {what} e^{x:g} overflows a double")
+    return math.exp(x)
 
 
 def beta_is_half(beta: float) -> bool:

@@ -1,13 +1,13 @@
 """Short-maturity asymptotic option prices built on the rate functions.
 
-Fixed-strike Asian calls/puts are priced with a Black-type formula on the
-forward of the average, using the equivalent log-normal volatility
-Sigma_LN^2 = ln^2(K/S0) / (2 I(K)); floating-strike options use a Bachelier
-formula with the equivalent normal volatility
-Sigma_N^2 = S0^2 (kappa - 1)^2 / (2 I_f(kappa)).  At the money both are 0/0;
-inside ATM_WINDOW `_equiv_vol` cancels the x^2 of `model`'s ATM series
-against the numerator (levels sigma S0^(beta-1)/sqrt(3), sigma S0^beta/sqrt(3)).
-Each price's note names the route of its vol.
+`price_from_rate` prices every route's `RateResult`.  Fixed-strike Asian
+calls/puts take a Black-type formula on the forward of the average, with the
+equivalent log-normal volatility Sigma_LN^2 = ln^2(K/S0) / (2 I(K));
+floating-strike options a Bachelier formula with the equivalent normal
+volatility Sigma_N^2 = S0^2 (kappa - 1)^2 / (2 I_f(kappa)).  At the money
+both are 0/0; for a rate of branch "atm" `equiv_vol` cancels the x^2 of
+`model`'s ATM series against the numerator (levels sigma S0^(beta-1)/sqrt(3),
+sigma S0^beta/sqrt(3)).  Each price's note names the route of its vol.
 
 Floating-strike payoff convention: call = (kappa S_T - A_T)^+,
 put = (A_T - kappa S_T)^+, where A_T is the arithmetic average.
@@ -16,9 +16,9 @@ put = (A_T - kappa S_T)^+, where A_T is the arithmetic average.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .model import (ATM_WINDOW, ConvergenceError, ModelParams, RateResult, atm_fixed,
+from .model import (ATM_WINDOW, ConvergenceError, ModelParams, RateResult, _exp, atm_fixed,
                     atm_floating, beta_is_half)
 from .specfun import norm_cdf, norm_pdf
 from .rate_cev import rate_cev
@@ -68,13 +68,17 @@ class PricingResult:
 
 
 def average_forward(params: ModelParams, T: float) -> float:
-    """Forward of the arithmetic average, S0 (e^{(r-q)T} - 1) / ((r-q)T)."""
+    """Forward of the arithmetic average, S0 (e^{(r-q)T} - 1) / ((r-q)T);
+    ConvergenceError where it or e^{(r-q)T} leaves the positive doubles."""
     x = (params.r - params.q) * T
-    if abs(x) < 1e-12:
-        factor = 1.0 + 0.5 * x + x * x / 6.0
-    else:
-        factor = math.expm1(x) / x
-    return params.S0 * factor
+    try:
+        A = params.S0 * (1.0 + 0.5 * x + x * x / 6.0 if abs(x) < 1e-12 else math.expm1(x) / x)
+    except OverflowError:
+        A = math.inf
+    if not 0.0 < A < math.inf:
+        raise ConvergenceError(f"the forward of the average at (r - q) T = {x:g} "
+                               "is not a positive double")
+    return A
 
 
 def rate_float(kappa: float, params: ModelParams) -> RateResult:
@@ -85,25 +89,24 @@ def rate_float(kappa: float, params: ModelParams) -> RateResult:
     return rate_float_cev(kappa, params)
 
 
-def _equiv_vol(style: str, strike: float, params: ModelParams, rate_fn) -> float:
-    """Equivalent vol num / sqrt(2 I), I = rate_fn(strike, params): log-normal
+def equiv_vol(style: str, strike: float, params: ModelParams, rate: RateResult) -> float:
+    """Equivalent vol num / sqrt(2 I) of the rate I at the strike: log-normal
     for style "fixed" (x = log(K/S0), num = |x|), normal for "floating"
     (x = log kappa, num = S0 |kappa - 1|).
 
-    Inside ATM_WINDOW, I is the ATM series rate_unit x^2 P(x), so the vol is
-    num/|x| (at x = 0 its limit, 1 resp. S0) times sigma S0^(beta-1)/sqrt(2 P(x)),
-    formed as level (P(x)/P(0))^(-1/2) with the level and its O(x) deviation
-    rounded apart, so that the vol adds about one rounding to the level's."""
-    if not strike > 0:
-        raise ValueError(f"strike must be positive, got {strike}")
+    A rate of branch "atm" (every route's, exactly inside ATM_WINDOW) is the
+    ATM series rate_unit x^2 P(x), so the vol is num/|x| (at x = 0 its limit,
+    1 resp. S0) times sigma S0^(beta-1)/sqrt(2 P(x)), formed as
+    level (P(x)/P(0))^(-1/2) with the level and its O(x) deviation rounded
+    apart, so that the vol adds about one rounding to the level's."""
     if style == "fixed":
         x = math.log(strike / params.S0)
         num, slope, series = abs(x), 1.0, atm_fixed
     else:
         x = math.log(strike)
         num, slope, series = params.S0 * abs(strike - 1.0), params.S0, atm_floating
-    if abs(x) >= ATM_WINDOW:
-        vol = num / math.sqrt(2.0 * rate_fn(strike, params))
+    if rate.branch != "atm":
+        vol = num / math.sqrt(2.0 * rate.value)
         if math.isinf(vol):  # S0 |kappa - 1| beyond the largest double
             raise ConvergenceError(f"the equivalent vol at strike {strike} overflows a double")
         return vol
@@ -115,76 +118,78 @@ def _equiv_vol(style: str, strike: float, params: ModelParams, rate_fn) -> float
     return slope * (level + level * dev)
 
 
-def _note(style: str, strike: float, params: ModelParams, variational: bool) -> str:
-    """The note naming the route of a price's vol: the ATM series inside the
-    window, else the variational solver when it produced the rate."""
-    x = math.log(strike / params.S0) if style == "fixed" else math.log(strike)
-    if abs(x) < ATM_WINDOW:
-        return "vol from at-the-money series"
-    return "rate from variational solver" if variational else ""
-
-
 def equiv_lognormal_vol(K: float, params: ModelParams) -> float:
     """Equivalent log-normal volatility of the average at strike K (T -> 0)."""
-    return _equiv_vol("fixed", K, params, lambda k, p: rate_cev(k, p).value)
+    return equiv_vol("fixed", K, params, rate_cev(K, params))
 
 
 def equiv_normal_vol(kappa: float, params: ModelParams) -> float:
     """Equivalent normal (Bachelier) volatility for the floating-strike payoff."""
-    return _equiv_vol("floating", kappa, params, lambda k, p: rate_float(k, p).value)
+    return equiv_vol("floating", kappa, params, rate_float(kappa, params))
 
 
-def _black(spec: OptionSpec, params: ModelParams, A: float, vol: float,
-           note: str = "") -> PricingResult:
-    """Black formula on the forward A of the average, floored at 0 (the
-    difference of two underflowing terms can come out a negative subnormal)."""
-    K, T = spec.strike, spec.maturity
+def price_from_rate(spec: OptionSpec, params: ModelParams, rate: RateResult) -> PricingResult:
+    """Price of ``spec`` from the rate at its strike, whichever route gave it:
+    Black on the forward A of the average with the log-normal vol (fixed
+    strike), Bachelier on kappa S_T - A_T, forward
+    F = kappa S0 e^{(r-q)T} - A, with the normal vol (floating), floored at 0
+    (two underflowing terms can differ by a negative subnormal).  The note
+    names the route of the vol: the ATM series for branch "atm", the
+    variational solver for a rate with its certificate.  ConvergenceError
+    where the forward, the discount or the price leaves the doubles."""
+    vol = equiv_vol(spec.style, spec.strike, params, rate)
+    note = ("vol from at-the-money series" if rate.branch == "atm" else
+            "rate from variational solver" if isinstance(rate.diag, VariationalDiag) else "")
+    T, w = spec.maturity, (1.0 if spec.side == "call" else -1.0)
+    A = average_forward(params, T)
+    disc = _exp(-params.r * T, "discount factor")
     sq = vol * math.sqrt(T)
-    d1 = (math.log(A / K) + 0.5 * sq * sq) / sq
-    d2 = d1 - sq
-    disc = math.exp(-params.r * T)
-    if spec.side == "call":
-        price = disc * (A * norm_cdf(d1) - K * norm_cdf(d2))
+    if spec.style == "fixed":
+        K, kind, fwd = spec.strike, "lognormal", A
+        d1 = (math.log(A / K) + 0.5 * sq * sq) / sq
+        d2 = d1 - sq
+        price = disc * (w * A * norm_cdf(w * d1) - w * K * norm_cdf(w * d2))
     else:
-        price = disc * (K * norm_cdf(-d2) - A * norm_cdf(-d1))
-    return PricingResult(max(price, 0.0), vol, "lognormal", d1, d2, A, note)
+        kind, fwd = "normal", spec.strike * params.S0 * math.exp((params.r - params.q) * T) - A
+        if math.isinf(fwd):
+            raise ConvergenceError(f"the forward at kappa {spec.strike} overflows a double")
+        d1 = d2 = fwd / sq
+        price = disc * (w * fwd * norm_cdf(w * d1) + sq * norm_pdf(d1))
+    if not math.isfinite(price):
+        raise ConvergenceError(f"the price at strike {spec.strike} overflows a double")
+    return PricingResult(max(price, 0.0), vol, kind, d1, d2, fwd, note)
 
 
-def _bachelier(spec: OptionSpec, params: ModelParams, vol: float,
-               note: str = "") -> PricingResult:
-    """Bachelier formula on kappa S_T - A_T with forward
-    F = S0 (kappa e^{(r-q)T} - (e^{(r-q)T} - 1)/((r-q)T)), floored at 0;
-    ConvergenceError where F overflows a double."""
-    kappa, T = spec.strike, spec.maturity
-    growth = math.exp((params.r - params.q) * T)
-    F = kappa * params.S0 * growth - average_forward(params, T)
-    if math.isinf(F):
-        raise ConvergenceError(f"the forward at kappa {kappa} overflows a double")
-    sq = vol * math.sqrt(T)
-    d = F / sq
-    disc = math.exp(-params.r * T)
-    if spec.side == "call":
-        price = disc * (F * norm_cdf(d) + sq * norm_pdf(d))
-    else:
-        price = disc * (-F * norm_cdf(-d) + sq * norm_pdf(d))
-    return PricingResult(max(price, 0.0), vol, "normal", d, d, F, note)
-
-
-def price_fixed(spec: OptionSpec, params: ModelParams,
-                center_on_forward: bool = False) -> PricingResult:
-    """Asymptotic fixed-strike Asian price (Black formula on the average).
-
-    With center_on_forward the moneyness entering the equivalent volatility is
-    measured against the forward of the average instead of the spot; the
-    default keeps the spot-centred volatility of the T -> 0 regime.
-    """
+def price_fixed(spec: OptionSpec, params: ModelParams) -> PricingResult:
+    """Asymptotic fixed-strike Asian price (Black formula on the average)."""
     if spec.style != "fixed":
         raise ValueError(f"price_fixed needs a fixed-strike spec, got style {spec.style!r}")
+    return price_from_rate(spec, params, rate_cev(spec.strike, params))
+
+
+def price_floating(spec: OptionSpec, params: ModelParams) -> PricingResult:
+    """Asymptotic floating-strike Asian price (Bachelier formula)."""
+    if spec.style != "floating":
+        raise ValueError(f"price_floating needs a floating-strike spec, got style {spec.style!r}")
+    return price_from_rate(spec, params, rate_float(spec.strike, params))
+
+
+def price_variational(spec: OptionSpec, params: ModelParams) -> PricingResult:
+    """Asymptotic price with the rate from the variational solver: for a
+    floating strike `rate_float_cev`'s, for a fixed one the certified minimum
+    of `minimize_fixed`, which inside ATM_WINDOW is never solved for."""
     K = spec.strike
-    A = average_forward(params, spec.maturity)
-    centre = replace(params, S0=A) if center_on_forward else params
-    vol = equiv_lognormal_vol(K, centre)
-    return _black(spec, params, A, vol, _note("fixed", K, centre, False))
+    if spec.style == "floating":
+        rate = rate_float_cev(K, params)
+    elif abs(math.log(K / params.S0)) < ATM_WINDOW:
+        rate = rate_cev(K, params)  # every fixed-strike route's ATM series
+    else:
+        from .varsolve import CERTIFICATE, minimize_fixed
+
+        value, info = minimize_fixed(K, params, full_output=True)
+        branch = "call" if K > params.S0 else "put"
+        rate = RateResult(value, VariationalDiag(branch, **{k: info[k] for k in CERTIFICATE}))
+    return price_from_rate(spec, params, rate)
 
 
 def atm_price(params: ModelParams, T: float) -> float:
@@ -198,18 +203,8 @@ def atm_price(params: ModelParams, T: float) -> float:
     return params.sigma * params.S0 ** params.beta * math.sqrt(T / (6.0 * math.pi))
 
 
-def price_floating(spec: OptionSpec, params: ModelParams) -> PricingResult:
-    """Asymptotic floating-strike Asian price (Bachelier formula)."""
-    if spec.style != "floating":
-        raise ValueError(f"price_floating needs a floating-strike spec, got style {spec.style!r}")
-    res = rate_float(spec.strike, params)
-    vol = _equiv_vol("floating", spec.strike, params, lambda *_: res.value)
-    note = _note("floating", spec.strike, params, isinstance(res.diag, VariationalDiag))
-    return _bachelier(spec, params, vol, note)
-
-
 def parity_gap(call_price: float, put_price: float, K: float,
                params: ModelParams, T: float) -> float:
     """Deviation from fixed-strike put-call parity C - P = e^{-rT}(A(T) - K)."""
-    disc = math.exp(-params.r * T)
+    disc = _exp(-params.r * T, "discount factor")
     return call_price - put_price - disc * (average_forward(params, T) - K)

@@ -1,5 +1,6 @@
 """Benchmark harness: built-in scenario tables, custom CSV runs, CSV output."""
 
+import json
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from cevasian.bench import (
     to_csv,
 )
 from cevasian import bench as bench_mod
+from cevasian.cli import main
 
 pin_tol = 5e-7
 
@@ -58,7 +60,7 @@ def _write(tmp_path, text):
     return str(path)
 
 
-def test_run_custom_round_trip(tmp_path):
+def test_run_custom_round_trip(tmp_path, capsys):
     text = CUSTOM_HEADER + "\n"
     text += "c1,2.0,2.0,fixed,call,0.02,0.0,0.14,0.5,1.0,asympt,pin,0.055474\n"
     text += "c2,1.0,1.2,floating,put,0.0,0.0,0.5,0.5,0.25,asympt,,\n"
@@ -66,11 +68,13 @@ def test_run_custom_round_trip(tmp_path):
     text += "c3,1.0,0.7,fixed,put,0.0,0.0,0.5,0.75,0.5,varsolve,,\n"
     text += "c4,1.0,1.0,fixed,call,0.0,0.0,0.3,0.5,0.5,mc,,\n"
     text += "c5,2.0,2.0,fixed,call,0.02,0.0,0.14,0.5,1.0,asympt,wrong,0.9\n"
+    text += "c6,1.0,1.3,floating,call,0.03,0.01,0.5,0.75,0.5,varsolve,,\n"
+    text += "c7,1.0,1.000001,fixed,call,0.03,0.01,0.5,0.75,0.5,varsolve,,\n"
     rows = run_custom(
         _write(tmp_path, text),
         mc_config=McConfig(n_paths=2000, n_steps=100, seed=1),
     )
-    assert [r.scenario.id for r in rows] == ["c1", "c2", "c3", "c4", "c5"]
+    assert [r.scenario.id for r in rows] == ["c1", "c2", "c3", "c4", "c5", "c6", "c7"]
     assert rows[0].ok and abs(rows[0].rel_err) < 0.01
     # rows without a reference value are informational: ok, with NaN errors
     assert rows[1].ok and math.isnan(rows[1].rel_err)
@@ -78,6 +82,17 @@ def test_run_custom_round_trip(tmp_path):
     assert rows[3].price > 0.0
     assert not rows[4].ok  # reference off by a factor -> flagged
     assert abs(rows[4].rel_err) > 0.5
+    # a varsolve row prices as `cevasian price --engine varsolve` does
+    for row in (rows[2], rows[5], rows[6]):
+        sc = row.scenario
+        argv = ["price", "--engine", "varsolve", "--json", "--style", sc.style,
+                "--side", sc.side]
+        for flag, value in (("--s0", sc.S0), ("--strike", sc.K_or_kappa), ("--r", sc.r),
+                            ("--q", sc.q), ("--sigma", sc.sigma), ("--beta", sc.beta),
+                            ("--maturity", sc.T)):
+            argv += [flag, repr(value)]
+        assert main(argv) == 0
+        assert row.ok and row.price == json.loads(capsys.readouterr().out)["price"] > 0.0
 
 
 def test_run_custom_rejects_bad_header(tmp_path):

@@ -68,6 +68,11 @@ def test_price_variational_engine_reports_the_same_fields(style, capsys):
      "rate from variational solver"),
     (["--beta", "0.75", "--style", "floating", "--strike", "1.000001"],
      "vol from at-the-money series"),
+    # the solver stalls this close to the money, so it must never be asked
+    (["--beta", "0.75", "--strike", "1.000000001", "--engine", "varsolve"],
+     "vol from at-the-money series"),
+    (["--beta", "0.75", "--style", "floating", "--strike", "1.000000001",
+      "--engine", "varsolve"], "vol from at-the-money series"),
 ])
 def test_price_note_names_the_route_used(args, note, capsys):
     rc = main(["price", "--sigma", "0.5", "--maturity", "0.5", "--json"] + args)

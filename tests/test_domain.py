@@ -129,6 +129,21 @@ def test_price_floating_at_beta_half_is_finite_over_the_domain(kappa, T, side, S
     (["price", "--beta", "0.5", "--style", "floating", "--s0", "2", "--strike", "1.7e308",
       "--maturity", "1"], 3),
     (["rate", "--beta", "0.75", "--strike", "1e280"], 3),
+    # the drift factor, the discount or the forward beyond the doubles
+    (["price", "--beta", "0.5", "--r", "100", "--strike", "1.2", "--maturity", "10"], 3),
+    (["price", "--beta", "0.5", "--r", "-100", "--strike", "1.2", "--maturity", "10"], 3),
+    (["price", "--beta", "0.5", "--r", "1e308", "--strike", "1.2", "--maturity", "10"], 3),
+    (["price", "--beta", "0.75", "--style", "floating", "--r", "-100", "--strike", "1.2",
+      "--maturity", "10"], 3),
+    (["price", "--beta", "0.5", "--r", "-70", "--q", "-70", "--s0", "1e10", "--strike", "1.2e10",
+      "--side", "put", "--maturity", "10"], 3),
+    (["mc", "--beta", "0.5", "--r", "-100", "--strike", "1.2", "--maturity", "10",
+      "--n-paths", "10"], 3),
+    (["mc", "--beta", "0.5", "--r", "100", "--strike", "1.2", "--maturity", "10",
+      "--n-paths", "10"], 3),
+    # the paths stay doubles, the squares of their payoffs do not
+    (["mc", "--beta", "0.5", "--r", "50", "--strike", "1.2", "--maturity", "10",
+      "--n-paths", "10"], 3),
 ])
 def test_cli_exits_zero_two_or_three_over_the_domain(args, code, capsys):
     # an undocumented exception would escape main() and exit 1 with a traceback

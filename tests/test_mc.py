@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from cevasian import (
+    ConvergenceError,
     McConfig,
     ModelParams,
     OptionSpec,
@@ -233,6 +234,19 @@ def test_rate_from_mc_starved_sampling_gives_nan():
     config = McConfig(n_paths=1000, n_steps=400, seed=4)
     vals = rate_from_mc(3.0, p, [0.05], config)
     assert math.isnan(vals[0])
+
+
+def test_overflowing_discount_is_a_convergence_error():
+    config = McConfig(n_paths=4, n_steps=1, seed=0)
+    spec = OptionSpec("fixed", "call", 1.2, 10.0)
+    # e^{-rT} = e^1000 overflows before any path is drawn
+    with pytest.raises(ConvergenceError, match="discount factor"):
+        simulate_asian(spec, ModelParams(S0=1.0, sigma=0.5, beta=0.5, r=-100.0), config)
+    # the price returns, discounted to 0, but e^{rT} cannot undo the discount
+    p = ModelParams(S0=1.0, sigma=0.5, beta=0.5, r=100.0, q=100.0)
+    assert simulate_asian(spec, p, config).mean == 0.0
+    with pytest.raises(ConvergenceError, match="undiscounting factor"):
+        rate_from_mc(1.2, p, [10.0], config)
 
 
 def test_config_validation():

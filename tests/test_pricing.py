@@ -189,15 +189,6 @@ def test_floating_prices_are_positive_and_noted():
     assert res.note == "rate from variational solver"
 
 
-def test_center_on_forward_variant():
-    spec = OptionSpec("fixed", "call", 2.1, 1.0)
-    p = ModelParams(S0=1.9, sigma=0.69, beta=0.5, r=0.05)
-    base = price_fixed(spec, p).price
-    centered = price_fixed(spec, p, center_on_forward=True).price
-    assert centered > 0.0
-    assert abs(centered / base - 1.0) < 0.05
-
-
 def test_option_spec_validation():
     with pytest.raises(ValueError):
         OptionSpec("fixed", "call", -1.0, 1.0)

@@ -1,9 +1,11 @@
-"""The command-line scripts under scripts/ run to completion.
+"""The command-line scripts under scripts/ run to completion, and the
+names perfbench traces through stay importable.
 
-Each runs in a fresh interpreter, as a user would start it, with the
+Each script runs in a fresh interpreter, as a user would start it, with the
 package found on the same path as the tests.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -33,3 +35,15 @@ def test_make_figures_writes_the_four_csvs(tmp_path):
              "fig4_vol_skew.csv")
     for name in names:
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_the_benchmarks_trace_hooks_resolve(monkeypatch):
+    # perfbench/run.py --trace 1 patches these module names by getattr; a
+    # cleanup that drops one breaks the traced run, not the untraced one
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    worker = importlib.import_module("worker")
+    varsolve = importlib.import_module("cevasian.varsolve")
+    hooks = [(module, name) for module, name, _ in worker.PATCHES] + [(varsolve, "minimize")]
+    missing = [f"{module.__name__}.{name}" for module, name in hooks
+               if not callable(getattr(module, name, None))]
+    assert not missing
