@@ -165,7 +165,7 @@ def cmd_vol_curve(args) -> int:
         raise ValueError("need n >= 2 and 0 < k-min < k-max")
     ratios = np.exp(np.linspace(math.log(args.k_min), math.log(args.k_max), args.n))
     rows = []
-    for m in ratios:
+    for m in ratios.tolist():  # Python floats: numpy scalars would slow every rate
         K = m * params.S0
         rate = rate_cev(K, params)
         rows.append((m, K, rate.value, equiv_vol("fixed", K, params, rate)))
@@ -192,8 +192,10 @@ def cmd_float(args) -> int:
     vol = equiv_vol("floating", args.kappa, params, res)
     out = {"kappa": args.kappa, "rate": res.value, "branch": res.branch,
            "sigma_n": vol}
-    # the variational route's certificate (general beta)
-    out.update({k: getattr(res.diag, k) for k in CERTIFICATE if hasattr(res.diag, k)})
+    # the variational route's certificate (general beta) or the closed form's
+    # Newton solve (beta = 1/2)
+    out.update({k: getattr(res.diag, k) for k in CERTIFICATE + ("residual",)
+                if hasattr(res.diag, k)})
     if args.maturity is not None:
         spec = OptionSpec("floating", args.side, args.kappa, args.maturity)
         pres = price_from_rate(spec, params, res)

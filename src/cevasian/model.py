@@ -8,8 +8,9 @@ the branch that produced the value.
 Inside ATM_WINDOW every rate route and both equivalent vols read the ATM
 series written here once each: I = rate_unit x^2 P(x), x = log(K/S0)
 (`atm_fixed`) or log kappa (`atm_floating`, leading term only at beta != 1/2).
-`_newton` is the root solve of both fixed-strike closed forms, and `_exp` the
-overflow-checked exponential of the discount factors.
+`_newton` is the root solve of every closed form (both fixed-strike rates,
+the floating-strike rate at beta = 1/2 and its cumulant's boundary), and
+`_exp` the overflow-checked exponential of the discount factors.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from typing import Any
 
 BETA_TOL = 1.0e-7    # how far beta may sit from 1/2 and still take the beta = 1/2 forms
 ATM_WINDOW = 1.0e-5  # |log-moneyness| below which rates and vols use their ATM series
-_XTOL = 1.0e-15      # brentq tolerances of the floating-strike root solves, which
-_RTOL = 8.9e-16      # have no cheap derivative; 8.9e-16 (~4 ulp) is the tightest brentq accepts
 _C2 = 1.5            # log-moneyness^2 coefficient of both ATM series
 _EPS = 2.0 ** -52    # the spacing of doubles at 1
 _FLOOR = 1.0e-6      # relative size below which a step that stops shrinking is rounding noise
@@ -75,10 +74,12 @@ def _newton(eq, t: float, lo: float, hi: float, lo_known: bool = True,
     a Newton step that leaves it, or fails to halve the step before, is
     replaced by bisection.  An end whose sign is assumed rather than known
     (lo_known/hi_known False) is evaluated only when an iterate would cross
-    it; RootBracketError if f has the wrong sign there.  The iteration stops
-    when the step falls below 4 ulp of max(|t|, 1), or when it stops
-    shrinking below _FLOOR of that, which is f's rounding noise.  t is a log
-    variable in every caller, so these are relative tolerances on the root.
+    it, or a bisection would move towards it; RootBracketError if f has the
+    wrong sign there, so a one-signed f cannot pass for a root.  The
+    iteration stops when the step falls below 4 ulp of max(|t|, 1), or when
+    it stops shrinking below _FLOOR of that, which is f's rounding noise.
+    t is a log variable in every caller, so these are relative tolerances on
+    the root.
 
     Returns (t, f, data, evaluations) of the last point evaluated, so the
     caller needs no further evaluation at the root.
@@ -99,7 +100,9 @@ def _newton(eq, t: float, lo: float, hi: float, lo_known: bool = True,
         if abs(step) > 0.5 * prev:
             if abs(step) <= _FLOOR * scale:
                 return t, f, data, n
-            step = t - 0.5 * (lo + hi)
+            # towards an assumed end, the step to infinity evaluates it
+            step = t - 0.5 * (lo + hi) if (lo_known if f > 0.0 else hi_known) \
+                else math.copysign(math.inf, f)
         new = t - step
         if not lo < new < hi:
             if new <= lo and not lo_known:

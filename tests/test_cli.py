@@ -4,11 +4,13 @@ import importlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cevasian import ModelParams, OptionSpec, price_fixed
 from cevasian.bench import BenchRow, Scenario
 from cevasian.cli import main
+from cevasian.pricing import equiv_vol
 from cevasian.rate_cev import rate_cev
 from cevasian.rate_sqrt import rate_sqrt
 
@@ -124,10 +126,25 @@ def test_float_json_reports_the_variational_certificate(capsys):
     assert out["rungs"] > 1  # small kappa climbs the continuation ladder
     assert 0.0 <= out["kkt_residual"] <= 1e-12
     assert abs(out["constraint_err"]) <= 1e-12 and out["iterations"] >= out["rungs"]
-    # the closed form at beta = 1/2 runs no solver
+    # the closed form at beta = 1/2 runs no variational solver
     assert main(args[:3] + ["--kappa", "0.5", "--maturity", "1", "--json",
                             "--beta", "0.5"]) == 0
-    assert "iterations" not in json.loads(capsys.readouterr().out)
+    out = json.loads(capsys.readouterr().out)
+    assert not {"rungs", "kkt_residual", "constraint_err"} & out.keys()
+
+
+@pytest.mark.parametrize("kappa, branch", [("0.5", "call"), ("1.3", "put"), ("1e200", "put"),
+                                           ("0.01", "call"), ("1.000001", "atm")])
+def test_float_json_reports_the_newton_solve_at_beta_half(capsys, kappa, branch):
+    # the root solve of the closed form: its evaluations and residual, both 0
+    # where no equation is solved (the ATM series, the pole asymptote)
+    assert main(["float", "--sigma", "0.5", "--beta", "0.5", "--kappa", kappa, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["branch"] == branch
+    if kappa in ("0.01", "1.000001"):
+        assert out["iterations"] == 0 and out["residual"] == 0.0
+    else:
+        assert 1 <= out["iterations"] <= 10 and 0.0 <= out["residual"] < 1e-13
 
 
 def test_vol_curve_to_file(tmp_path, capsys):
@@ -310,6 +327,24 @@ def test_float_solves_the_variational_problem_once(monkeypatch, capsys):
     assert len(calls) == 1
     assert out["sigma_n"] == pytest.approx(0.5 / math.sqrt(2.0 * out["rate"]), rel=1e-14)
     assert out["note"] == "rate from variational solver"
+
+
+@pytest.mark.parametrize("beta", ["0.5", "0.75"])
+def test_vol_curve_rows_equal_the_library_at_the_same_strikes(capsys, beta):
+    # the CLI's strikes are Python floats; each row is the library's rate and
+    # vol there, to the last bit
+    argv = ["vol-curve", "--s0", "1.7", "--sigma", "0.4", "--beta", beta, "--k-min", "0.2",
+            "--k-max", "5", "--n", "33", "--json"]
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)
+    params = ModelParams(S0=1.7, sigma=0.4, beta=float(beta))
+    ratios = np.exp(np.linspace(math.log(0.2), math.log(5.0), 33)).tolist()
+    assert [row["K_over_S0"] for row in rows] == ratios
+    for row, m in zip(rows, ratios):
+        K = m * 1.7
+        rate = rate_cev(K, params)
+        assert (row["K"], row["rate"]) == (K, rate.value)
+        assert row["sigma_ln"] == equiv_vol("fixed", K, params, rate)
 
 
 def test_vol_curve_solves_each_rate_once(monkeypatch, capsys):

@@ -8,6 +8,7 @@ route against the closed form where both exist.
 
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cevasian.float_strike import (
     rate_float_cev,
     rate_float_sqrt,
     solve_theta_c,
+    _eqw_flat,
     _eqz_hyp,
     _eqz_trig,
 )
@@ -116,13 +118,16 @@ def test_float_cli_at_huge_kappa_returns_the_limit_two(capsys):
 
 
 def test_one_signed_equation_raises_root_bracket_error(monkeypatch, capsys):
-    monkeypatch.setattr(float_strike, "_eqz_hyp", lambda z, kappa: 1.0)
-    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    with pytest.raises(RootBracketError):
-        rate_float_sqrt(0.5, params)
-    rc = main(["float", "--sigma", "0.5", "--beta", "0.5", "--kappa", "0.5"])
-    assert rc == 3
-    assert "no sign change" in capsys.readouterr().err
+    # a constant, and one that falls like the true equation but never to 0
+    for eq in (lambda z, kappa: (1.0, 0.0),
+               lambda z, kappa: (math.exp(-z), -z * math.exp(-z))):
+        monkeypatch.setattr(float_strike, "_eqz_hyp", eq)
+        params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+        with pytest.raises(RootBracketError):
+            rate_float_sqrt(0.5, params)
+        rc = main(["float", "--sigma", "0.5", "--beta", "0.5", "--kappa", "0.5"])
+        assert rc == 3
+        assert "no sign change" in capsys.readouterr().err
 
 
 def test_kappa_whose_root_overflows_raises_root_bracket_error():
@@ -234,5 +239,63 @@ def test_invalid_inputs():
 
 
 def test_root_equation_boundary_values():
-    assert _eqz_trig(0.0, 1.5) == pytest.approx(2.0 * (1.0 - 1.5))
-    assert _eqz_hyp(0.0, 0.7) == pytest.approx(4.0 * (1.0 - 0.7))
+    assert _eqz_trig(0.0, 1.5)[0] == pytest.approx(2.0 * (1.0 - 1.5))
+    assert _eqz_hyp(0.0, 0.7)[0] == pytest.approx(4.0 * (1.0 - 0.7))
+
+
+@pytest.mark.parametrize("xlog", [1.0001e-5, 2e-5, 1e-4, -1.0001e-5, -2e-5, -1e-4])
+def test_just_outside_the_atm_window_matches_mpmath(xlog):
+    # the equations and J_f are summed in excess terms; formed from their
+    # O(1) parts they cancel to O(kappa - 1) and were 2e-11 off here
+    params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
+    kappa = math.exp(xlog)
+    res = rate_float_sqrt(kappa, params)
+    assert res.diag.branch == ("put" if xlog > 0 else "call")
+    ref = jf_put_mpmath(kappa)[0] if xlog > 0 else jf_call_mpmath(kappa)
+    assert res.value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def _log_slope_errors(eq, kappa, zs, h=1e-5):
+    """Relative gaps between eq's z d/dz and central differences in log z,
+    in units of the larger of the slope and the value (both vanish nowhere
+    at once)."""
+    worst = 0.0
+    for z in zs:
+        f, slope = eq(z, kappa)
+        fd = (eq(z * math.exp(h), kappa)[0] - eq(z * math.exp(-h), kappa)[0]) / (2.0 * h)
+        worst = max(worst, abs(slope - fd) / max(abs(slope), abs(f)))
+    return worst
+
+
+def test_root_equation_derivatives_match_central_differences():
+    for kappa in (1.0001, 1.3, 3.0, 100.0, 1e7):
+        assert _log_slope_errors(_eqz_trig, kappa, np.geomspace(1e-3, 1.5, 40)) < 1e-7
+    for kappa in (1e8, 1e20, 1e300):
+        assert _log_slope_errors(_eqw_flat, kappa, np.geomspace(1e-2, 2.0, 40)) < 1e-7
+    # both the near-money form and, from z = 1 up, the pole-stable product,
+    # also next to the root, where at small kappa the equation is nearly
+    # quadratic in 1 - kappa z and the differences' h^2 term is ~1e-6
+    params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
+    for kappa in (0.04, 0.05, 0.1, 0.5, 0.9, 0.9999):
+        root = rate_float_sqrt(kappa, params).diag.z_star
+        zs = list(np.geomspace(1e-3, 0.999 / kappa, 60)) + [root * (1.0 + d)
+                                                              for d in (-1e-6, -1e-9, 0.0, 1e-9)]
+        assert _log_slope_errors(_eqz_hyp, kappa, zs) < 1e-5
+
+
+def test_newton_evaluations_are_bounded():
+    # from the near-money quadratic or the pole start, over both branches
+    params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
+    logs = np.concatenate([np.linspace(math.log(0.04), math.log(0.1), 40),
+                           np.linspace(math.log(0.1), -1.1e-5, 120),
+                           np.linspace(1.1e-5, math.log(1e8), 120),
+                           np.linspace(math.log(1e8), 709.7, 40)])
+    counts = []
+    for lk in logs:
+        diag = rate_float_sqrt(math.exp(lk), params).diag
+        # the equations' rounding noise: up to ~1.1e-13 near kappa = 4e5,
+        # where 1 - sin 2z/(2z) is formed directly just above 2z = 0.1
+        assert diag.residual < 5e-13
+        counts.append(diag.iterations)
+    assert min(counts) >= 1
+    assert statistics.median(counts) <= 6 and max(counts) <= 10

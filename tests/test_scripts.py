@@ -47,3 +47,14 @@ def test_the_benchmarks_trace_hooks_resolve(monkeypatch):
     missing = [f"{module.__name__}.{name}" for module, name in hooks
                if not callable(getattr(module, name, None))]
     assert not missing
+
+
+def test_the_benchmarks_import_breakdown_runs(monkeypatch):
+    # perfbench/run.py --trace 1 reads scipy.optimize's line in the import
+    # time of `import cevasian`; it fails if no cevasian module imports it
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    run = importlib.import_module("run")
+    setup = run.import_breakdown()
+    assert set(setup) == {"setup.import_numpy_s", "setup.import_scipy_optimize_s",
+                          "setup.import_cevasian_self_s"}
+    assert all(value > 0.0 for value in setup.values())

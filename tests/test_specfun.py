@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.special
 from scipy.integrate import quad
 
 from cevasian.specfun import hyp2f1, norm_cdf, norm_pdf
@@ -133,6 +134,22 @@ def test_degenerate_connection_formulas_via_perturbation():
     ]
     for a, b, c, z in cases:
         assert abs(hyp2f1(a, b, c, z) / hyp2f1_euler(a, b, c, z) - 1.0) < perturbed_tol
+
+
+def test_equals_scipys_ufunc_on_the_rate_triples():
+    # the Cython entry point runs the ufunc's C++ code: same value, bit for
+    # bit, on the four triples `rate_cev` calls over its whole z range
+    rng = np.random.default_rng(15)
+    betas = rng.uniform(0.5, 1.0, 500).tolist()
+    zs = (-10.0 ** rng.uniform(-12.0, 14.0, 500)).tolist()
+    zs[:3] = [0.0, -1e14, -1e-300]
+    for beta, z in zip(betas, zs):
+        for b, c in ((0.5, 1.5), (1.5, 2.5), (1.0, 1.5), (1.0, 2.5)):
+            value = hyp2f1(beta, b, c, z)
+            assert type(value) is float
+            # in the (a <= b) order `hyp2f1` passes on
+            assert value == float(scipy.special.hyp2f1(*sorted((beta, b)), c, z))
+    assert hyp2f1(1, 1, 2, 0) == 1.0  # ints are converted, not rejected
 
 
 def test_rejects_unsupported_arguments():
