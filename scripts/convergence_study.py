@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from cevasian import McConfig, ModelParams, OptionSpec, simulate_asian
-from cevasian.rate_sqrt import rate_sqrt
+from cevasian.rate_cev import rate_sqrt
 from cevasian.varsolve import PathGrid, action, minimize_fixed
 
 

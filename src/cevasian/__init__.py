@@ -8,9 +8,8 @@ layers used to validate them.
 
 from .model import ConvergenceError, ModelParams, RateResult, RootBracketError
 from .specfun import hyp2f1, norm_cdf, norm_pdf
-from .rate_sqrt import rate_sqrt
 from .rate_cev import (ab_minus, ab_plus, rate_cev, rate_cev_large_strike,
-                       rate_cev_small_strike, rate_cev_taylor)
+                       rate_cev_small_strike, rate_cev_taylor, rate_sqrt)
 from .float_strike import (cumulant_float, jf_taylor, rate_float_cev,
                            rate_float_sqrt, solve_theta_c)
 from .varsolve import PathGrid, action, minimize_fixed, minimize_float

@@ -30,7 +30,7 @@ from .varsolve import CERTIFICATE, minimize_fixed
 # them), but perfbench/worker.py traces the layers by patching these names
 from .float_strike import rate_float_cev  # noqa: F401
 from .pricing import equiv_normal_vol  # noqa: F401
-from .rate_sqrt import rate_sqrt  # noqa: F401
+from .rate_cev import rate_sqrt  # noqa: F401
 
 _UNITS_NOTE = ("Inputs: s0 in cash units, sigma is the CEV volatility (units "
                "S0^(1-beta) per sqrt(year)), r/q annualized, maturity in years. "
@@ -284,8 +284,9 @@ def cmd_figures(args) -> int:
     ratios = np.exp(np.linspace(math.log(0.2), math.log(5.0), 241))
     ratios[120] = 1.0
     lx = np.log(ratios)
-    rate = np.array([fixed_rate(m, base) for m in ratios])
-    taylor = np.array([rate_cev_taylor(m, base) for m in ratios])
+    # Python floats: numpy scalars would slow every rate
+    rate = np.array([fixed_rate(m, base) for m in ratios.tolist()])
+    taylor = np.array([rate_cev_taylor(m, base) for m in ratios.tolist()])
     _write_csv(os.path.join(args.out_dir, "fig1_rate_sqrt.csv"),
                ["K_over_S0", "log_moneyness", "I_units_S0_over_sigma2", "I_taylor3"],
                (ratios, lx, rate, taylor))
@@ -296,7 +297,7 @@ def cmd_figures(args) -> int:
     cols = [ratios]
     for beta in (0.5, 2.0 / 3.0, 5.0 / 6.0):
         p = ModelParams(S0=1.0, sigma=1.0, beta=beta)
-        cols.append(np.array([fixed_rate(m, p) for m in ratios]))
+        cols.append(np.array([fixed_rate(m, p) for m in ratios.tolist()]))
     _write_csv(os.path.join(args.out_dir, "fig2_rate_cev.csv"),
                ["K_over_S0", "I_beta_half", "I_beta_two_thirds", "I_beta_five_sixths"],
                cols)
@@ -304,9 +305,9 @@ def cmd_figures(args) -> int:
     # floating-strike rate vs kappa, its expansion, and the fixed-strike rate
     kappas = np.exp(np.linspace(math.log(0.4), math.log(2.5), 241))
     kappas[120] = 1.0
-    jf = np.array([rate_float_sqrt(k, base).value for k in kappas])
-    jt = np.array([jf_taylor(k) for k in kappas])
-    ifix = np.array([fixed_rate(k, base) for k in kappas])
+    jf = np.array([rate_float_sqrt(k, base).value for k in kappas.tolist()])
+    jt = np.array([jf_taylor(k) for k in kappas.tolist()])
+    ifix = np.array([fixed_rate(k, base) for k in kappas.tolist()])
     _write_csv(os.path.join(args.out_dir, "fig3_float_rate.csv"),
                ["kappa", "J_float", "J_float_taylor3", "I_fixed_units"],
                (kappas, jf, jt, ifix))
@@ -316,7 +317,7 @@ def cmd_figures(args) -> int:
     cols = [lx]
     for beta in (0.5, 2.0 / 3.0, 5.0 / 6.0):
         p = ModelParams(S0=1.0, sigma=1.0, beta=beta)
-        cols.append(np.array([equiv_lognormal_vol(math.exp(x), p) for x in lx]))
+        cols.append(np.array([equiv_lognormal_vol(math.exp(x), p) for x in lx.tolist()]))
     _write_csv(os.path.join(args.out_dir, "fig4_vol_skew.csv"),
                ["log_moneyness", "sigma_beta_half", "sigma_beta_two_thirds",
                 "sigma_beta_five_sixths"],

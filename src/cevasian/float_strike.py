@@ -12,12 +12,12 @@ an equation whose derivative is elementary, from the root of its
 truncation at z^4 near the money (`_near_money_start`) or, for kappa below
 _KAPPA_NEAR, from 2 e^{-1/kappa} below the hyperbolic pole 1/kappa: 1 to 6
 evaluations over kappa from 0.04 to 1e308.  Both equations and J_f are
-written in excess terms (1 - sin y/y and its relatives, summed from their
-series for small arguments), so that near the money, where their O(1)
-parts cancel to O(kappa - 1), they keep their relative accuracy.  Above
-_KAPPA_FLAT the kappa > 1 root, ~(3/kappa)^(1/4), is solved in
-w = z (kappa/3)^(1/4), so every finite kappa > 1 returns, with J_f -> 2;
-below _KAPPA_POLE the kappa < 1 root is its pole asymptote.
+written in excess terms (1 - sin y/y and its relatives, `_sinc_excess` and
+`_sinhc_excess`, summed from their series for small arguments), so that near
+the money, where their O(1) parts cancel to O(kappa - 1), they keep their
+relative accuracy.  Above _KAPPA_FLAT the kappa > 1 root, ~(3/kappa)^(1/4),
+is solved in w = z (kappa/3)^(1/4), so every finite kappa > 1 returns, with
+J_f -> 2; below _KAPPA_POLE the kappa < 1 root is its pole asymptote.
 
 For general beta there is no closed form; `rate_float_cev` delegates to the
 discretized variational solver.  Inside ATM_WINDOW both rates return `model`'s
@@ -37,8 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .model import (ATM_WINDOW, ModelParams, RateResult, RootBracketError, _newton,
-                    atm_floating, rate_unit)
-from .rate_sqrt import _require_sqrt_beta, _sinc_excess, _sinhc_excess
+                    atm_floating, beta_is_half, rate_unit)
 
 _KAPPA_POLE = 0.04  # below it the kappa < 1 root is taken from its pole asymptote
 _KAPPA_NEAR = 0.4   # above it the kappa < 1 root starts from `_near_money_start`
@@ -69,6 +68,34 @@ class VariationalDiag:
     kkt_residual: float   # Newton decrement per unit of action
     constraint_err: float
     rungs: int            # certified solves of the continuation ladder
+
+
+def _require_sqrt_beta(params: ModelParams) -> None:
+    if not beta_is_half(params.beta):
+        raise ValueError(f"square-root model requires beta = 1/2, got beta={params.beta}")
+
+
+def _sinc_excess(y: float) -> float:
+    """1 - sin(y)/y, summed from its series below y = 0.1 like `_sinhc_excess`."""
+    if y < 0.1:
+        y2 = y * y
+        return y2 * (1.0 / 6 - y2 * (1.0 / 120 - y2 * (1.0 / 5040 - y2 * (
+            1.0 / 362880 - y2 / 39916800))))
+    return 1.0 - math.sin(y) / y
+
+
+def _sinhc_excess(y: float, e: float) -> float:
+    """4 e^{-y} (sinh(y)/y - 1), given e = e^{-y}.
+
+    Formed directly, the difference cancels to O(y^2) near the money, so
+    below y = 0.1 it is summed from the series y^2/3! + y^4/5! + ... (the
+    truncation is ~1e-19 relative there); above, in overflow-free form.
+    """
+    if y < 0.1:
+        y2 = y * y
+        return 4.0 * e * y2 * (1.0 / 6 + y2 * (1.0 / 120 + y2 * (1.0 / 5040 + y2 * (
+            1.0 / 362880 + y2 / 39916800))))
+    return -2.0 * math.expm1(-2.0 * y) / y - 4.0 * e
 
 
 def solve_theta_c(kappa: float, params: ModelParams) -> float:
@@ -158,7 +185,7 @@ def _eqz_hyp(z: float, kappa: float) -> tuple[float, float]:
     The raw equation 1 - c^2 + (1 + c^2) sinh 2z/(2z) - 2k cosh^2 z, c = kappa z,
     is 2 (1 - k) - 2k sinh^2 z + (sinh 2z/(2z) - 1)(1 + c^2); times 2 e^{-2z}
     that is E = 4 (1 - k) e^{-2z} - k (1 - e^{-2z})^2 + (1 + c^2) X/2, X the
-    `rate_sqrt._sinhc_excess` of 2z, which keeps its relative accuracy near
+    `_sinhc_excess` of 2z, which keeps its relative accuracy near
     the money, where every term is O(1 - kappa).  From z = _Z_POLE up, with
     t = tanh(z/2), it is 2 e^{-2z} (1 - c^2) + (1 - e^{-4z}) (t - c)(1 - ct)/(2zt):
     products only, so it stays exact next to the tanh pole, where t - c and

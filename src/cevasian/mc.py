@@ -138,7 +138,8 @@ def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
         acc -= 0.5 * s  # the s_T end term counts half
         pay = payoff(acc / steps, s)
         pm = 0.5 * (pay[0] + pay[1])
-        return float(np.sum(pm)), float(np.sum(pm * pm)), int(np.count_nonzero(s <= 0.0))
+        with np.errstate(over="ignore"):  # an inf sum raises ConvergenceError below
+            return float(np.sum(pm)), float(np.sum(pm * pm)), int(np.count_nonzero(s <= 0.0))
 
     with ThreadPoolExecutor(max_workers=_workers(n_blocks)) as ex:
         sums, sums2, absorbed = zip(*ex.map(block, range(n_blocks)))

@@ -8,7 +8,7 @@ the branch that produced the value.
 Inside ATM_WINDOW every rate route and both equivalent vols read the ATM
 series written here once each: I = rate_unit x^2 P(x), x = log(K/S0)
 (`atm_fixed`) or log kappa (`atm_floating`, leading term only at beta != 1/2).
-`_newton` is the root solve of every closed form (both fixed-strike rates,
+`_newton` is the root solve of every closed form (the fixed-strike rate,
 the floating-strike rate at beta = 1/2 and its cumulant's boundary), and
 `_exp` the overflow-checked exponential of the discount factors.
 """
@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
-BETA_TOL = 1.0e-7    # how far beta may sit from 1/2 and still take the beta = 1/2 forms
+BETA_TOL = 1.0e-7    # how far beta may sit from 1/2 for the floating beta = 1/2 forms and rate_sqrt
 ATM_WINDOW = 1.0e-5  # |log-moneyness| below which rates and vols use their ATM series
 _C2 = 1.5            # log-moneyness^2 coefficient of both ATM series
 _EPS = 2.0 ** -52    # the spacing of doubles at 1
@@ -123,7 +123,8 @@ def _exp(x: float, what: str) -> float:
 
 
 def beta_is_half(beta: float) -> bool:
-    """Whether beta is close enough to 1/2 for the square-root closed forms."""
+    """Whether beta is close enough to 1/2 for the square-root floating-strike
+    closed forms (the fixed-strike rate needs no such dispatch)."""
     return abs(beta - 0.5) <= BETA_TOL
 
 

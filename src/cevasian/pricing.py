@@ -23,9 +23,9 @@ from .model import (ATM_WINDOW, ConvergenceError, ModelParams, RateResult, _exp,
 from .specfun import norm_cdf, norm_pdf
 from .rate_cev import rate_cev
 from .float_strike import VariationalDiag, rate_float_sqrt, rate_float_cev
-# not called here (rate_cev dispatches to it), but perfbench/worker.py traces
-# the rate layers by patching this module name
-from .rate_sqrt import rate_sqrt  # noqa: F401
+# not called here (rate_cev covers beta = 1/2), but perfbench/worker.py
+# traces the rate layers by patching this module name
+from .rate_cev import rate_sqrt  # noqa: F401
 
 
 @dataclass(frozen=True)

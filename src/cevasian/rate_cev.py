@@ -5,125 +5,216 @@ beta in [1/2, 1), via the hypergeometric solution of the variational problem.
 
 where (a, b) = (a+, b+) for K <= S0 with x in (0, 1] solving
 K/S0 = x + b+(x)/a+(x), and (a-, b-) for K >= S0 with x >= 1 solving
-K/S0 = x - b-(x)/a-(x).  Every hypergeometric argument is <= 0: 1 - 1/x on
-the put branch, and 1 - x on the call branch after Pfaff's transformation
-(A&S 15.3.4), which also cancels the x^(-beta) prefactor.  The root is
-found by safeguarded Newton (`model._newton`) in u = log x: the equation's
-derivative is elementary in a and b, so each step costs one evaluation of
-(a, b), and the rate is assembled from the (a, b) of the last step.
+K/S0 = x - b-(x)/a-(x).  With y = min(x, 1/x), both a are one incomplete
+beta integral (DLMF 8.17), a = x^(1/2 - beta) A(y; p) with
+
+    A(y; p) = int_y^1 s^-p (1-s)^(-1/2) ds,  p = 3/2 - beta (put), beta (call),
+
+and one integration by parts gives b = -+(x a - 2 sqrt|1-x|)/(3 - 2 beta)
+(`_root_equation`).  Every quantity is formed from u = log x, so no x beyond the
+doubles is needed: at beta = 1/2 the put root reaches u = -1e308 at
+K/S0 = 1e-308, and the call root x passes the largest double above
+K/S0 = 9e307.  The root is found by safeguarded Newton (`model._newton`) in
+u inside proven brackets; its derivative is elementary in A, so a step costs
+one evaluation of the factors.  Outside K/S0 in (1e-308, 1e308) `rate_cev`
+raises `RootBracketError`, and where the rate exceeds the largest double,
+`ConvergenceError`.  `rate_sqrt` is `rate_cev` behind the beta = 1/2 check.
 
 Also provided: the leading large/small-strike asymptotes.  Inside ATM_WINDOW
 the rate is `model`'s ATM series `rate_cev_taylor`, re-exported here.
-`rate_cev` is the one fixed-strike dispatch: beta = 1/2 goes to the
-elementary forms in `rate_sqrt`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .model import (_EPS, ATM_WINDOW, ModelParams, RateResult, RootBracketError, _newton,
-                    beta_is_half, rate_cev_taylor, rate_unit)
-from .rate_sqrt import rate_sqrt
+from scipy.special import cython_special, zeta
+
+from .float_strike import _require_sqrt_beta
+from .model import (_EPS, _LOG_MAX, ATM_WINDOW, ConvergenceError, ModelParams, RateResult,
+                    RootBracketError, _newton, rate_cev_taylor, rate_unit)
 from .specfun import hyp2f1
+
+_betainc = cython_special.betainc["double"]
+_Y_SERIES = 1.0 / 16.0  # below it A(y; p) is summed from its small-y series
+_U_NEAR = 0.25          # |log x| below which b is its own 2F1, where the identity cancels
+_LOG4 = math.log(4.0)
+# 2 lgamma(1 + d) - lgamma(1 + 2d) = sum over k >= 2 of _H[k] d^k, highest k first
+_H = tuple((-1) ** k * float(zeta(k)) * (2.0 - 2.0 ** k) / k for k in range(30, 1, -1))
 
 
 @dataclass(frozen=True)
 class CevRateDiag:
-    """Solver internals: root/minimizer variable, branch tag, equation
-    residual, and evaluations of the root equation (0 at the money)."""
+    """Solver internals: root variable x (0.0 or inf where it leaves the
+    doubles), branch tag, relative residual of the root equation, its
+    evaluations (0 at the money) and the Legendre optimizer dI/dK.
+
+    theta_star = -rate_unit a+^2/(2 S0) on the put branch is -inf once a+
+    passes ~1e154, below K/S0 ~ 4e-155 at beta = 1/2, while the rate is
+    still finite."""
 
     x_star: float
     branch: str  # "put" | "call" | "atm"
     residual: float = 0.0
     iterations: int = 0
+    theta_star: float = 0.0
+
+
+@functools.lru_cache(maxsize=64)
+def _series(d: float) -> tuple[float, float, tuple[float, ...]]:
+    """(c(d), B(d, 1/2), (1/2)_n/(n! (n + d)) for n = 14 down to 1), where
+    c(d) = B(d, 1/2) - 1/d, for 0 < d < 1/2.  Below d = 1/8, c is expm1 of
+    log(d B) = 2d log 2 + 2 lgamma(1+d) - lgamma(1+2d), the lgamma difference
+    summed from its Taylor series (truncation below 1e-18), so c stays
+    relatively exact as d -> 0; above, B - 1/d loses at most ~8x of scipy's B."""
+    if d < 0.125:
+        h = 0.0
+        for coef in _H:
+            h = h * d + coef
+        c = math.expm1(d * _LOG4 + h * d * d) / d
+        B = c + 1.0 / d
+    else:
+        B = cython_special.beta(d, 0.5)
+        c = B - 1.0 / d
+    return c, B, tuple(math.comb(2 * n, n) / 4.0 ** n / (n + d) for n in range(14, 0, -1))
+
+
+def _root_equation(u: float, target: float, beta: float):
+    """f = (x - K/S0 +- b/a)/(K/S0) at x = e^u (+ put, u < 0; - call), df/du
+    and the factors (A, q, y^d, gap): A = A(y; p) of a, q = b+/a+ (put) or
+    b-/(a- x) (call), with y = e^v, v = -|u|, d = 1 - p, and gap = K/S0 - x
+    (put) or 1 - K/(S0 x) (call).  With g = q A/y^d (b, or b/sqrt(x) for
+    calls) the rate's a b is g^2/gap at the root, the form that is stationary
+    there (`oracles.rate_cev_alt`), so the root's own error enters it at
+    second order.
+
+    Below y = 1/16, A = c(d) - expm1(d v)/d - y^d sum_n (1/2)_n y^n/(n! (n + d)),
+    whose expm1 term is the pair that cancels as d -> 0 in 2F1's 1/z
+    connection formula; the sum stops where y^n < 2e-17 (A > 2.6).  Above,
+    A = B(d, 1/2) I_w(1/2, d), w = 1 - y.  At beta = 1/2, A is 2 artanh sqrt(w)
+    for puts (d = 0) and 2 arccos sqrt(y) for calls (d = 1/2).  The identity
+    for b gives q = (2 sqrt(w) y^d/A - y)/(3 - 2 beta) for puts and
+    (1 - 2 sqrt(w) y^d/A)/(3 - 2 beta) for calls; within _U_NEAR of the money,
+    where that cancels, b is its own 2F1 at z = 1 - 1/y: b+ = 2/3 x^-beta
+    w^(3/2) 2F1(beta, 3/2; 5/2; z), b- = 2/3 (x w)^(3/2) 2F1(beta, 1; 5/2; z).
+
+    b' = -+a/2 and x a' = (1/2 - beta) a -+ |1-x|^(-1/2) make the slope of
+    x + q, q = +-b/a, elementary: x/2 + (beta - 1/2) q + |q|/(a sqrt|1-x|).
+    The gap is formed as (K/S0 - 1) + w or expm1(u) - (K/S0 - 1), with
+    K/S0 - 1 exact, where x - 1 is the larger term, so f and the rate keep
+    the relative accuracy of 1 - x next to the money; calls are compared in
+    the scaled form x/(K/S0) (gap - b/(a x)), which holds beyond the doubles."""
+    v = -abs(u)
+    d = beta - 0.5 if u < 0.0 else 1.0 - beta
+    w, y = -math.expm1(v), math.exp(v)
+    # y^d as a power of y: d v would round by ~|v| ulp, which the rate
+    # would carry at first order
+    yd = y ** d if v > -708.0 else math.exp(d * v)
+    if d == 0.0:
+        A = 2.0 * math.log1p(math.sqrt(w)) - v
+    elif d == 0.5:
+        A = 2.0 * math.atan2(math.sqrt(w), yd)
+    elif w <= 1.0 - _Y_SERIES:
+        A = _series(d)[1] * _betainc(0.5, d, w)
+    else:
+        c, _, coefs = _series(d)
+        acc = 0.0
+        for coef in coefs[-int(38.4 / -v):]:
+            acc = acc * y + coef
+        A = c - math.expm1(d * v) / d - yd * y * acc
+    sw = math.sqrt(w)
+    e = beta - 0.5
+    if u < 0.0:
+        if v > -_U_NEAR:
+            q = (2.0 / 3.0) * w * sw / math.sqrt(y) * hyp2f1(beta, 1.5, 2.5, -math.expm1(-v)) / A
+        else:
+            q = (2.0 * sw * yd / A - y) / (3.0 - 2.0 * beta)
+        gap = (target - 1.0) + w if target > 0.5 else target - y
+        df = (0.5 * y + e * q) / target + q / target * (yd / A) / sw
+        return (q - gap) / target, df, (A, q, yd, gap)
+    if v > -_U_NEAR:
+        q = (2.0 / 3.0) * w * sw / y ** beta * hyp2f1(beta, 1.0, 2.5, -math.expm1(-v)) / A
+    else:
+        q = (1.0 - 2.0 * sw * yd / A) / (3.0 - 2.0 * beta)
+    if v > -708.0:  # x = 1/y, y a normal double
+        r, gap = 1.0 / (y * target), (math.expm1(u) - (target - 1.0)) * y
+    else:
+        r = math.exp(u - math.log(target))
+        gap = -math.expm1(math.log(target) - u)
+    return r * (gap - q), r * (0.5 - e * q + q * yd / (A * sw)), (A, q, yd, gap)
 
 
 def ab_plus(x: float, beta: float) -> tuple[float, float]:
-    """(a+, b+) of the put branch; 0 < x <= 1, hypergeometric argument <= 0."""
+    """(a+, b+) of the put branch; 0 < x <= 1."""
     if not 0.0 < x <= 1.0:
         raise ValueError(f"ab_plus requires x in (0, 1], got {x}")
     if x == 1.0:
         return 0.0, 0.0
-    z = 1.0 - 1.0 / x
-    xmb = x ** (-beta)
-    a = 2.0 * xmb * math.sqrt(1.0 - x) * hyp2f1(beta, 0.5, 1.5, z)
-    b = (2.0 / 3.0) * xmb * (1.0 - x) ** 1.5 * hyp2f1(beta, 1.5, 2.5, z)
-    return a, b
+    A, q, yd, _ = _root_equation(math.log(x), 1.0, beta)[2]
+    return A / yd, q * A / yd
 
 
 def ab_minus(x: float, beta: float) -> tuple[float, float]:
-    """(a-, b-) of the call branch; x >= 1, hypergeometric argument 1 - x <= 0.
-
-    2F1(beta, c-1; c; 1-1/x) = x^beta 2F1(beta, 1; c; 1-x) for c = 3/2, 5/2.
-    """
-    if not x >= 1.0:
-        raise ValueError(f"ab_minus requires x >= 1, got {x}")
+    """(a-, b-) of the call branch; 1 <= x < inf.  ConvergenceError where b-
+    exceeds the largest double (x near 1e308 at beta near 1/2)."""
+    if not 1.0 <= x < math.inf:
+        raise ValueError(f"ab_minus requires x in [1, inf), got {x}")
     if x == 1.0:
         return 0.0, 0.0
-    z = 1.0 - x
-    a = 2.0 * math.sqrt(x - 1.0) * hyp2f1(beta, 1.0, 1.5, z)
-    b = (2.0 / 3.0) * (x - 1.0) ** 1.5 * hyp2f1(beta, 1.0, 2.5, z)
-    return a, b
+    A, q, yd, _ = _root_equation(math.log(x), 1.0, beta)[2]
+    b = q * A / yd * math.sqrt(x)  # yd = x^(beta - 1)
+    if math.isinf(b):
+        raise ConvergenceError(f"b- at x={x} overflows a double")
+    return A / (yd * math.sqrt(x)), b
 
 
 def rate_cev(K: float, params: ModelParams) -> RateResult:
     """Rate function I(K, S0) for the CEV model, with solver diagnostics."""
     if not 0 < K < math.inf:
         raise ValueError(f"strike must be positive and finite, got {K}")
-    if beta_is_half(params.beta):
-        return rate_sqrt(K, params)
-    return _rate_general(K, params)
-
-
-def _rate_general(K: float, params: ModelParams) -> RateResult:
-    """Hypergeometric-route solver, valid for any beta in [1/2, 1) including
-    beta = 1/2 itself (where the 2F1 factors reduce to elementary functions).
-
-    The root of `_root_equation` is solved by `model._newton` in u = log x,
-    because put roots can lie far below 1e-15 (deep puts with beta near 1/2)."""
-    if not K > 0:
-        raise ValueError(f"strike must be positive, got {K}")
     beta = params.beta
     target = K / params.S0
+    if not 1e-308 < target < 1e308:  # beyond it K/S0 or S0/K leaves the normal doubles
+        raise RootBracketError(f"root not bracketed: K/S0={target} lies outside (1e-308, 1e308)")
     xlog = math.log(target)
     if abs(xlog) < ATM_WINDOW:
         return RateResult(rate_cev_taylor(K, params), CevRateDiag(1.0, "atm"))
     put = target < 1.0
-    branch = "put" if put else "call"
-    eq = lambda u: _root_equation(u, target, beta, put)  # noqa: E731
+    eq = lambda u: _root_equation(u, target, beta)  # noqa: E731
 
-    # x = 1 +- 2^-52 bounds the root on the side of the money; the other
-    # bound is assumed (put: x = 1e-280) or, below x = 1e15, proven (call:
-    # b-/a- < x/(3 - 2 beta), so f > 0 at x = (3 - 2 beta)/(2 - 2 beta) K/S0)
-    try:
-        if put:
-            lo = math.log(1e-280)
-            start = min(max(_put_start(target, beta), lo), -_EPS)
-            _, f, (x, a, b), n = _newton(eq, start, lo, -_EPS, lo_known=False)
-        else:
-            top = (3.0 - 2.0 * beta) / (2.0 - 2.0 * beta) * target
-            hi = math.log(min(top, 1e15))
-            start = max(min(_call_start(target, beta), hi), _EPS)
-            _, f, (x, a, b), n = _newton(eq, start, _EPS, hi, hi_known=top <= 1e15)
-    except RootBracketError:
-        raise RootBracketError(f"{branch}-branch root not bracketed for K/S0={target}") from None
-    return RateResult(0.5 * rate_unit(params) * a * b, CevRateDiag(x, branch, abs(f), n))
+    # x = 1 +- 2^-52 bounds the root on the money's side; the other bound is
+    # proven.  Put: x + b+/a+ < K/S0 where y^e = K/S0/(1.5 e + K/S0), as
+    # A >= (1 - y^e)/e; call: b-/a- < x/(3 - 2 beta), so f > 0 at
+    # x = (3 - 2 beta)/(2 - 2 beta) K/S0
+    if put:
+        e = beta - 0.5
+        lo = -math.log1p(1.5 * e / target) / e if e else -1.5 / target
+        start = min(max(_put_start(target, beta), lo), -_EPS)
+        u, f, data, n = _newton(eq, start, lo, -_EPS)
+    else:
+        hi = xlog + math.log((3.0 - 2.0 * beta) / (2.0 - 2.0 * beta))
+        # deep calls at beta = 1/2 have their root within rounding of hi,
+        # where f's sign is noise, so the start stays below it
+        start = max(min(_call_start(target, beta), math.nextafter(hi, 0.0)), _EPS)
+        u, f, data, n = _newton(eq, start, _EPS, hi)
+    A, q, yd, gap = data
+    unit = rate_unit(params)
+    g = q * A / yd
+    value = 0.5 * unit * g * (g / gap)
+    if math.isinf(value):
+        raise ConvergenceError(f"the rate at K/S0={target} overflows a double")
+    a = A * math.exp((0.5 - beta) * u)
+    theta = (-0.5 if put else 0.5) * unit * a * a / params.S0
+    x = math.exp(u) if u <= _LOG_MAX else math.inf
+    return RateResult(value, CevRateDiag(x, "put" if put else "call", abs(f), n, theta))
 
 
-def _root_equation(u: float, target: float, beta: float, put: bool):
-    """f = x - K/S0 +- b/a at x = e^u (+ put, - call), df/du and (x, a, b).
-
-    The derivative is free: b' = -+a/2 and x a' = (1/2 - beta) a -+ |1-x|^(-1/2),
-    so df/du = x/2 +- (beta - 1/2) b/a + b/(a^2 sqrt|1-x|) > 0.  x - K/S0 is
-    formed first, exactly near the money, so f keeps its relative accuracy
-    there."""
-    x = math.exp(u)
-    a, b = ab_plus(x, beta) if put else ab_minus(x, beta)
-    q = b / a if put else -b / a
-    return ((x - target) + q, 0.5 * x + (beta - 0.5) * q + abs(q) / (a * math.sqrt(abs(1.0 - x))),
-            (x, a, b))
+def rate_sqrt(K: float, params: ModelParams) -> RateResult:
+    """Rate function I(K, S0) for beta = 1/2: `rate_cev` behind the beta check."""
+    _require_sqrt_beta(params)
+    return rate_cev(K, params)
 
 
 def _put_start(target: float, beta: float) -> float:
@@ -142,13 +233,15 @@ def _put_start(target: float, beta: float) -> float:
 def _call_start(target: float, beta: float) -> float:
     """log x of the call root: the larger of 1 + 3/2 (K/S0 - 1) and two
     fixed-point steps of the deep-call asymptote
-    x = (3 - 2 beta)/(2 - 2 beta) K/S0 (1 - x^(beta-1)/((1-beta) B(1-beta, 1/2)))."""
-    c = (3.0 - 2.0 * beta) / (2.0 - 2.0 * beta) * target
+    x = (3 - 2 beta)/(2 - 2 beta) K/S0 (1 - x^(beta-1)/((1-beta) B(1-beta, 1/2))),
+    taken in logs, since x passes the largest double as beta -> 1."""
+    log_c = math.log((3.0 - 2.0 * beta) / (2.0 - 2.0 * beta)) + math.log(target)
     log_b = math.lgamma(2.0 - beta) + math.lgamma(0.5) - math.lgamma(1.5 - beta)
-    x = c
+    lx = log_c
     for _ in range(2):
-        x = c * -math.expm1(-(1.0 - beta) * math.log(x) - log_b)
-    return math.log(max(x, 1.0 + 1.5 * (target - 1.0)))
+        g = -math.expm1(-(1.0 - beta) * lx - log_b)
+        lx = log_c + math.log(g) if g > 0.0 else -math.inf
+    return max(lx, math.log1p(1.5 * (target - 1.0)))
 
 
 def rate_cev_large_strike(K: float, params: ModelParams) -> float:

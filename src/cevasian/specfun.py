@@ -5,18 +5,16 @@ normal CDF/PDF.
 specialization of ``scipy.special.cython_special.hyp2f1``: the same C++ code
 and the same value as the ``scipy.special.hyp2f1`` ufunc, without the ufunc's
 per-call dispatch (0.2 against 0.7 us a call on x86-64).  The rate function
-calls it only at z <= 0: 2F1(beta,1/2;3/2;z) and 2F1(beta,3/2;5/2;z) on the
-put branch, 2F1(beta,1;3/2;z) and 2F1(beta,1;5/2;z) on the call branch.  For beta in
-(1/2, 1) and z from -1e14 to 0 it agrees with 40-digit mpmath to ~1e-9
-relative on the put triples (worst just above beta = 1/2, where b - a nears
-an integer).  On the call triples it agrees to ~1e-14 up to beta = 0.99, but
-less as b - a = 1 - beta nears 0: 3e-12 at 1 - 1e-4, 1e-6 at 1 - 1e-9, 5e-4 at
-1 - 1e-12, no digit at 1 - 1e-14.  Then ``rate_cev`` at S0 = sigma = 1, K/S0 =
-1e3 gives 39.0411 at 1 - 1e-9 (mpmath 39.04105), 39.0437 at 1 - 1e-12 and
-45.265 at 1 - 1e-14.  At beta = 1/2 it matches the elementary arcsin/arctan
-forms to 3e-12 or better for z from -1e6 to 0.95.  The one exception: for
-2F1(1/2, 1/2; 3/2; z) scipy returns inf at z <= -1.5e13, so that triple is
-evaluated as asinh(sqrt(-z))/sqrt(-z) at z < 0.
+calls it only next to the money, where |log x| < 1/4 and the argument
+z = 1 - 1/y lies in [-0.29, 0]: 2F1(beta,3/2;5/2;z) on the put branch and
+2F1(beta,1;5/2;z) on the call branch, which agree with 40-digit mpmath to
+1 ulp for beta from 1/2 to 1 - 1e-9.  Far out on the negative axis scipy's
+connection formula loses digits as b - a nears an integer (1e-9 relative
+just above beta = 1/2 on the put triples at z = -1e14; 1e-6 at beta = 1 - 1e-9
+and no digit at 1 - 1e-14 on the call triples), which is why `rate_cev` takes
+its factor a from the incomplete beta function and its small-y series
+there.  For 2F1(1/2, 1/2; 3/2; z) scipy returns inf at z <= -1.5e13, so that
+triple is evaluated as asinh(sqrt(-z))/sqrt(-z) at z < 0.
 """
 
 from __future__ import annotations

@@ -168,12 +168,16 @@ def rate_cev_mpmath(m, beta, dps=30):
     """General-beta fixed-strike rate in units of S0^(2-2beta)/sigma^2 at
     K/S0 = m != 1, re-solved in `dps` digits.
 
-    Root of x +- b/a = m in u = log x by mpmath's bracketing Anderson-Bjork
-    solver.  (a, b) come from the defining x^-beta 2F1(beta, c - 1; c; 1 - 1/x)
-    on the put branch and from 2F1(beta, 1; c; 1 - x) on the call branch,
-    where the defining argument nears 1 and mpmath's series stalls
-    (c = 3/2, 5/2)."""
-    with mpmath.workdps(dps):
+    Root of log(x +- b/a) = log m in u = log x by mpmath's bracketing
+    Anderson-Bjork solver: in logs the equation is near linear in u and its
+    tolerance relative from m = 1e-300 to 1e300, and 15 guard digits carry
+    e^u out to the put roots of beta just above 1/2 (u ~ -7e11 at
+    beta = 1/2 + 1e-9, m = 1e-300).  At beta = 1/2 itself mpmath's 2F1 fails
+    at such roots; `rate_sqrt_mpmath` is the reference there.  (a, b) come
+    from the defining x^-beta 2F1(beta, c - 1; c; 1 - 1/x) on the put branch
+    and from 2F1(beta, 1; c; 1 - x) on the call branch, where the defining
+    argument nears 1 and mpmath's series stalls (c = 3/2, 5/2)."""
+    with mpmath.workdps(dps + 15):
         bm, mm = mpmath.mpf(beta), mpmath.mpf(m)
         put = m < 1
 
@@ -189,13 +193,14 @@ def rate_cev_mpmath(m, beta, dps=30):
 
         def f(u):
             x, a, b = ab(u)
-            return x + (b / a if put else -b / a) - mm
+            return mpmath.log(x + (b / a if put else -b / a)) - lm
 
-        lo = hi = mpmath.log(mm)  # f = +-b/a there, so one end holds already
+        lm = mpmath.log(mm)
+        lo = hi = lm  # f = log(1 +- b/(a m)) there, so one end holds already
         while put and f(lo) >= 0:
             lo = 2 * lo - 1
         while not put and f(hi) <= 0:
-            hi += 1
+            hi = 2 * hi + 1
         x, a, b = ab(mpmath.findroot(f, (lo, hi), solver="anderson"))
         return float(a * b / 2)
 

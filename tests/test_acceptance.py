@@ -32,12 +32,12 @@ from cevasian.rate_cev import (
     rate_cev_large_strike,
     rate_cev_small_strike,
     rate_cev_taylor,
-    _rate_general,
+    rate_sqrt,
 )
-from cevasian.rate_sqrt import rate_sqrt
 from cevasian.specfun import hyp2f1
 from cevasian.varsolve import minimize_fixed
-from oracles import HYP2F1_ELEMENTARY, bs_limit_rate, legendre_fixed, legendre_float
+from oracles import (HYP2F1_ELEMENTARY, bs_limit_rate, legendre_fixed, legendre_float,
+                     rate_sqrt_mpmath)
 
 
 def _report(ok: bool, label: str, detail: str = "") -> None:
@@ -123,8 +123,9 @@ def test_general_elasticity_rate_closed_vs_variational():
 
 def test_hypergeometric_route_at_beta_half():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    # the trigonometric/hyperbolic closed forms, solved in 60-digit arithmetic
     worst = max(
-        abs(_rate_general(float(m), params).value / rate_sqrt(float(m), params).value - 1.0)
+        abs(rate_cev(float(m), params).value / (4.0 * rate_sqrt_mpmath(float(m))) - 1.0)
         for m in np.geomspace(0.25, 4.0, 9)
         if abs(m - 1.0) > 0.01
     )

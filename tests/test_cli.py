@@ -11,8 +11,7 @@ from cevasian import ModelParams, OptionSpec, price_fixed
 from cevasian.bench import BenchRow, Scenario
 from cevasian.cli import main
 from cevasian.pricing import equiv_vol
-from cevasian.rate_cev import rate_cev
-from cevasian.rate_sqrt import rate_sqrt
+from cevasian.rate_cev import rate_cev, rate_sqrt
 
 
 def test_price_human_readable(capsys):
@@ -294,8 +293,8 @@ def test_exit_code_two_on_a_single_antithetic_pair(capsys):
 
 
 def test_exit_code_three_on_unbracketable_root(capsys):
-    # a put-branch root of the general-beta route still lost just above beta = 1/2
-    rc = main(["rate", "--sigma", "0.5", "--beta", "0.5001", "--strike", "1.3e-3"])
+    # K/S0 = 1e-310 lies below the normal doubles, where no root is bracketed
+    rc = main(["rate", "--sigma", "0.5", "--beta", "0.5001", "--strike", "1e-310"])
     err = capsys.readouterr().err
     assert rc == 3
     assert "not bracketed" in err
@@ -348,16 +347,16 @@ def test_vol_curve_rows_equal_the_library_at_the_same_strikes(capsys, beta):
 
 
 def test_vol_curve_solves_each_rate_once(monkeypatch, capsys):
-    # the package re-exports the function rate_cev, so fetch the module itself
-    rate_cev_mod = importlib.import_module("cevasian.rate_cev")
+    # every caller of the rate in cli and pricing is counted
     calls = []
-    real = rate_cev_mod._rate_general
+    real = rate_cev
 
     def counted(K, params):
         calls.append(K)
         return real(K, params)
 
-    monkeypatch.setattr(rate_cev_mod, "_rate_general", counted)
+    for module in ("cevasian.cli", "cevasian.pricing"):
+        monkeypatch.setattr(importlib.import_module(module), "rate_cev", counted)
     rc = main(["vol-curve", "--sigma", "0.5", "--beta", "0.75", "--n", "7", "--json"])
     rows = json.loads(capsys.readouterr().out)
     assert rc == 0
@@ -394,7 +393,7 @@ SEQUENCE = [
      "--json"],
     ["price", "--sigma", "0.5", "--beta", "0.5", "--style", "floating", "--strike", "0.8",
      "--maturity", "0.5", "--side", "put"],
-    ["rate", "--sigma", "0.5", "--beta", "0.5001", "--strike", "1.3e-3"],
+    ["rate", "--sigma", "0.5", "--beta", "0.5001", "--strike", "1e-310"],
     ["rate", "--sigma", "0.5", "--beta", "0.75", "--strike", "2"],
 ]
 

@@ -2,11 +2,11 @@
 
 Over the documented domain every call must return a finite, non-negative
 rate or price, or raise one of the documented numerical errors (CLI exit 3).
-The known failures stay in the sweep as explicit examples that must keep
-raising `RootBracketError` until the program is mended there.  The beta = 1/2
-rates have none left, fixed-strike on K/S0 in [1e-300, 1e300] and floating on
-kappa in [1e-2, 1e2], so they must always return, and so must the floating
-prices up to kappa = 1e308 unless their forward overflows a double.
+The closed-form rates have no known failure left: the fixed-strike rate on
+K/S0 in [1e-3, 1e6] at every beta, and in [1e-300, 1e300] at beta = 1/2, and
+the floating rate on kappa in [1e-2, 1e2] must always return, and so must the
+floating prices up to kappa = 1e308 unless their forward overflows a double.
+The inputs that once failed stay in the sweep as explicit examples.
 """
 
 import math
@@ -19,10 +19,6 @@ from cevasian import (ConvergenceError, ModelParams, OptionSpec, RootBracketErro
 from cevasian.cli import main
 from cevasian.float_strike import rate_float_sqrt
 from cevasian.rate_cev import rate_cev
-
-# put-branch roots lost just above beta = 1/2 (ROADMAP item 3)
-PUT_FLOOR = {(0.5001, 1.3e-3), (0.501, 1e-4)}
-
 
 def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
@@ -45,13 +41,12 @@ def _outcome(call):
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(beta=st.floats(0.5, 1.0, exclude_max=True), m=_log_uniform(1e-3, 1e6))
-@example(beta=0.5001, m=1.3e-3)
+@example(beta=0.5001, m=1.3e-3)  # put roots beyond the doubles
 @example(beta=0.501, m=1e-4)
-@example(beta=0.75, m=1e280)  # the call root lies beyond x = 1e15
+@example(beta=0.75, m=1e280)  # the call root x ~ 3e280
 def test_rate_cev_is_finite_or_a_documented_error(beta, m):
-    failed = _outcome(lambda: rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta)).value)
-    if (beta, m) in PUT_FLOOR:
-        assert failed is RootBracketError
+    params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
+    assert _outcome(lambda: rate_cev(m, params).value) is None
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
@@ -86,9 +81,7 @@ def test_rate_float_sqrt_is_finite_over_the_domain(kappa):
 @example(beta=0.99, m=EDGES[3], T=1.0, side="put")
 def test_price_fixed_is_finite_or_a_documented_error(beta, m, T, side):
     params = ModelParams(S0=1.0, sigma=0.5, beta=beta, r=0.02)
-    failed = _outcome(lambda: price_fixed(OptionSpec("fixed", side, m, T), params).price)
-    if (beta, m) in PUT_FLOOR:
-        assert failed is RootBracketError
+    assert _outcome(lambda: price_fixed(OptionSpec("fixed", side, m, T), params).price) is None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -115,7 +108,7 @@ def test_price_floating_at_beta_half_is_finite_over_the_domain(kappa, T, side, S
     (["price", "--beta", "0.5", "--strike", "1e-3", "--maturity", "1e-4", "--side", "put"], 0),
     (["price", "--beta", "0.75", "--strike", "1e6", "--maturity", "10"], 0),
     (["price", "--beta", "0.99", "--strike", repr(EDGES[0]), "--maturity", "1"], 0),
-    (["price", "--beta", "0.5001", "--strike", "1.3e-3", "--maturity", "1", "--side", "put"], 3),
+    (["price", "--beta", "0.5001", "--strike", "1.3e-3", "--maturity", "1", "--side", "put"], 0),
     (["price", "--beta", "0.5", "--strike", "9e307", "--maturity", "1"], 3),
     (["price", "--beta", "0.5", "--style", "floating", "--strike", "1e-2",
       "--maturity", "1e-4", "--side", "call"], 0),
@@ -128,7 +121,7 @@ def test_price_floating_at_beta_half_is_finite_over_the_domain(kappa, T, side, S
     (["rate", "--beta", "0.5", "--strike", "1e-300"], 0),
     (["price", "--beta", "0.5", "--style", "floating", "--s0", "2", "--strike", "1.7e308",
       "--maturity", "1"], 3),
-    (["rate", "--beta", "0.75", "--strike", "1e280"], 3),
+    (["rate", "--beta", "0.75", "--strike", "1e280"], 0),
     # the drift factor, the discount or the forward beyond the doubles
     (["price", "--beta", "0.5", "--r", "100", "--strike", "1.2", "--maturity", "10"], 3),
     (["price", "--beta", "0.5", "--r", "-100", "--strike", "1.2", "--maturity", "10"], 3),
@@ -144,6 +137,8 @@ def test_price_floating_at_beta_half_is_finite_over_the_domain(kappa, T, side, S
     # the paths stay doubles, the squares of their payoffs do not
     (["mc", "--beta", "0.5", "--r", "50", "--strike", "1.2", "--maturity", "10",
       "--n-paths", "10"], 3),
+    # K/S0 below the normal doubles has no bracketed root
+    (["rate", "--beta", "0.75", "--strike", "1e-310"], 3),
 ])
 def test_cli_exits_zero_two_or_three_over_the_domain(args, code, capsys):
     # an undocumented exception would escape main() and exit 1 with a traceback

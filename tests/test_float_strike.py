@@ -26,7 +26,7 @@ from cevasian.float_strike import (
     _eqz_hyp,
     _eqz_trig,
 )
-from cevasian.rate_sqrt import rate_sqrt
+from cevasian.rate_cev import rate_sqrt
 from oracles import jf_call_mpmath, jf_put_mpmath, legendre_float, riccati_lambda
 
 duality_rel = 1e-7

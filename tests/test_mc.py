@@ -25,7 +25,7 @@ from cevasian import (
     simulate_floating,
 )
 from cevasian import mc
-from cevasian.rate_sqrt import rate_sqrt
+from cevasian.rate_cev import rate_sqrt
 
 se_band = 3.5
 

@@ -23,7 +23,7 @@ from cevasian import (
     rate_float,
 )
 from cevasian.rate_cev import rate_cev
-from cevasian.rate_sqrt import rate_sqrt
+from cevasian.rate_cev import rate_sqrt
 
 parity_tol = 1e-13  # measured worst over the sweep below is ~1.3e-15
 

@@ -1,10 +1,11 @@
 """Rate function for general elasticity exponents (hypergeometric route).
 
 The building-block functions a(x), b(x) are checked against direct quadrature
-of the integrals they represent; the assembled rate is checked against the
-square-root model at beta = 1/2, against the lognormal-model limit as
-beta -> 1, against the alternative infimum formulation, and against scaling
-laws and asymptote checkpoints.
+of the integrals they represent and against mpmath out to the ends of the
+doubles; the assembled rate is checked against many-digit root solves from
+beta = 1/2 to 1 - 1e-9 and K/S0 = 1e-300 to 1e300, against the lognormal-model
+limit as beta -> 1, against the alternative infimum formulation, and against
+scaling laws and asymptote checkpoints.
 """
 
 import importlib
@@ -16,37 +17,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from cevasian import ModelParams
+from cevasian import ConvergenceError, ModelParams, RootBracketError
 from cevasian.rate_cev import (
+    _U_NEAR,
+    _Y_SERIES,
     ab_minus,
     ab_plus,
     rate_cev,
     rate_cev_large_strike,
     rate_cev_small_strike,
     rate_cev_taylor,
-    _rate_general,
     _root_equation,
 )
-from cevasian.rate_sqrt import rate_sqrt
-from cevasian.model import RootBracketError
-from oracles import bs_limit_rate, rate_cev_alt, rate_cev_mpmath
+from oracles import bs_limit_rate, rate_cev_alt, rate_cev_mpmath, rate_sqrt_mpmath
 
 quad_rel = 1e-10
 mpmath_rel = 1e-11    # measured worst over the grid below is ~5e-13
-half_rel = 1e-12      # measured agreement at beta = 1/2 is ~2e-15
+half_rel = 1e-13      # measured agreement at beta = 1/2 is ~1.8e-15
 limit_rel = 2e-3      # measured worst at beta = 0.999 is ~8.4e-4
 alt_rel = 1e-10
 taylor_bound = 0.01   # measured sup of |remainder| / |x|^5 at beta = 3/4 is ~0.0034
-# the parent's brentq solve, measured against rate_cev_mpmath on the grid of
-# test_rate_matches_mpmath_over_beta_and_strike: worst 2.12e-11 for beta in
-# [0.5001, 0.99] (at the ATM window's edge, where x = 1 - 1.5e-5 carries its
-# rounding into a and b).  At beta = 1/2 + 2e-7 (puts) and 1 - 1e-9 (calls)
-# scipy's 2F1 jitters as b - a nears an integer: the rate a b/2 scatters over
-# -1.6e-10..6.0e-10 resp. -1.5e-6..-1.1e-7 across the band of roots f cannot
-# tell apart, so any solver lands at a draw from it (brentq 2.2e-10 and
-# 1.6e-7, this solver 2.9e-10 and 2.4e-7)
-solve_rel = 2.2e-11
-jitter_rel = {0.5 + 2e-7: 1e-9, 1.0 - 1e-9: 2e-6}
+# measured worst against rate_cev_mpmath on the grid of
+# test_rate_matches_mpmath_over_beta_and_strike: 2.3e-15 (beta = 1 - 1e-9,
+# K/S0 = 3), over beta from 1/2 to 1 - 1e-9, where scipy's 2F1 far out on the
+# negative axis loses up to 2e-6, and K/S0 from 1e-300 to 1e300
+solve_rel = 5e-15
 
 
 def ab_plus_quad(x, beta):
@@ -114,6 +109,28 @@ def test_ab_plus_at_beta_half_matches_mpmath_down_to_1e_300():
         assert b == pytest.approx(float(b_ref), rel=mpmath_rel)
 
 
+def test_factors_at_the_ends_of_the_doubles():
+    # a+ at a subnormal x and b- near x = 1e300 are finite doubles; 1/x or
+    # (x - 1)^1.5 formed directly would overflow there
+    for x, beta, ab in ((1e-310, 0.9, ab_plus), (5e-324, 0.6, ab_plus),
+                        (1e300, 0.6, ab_minus), (1e300, 0.5, ab_minus)):
+        a, b = ab(x, beta)
+        with mpmath.workdps(40):
+            xm, bm = mpmath.mpf(x), mpmath.mpf(beta)
+            d = abs(1 - xm)
+            if x < 1.0:  # the defining form, x^-beta 2F1(beta, c - 1; c; 1 - 1/x)
+                f1 = xm ** -bm * mpmath.hyp2f1(bm, 0.5, 1.5, 1 - 1 / xm)
+                f2 = xm ** -bm * mpmath.hyp2f1(bm, 1.5, 2.5, 1 - 1 / xm)
+            else:  # its Pfaff transform, whose argument does not round to 1
+                f1, f2 = mpmath.hyp2f1(bm, 1, 1.5, 1 - xm), mpmath.hyp2f1(bm, 1, 2.5, 1 - xm)
+            a_ref, b_ref = 2 * mpmath.sqrt(d) * f1, 2 * d ** 1.5 * f2 / 3
+        assert a == pytest.approx(float(a_ref), rel=mpmath_rel), (x, beta)
+        assert b == pytest.approx(float(b_ref), rel=mpmath_rel), (x, beta)
+    # b- = ((x a- - 2 sqrt(x - 1))/(3 - 2 beta) leaves the doubles near x = 1.1e308
+    with pytest.raises(ConvergenceError, match="overflows"):
+        ab_minus(1.7e308, 0.5)
+
+
 def test_every_hypergeometric_argument_is_nonpositive(monkeypatch):
     module = importlib.import_module("cevasian.rate_cev")
     hyp2f1, args = module.hyp2f1, []
@@ -146,14 +163,14 @@ def test_ab_domain_errors():
 
 
 def test_general_route_reduces_to_square_root_model():
-    # the hypergeometric assembly evaluated exactly at beta = 1/2 must
-    # reproduce the trigonometric closed forms
+    # at beta = 1/2 the hypergeometric route must reproduce the trigonometric
+    # closed forms, here re-solved in 60-digit arithmetic
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     for m in np.geomspace(0.2, 5.0, 21):
         if abs(m - 1.0) < 0.01:
             continue
-        ref = rate_sqrt(float(m), params).value
-        assert abs(_rate_general(float(m), params).value / ref - 1.0) < half_rel
+        ref = 4.0 * rate_sqrt_mpmath(float(m))
+        assert abs(rate_cev(float(m), params).value / ref - 1.0) < half_rel
 
 
 def test_continuity_across_the_beta_dispatch_boundary():
@@ -187,7 +204,7 @@ def test_deep_put_roots_below_the_absolute_tolerance():
                          (0.65, 1e-3, 692.0415224909431)):
         res = rate_cev(m, ModelParams(S0=1.0, sigma=1.0, beta=beta))
         assert res.value == pytest.approx(ref, rel=1e-10)
-        assert res.diag.residual < 1e-12 * m
+        assert res.diag.residual < 1e-12  # relative to K/S0
 
 
 def test_root_residual_is_tiny():
@@ -281,28 +298,46 @@ def test_at_the_money_and_validation():
 
 def test_rate_matches_mpmath_over_beta_and_strike():
     edges = [math.exp(s * 1e-5 * (1.0 + d)) for s in (1.0, -1.0) for d in (1e-9, -1e-9)]
-    for beta in (0.5 + 2e-7, 0.5001, 0.6, 0.75, 0.9, 0.99, 1.0 - 1e-9):
+    for beta in (0.5, 0.5 + 1e-9, 0.5 + 2e-7, 0.5001, 0.6, 0.75, 0.9, 0.99, 1.0 - 1e-9):
         params = ModelParams(S0=1.0, sigma=1.0, beta=beta)
-        for m in [1e-3, 0.3, 0.9999, 1.0001, 3.0, 1e3, 1e6] + edges:
-            if beta <= 0.5001 and m == 1e-3:  # put-branch root lost (ROADMAP item 3)
-                with pytest.raises(RootBracketError):
-                    rate_cev(m, params)
-                continue
-            ref = rate_cev_mpmath(m, beta)
-            rel = jitter_rel.get(beta, solve_rel)
-            assert rate_cev(m, params).value == pytest.approx(ref, rel=rel, abs=0.0), (beta, m)
+        for m in [1e-300, 1e-3, 0.3, 0.9999, 1.0001, 3.0, 1e3, 1e6, 1e300] + edges:
+            ref = rate_sqrt_mpmath(m) if beta == 0.5 else rate_cev_mpmath(m, beta)
+            assert rate_cev(m, params).value == pytest.approx(ref, rel=solve_rel, abs=0.0), (
+                beta, m)
+
+
+@pytest.mark.parametrize("beta, m", [(0.5001, 1.3e-3), (0.501, 1e-4), (0.5001, 1e-3),
+                                     (0.75, 1e280)])
+def test_extreme_roots_match_mpmath(beta, m):
+    # put roots just above beta = 1/2 lie beyond the doubles (x ~ 1e-321 at
+    # beta = 0.5001, K/S0 = 1.3e-3; 1e-1041 at beta = 0.501, K/S0 = 1e-4),
+    # and the call root at K/S0 = 1e280 is x ~ 3e280
+    res = rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta))
+    ref = 4.0 * rate_cev_mpmath(m, beta)  # rate_unit = S0^(2 - 2 beta)/sigma^2 = 4
+    assert res.value == pytest.approx(ref, rel=solve_rel, abs=0.0)
+    assert res.diag.residual < 1e-12
+
+
+def test_theta_star_is_the_slope_of_the_rate():
+    # theta* = -+ rate_unit a^2/(2 S0) is dI/dK
+    for beta in (0.5, 0.75, 0.9):
+        params = ModelParams(S0=1.3, sigma=0.4, beta=beta)
+        for K in (0.3, 1.0, 1.6, 5.0):
+            h = 1e-5 * K
+            fd = (rate_cev(K + h, params).value - rate_cev(K - h, params).value) / (2.0 * h)
+            assert rate_cev(K, params).diag.theta_star == pytest.approx(fd, rel=1e-8), (beta, K)
 
 
 def test_each_rate_takes_few_evaluations(monkeypatch):
-    # counts evaluations of (a, b), the root equation's whole cost (two 2F1)
+    # counts evaluations of the factors and the root equation together (one
+    # incomplete beta or series, plus one 2F1 within _U_NEAR of the money)
     module = importlib.import_module("cevasian.rate_cev")
     calls = []
-    for name in ("ab_plus", "ab_minus"):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda x, beta, real=real: calls.append(x) or real(x, beta))
+    real = module._root_equation
+    monkeypatch.setattr(module, "_root_equation",
+                        lambda u, target, beta: calls.append(u) or real(u, target, beta))
     counts = []
-    for beta in (0.6, 0.75, 0.9, 0.99):
+    for beta in (0.5, 0.6, 0.75, 0.9, 0.99):
         params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
         for m in np.geomspace(0.5, 2.0, 41):
             calls.clear()
@@ -311,23 +346,42 @@ def test_each_rate_takes_few_evaluations(monkeypatch):
             counts.append(len(calls))
     assert np.median(counts) <= 6
     assert max(counts) <= 12
-    for beta, m in ((0.5001, 1.3e-3), (0.501, 1e-4)):
+    for beta, m in ((0.5001, 1.3e-3), (0.501, 1e-4), (0.5, 1e-300), (0.5, 1e300),
+                    (0.5 + 1e-9, 1e-300), (1.0 - 1e-9, 1e300)):
         calls.clear()
-        with pytest.raises(RootBracketError, match="not bracketed"):
-            rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta))
-        assert len(calls) <= 12
+        res = rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta))
+        assert res.diag.iterations == len(calls) <= 12, (beta, m)
 
 
 def test_root_equation_derivative_matches_central_differences():
-    # the target K/S0 only shifts f; setting it to x keeps f, and so the
+    # on both sides of each switch of the factor's forms: the series at
+    # y = min(x, 1/x) = _Y_SERIES and the near-money 2F1 of b at |log x| =
+    # _U_NEAR; the elementary forms of beta = 1/2 and across decades of x.
+    # The target K/S0 only shifts f; setting it to x keeps f, and so the
     # differences' rounding, small
-    h = 1e-4
-    for beta in (0.5001, 0.6, 0.75, 0.9, 0.99):
-        for x in np.geomspace(1e-6, 1e6, 49):
-            if abs(math.log(x)) < 1e-3:
-                continue
-            u, put, m = math.log(x), x < 1.0, float(x)
-            _, df, _ = _root_equation(u, m, beta, put)
-            fd = (_root_equation(u + h, m, beta, put)[0]
-                  - _root_equation(u - h, m, beta, put)[0]) / (2.0 * h)
-            assert df == pytest.approx(fd, rel=1e-7), (beta, x)
+    h = 1e-5
+    us = [s * (c + d) for s in (1.0, -1.0) for c in (_U_NEAR, -math.log(_Y_SERIES))
+          for d in (-3e-4, 3e-4)]
+    us += [math.log(x) for x in np.geomspace(1e-6, 1e6, 25) if abs(math.log(x)) > 1e-3]
+    for beta in (0.5, 0.5001, 0.6, 0.75, 0.9, 0.99):
+        for u in us:
+            m = math.exp(u)
+            _, df, _ = _root_equation(u, m, beta)
+            fd = (_root_equation(u + h, m, beta)[0] - _root_equation(u - h, m, beta)[0]) / (2.0 * h)
+            assert df == pytest.approx(fd, rel=1e-7), (beta, u)
+
+
+def test_rate_beyond_the_doubles_is_a_documented_error():
+    # K/S0 outside (1e-308, 1e308) has no bracketed root; inside, a rate
+    # above the largest double is a ConvergenceError at every beta
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
+    for m in (1e-310, 1e308):
+        with pytest.raises(RootBracketError, match="not bracketed"):
+            rate_cev(m, params)
+    with pytest.raises(ConvergenceError, match="overflows"):
+        rate_cev(1.1e-308, ModelParams(S0=1.0, sigma=0.5, beta=0.99))
+    for beta in (0.5 + 1e-9, 0.75, 1.0 - 1e-9):
+        params = ModelParams(S0=1.0, sigma=1.0, beta=beta)
+        for m in (2e-308, 1e-300, 1e300) + ((9e307,) if beta > 0.5 + 1e-9 else ()):
+            res = rate_cev(m, params)
+            assert math.isfinite(res.value) and res.value > 0.0, (beta, m)

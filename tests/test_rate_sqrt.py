@@ -1,10 +1,11 @@
 """Fixed-strike rate function in the square-root diffusion model.
 
-The closed trigonometric/hyperbolic forms are validated against a direct
-Legendre-Fenchel maximization of the cumulant (the floating-strike one at
-kappa = 0) and against a many-digit root solve, plus scaling laws and a
-against the cumulant re-derived from its Riccati equation, plus scaling laws,
-the general-beta asymptotes at beta = 1/2 and a Taylor-remainder bound.
+`rate_sqrt` is the hypergeometric route of `rate_cev` at beta = 1/2.  It is
+validated against a direct Legendre-Fenchel maximization of the cumulant (the
+floating-strike one at kappa = 0), whose own Riccati equation is checked
+here too, against a many-digit root solve of the trigonometric/hyperbolic
+closed forms, plus scaling laws, the general-beta asymptotes at beta = 1/2
+and a Taylor-remainder bound.
 """
 
 import math
@@ -16,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from cevasian import ConvergenceError, ModelParams, RootBracketError
 from cevasian.cli import main
 from cevasian.float_strike import cumulant_float
-from cevasian.rate_cev import rate_cev_large_strike, rate_cev_small_strike, rate_cev_taylor
-from cevasian.rate_sqrt import _eq_call, _eq_put, rate_sqrt
+from cevasian.rate_cev import (rate_cev_large_strike, rate_cev_small_strike, rate_cev_taylor,
+                               rate_sqrt)
 from oracles import legendre_fixed, rate_sqrt_mpmath, riccati_lambda
 
 riccati_rel = 1e-9
@@ -117,8 +118,8 @@ def test_small_strike_asymptote_checkpoints():
 
 
 def test_put_just_outside_the_atm_window():
-    # log K/S0 = -1.05e-5: the bracket end x = 1e-12 must keep the sign of
-    # the put equation, so (1 - e^{-4x}) cannot be formed by cancellation
+    # log K/S0 = -1.05e-5: the root x = 1 - 1.6e-5 must keep the relative
+    # accuracy of 1 - x, so 1 - x cannot be formed by cancellation
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     xlog = -1.05e-5
     res = rate_sqrt(math.exp(xlog), params)
@@ -134,8 +135,8 @@ def test_put_just_outside_the_atm_window():
 ])
 def test_put_value_near_the_money_matches_mpmath(xlog, ref):
     # ref: 50-digit mpmath root of (1 + sinh 2x/(2x)) / (2 cosh^2 x) = K and
-    # I = x^2 (sinh 2x/(2x) - 1) / cosh^2 x / sigma^2 at K = exp(xlog);
-    # sinh 2x/(2x) - 1 must not be formed by cancellation
+    # I = x^2 (sinh 2x/(2x) - 1) / cosh^2 x / sigma^2 at K = exp(xlog); the
+    # hypergeometric route's 1 - x and b must not be formed by cancellation
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     res = rate_sqrt(math.exp(xlog), params)
     assert res.diag.branch == "put"
@@ -144,8 +145,10 @@ def test_put_value_near_the_money_matches_mpmath(xlog, ref):
 
 @pytest.mark.parametrize("m", [1e3, 1e12, 1e23, 1e100, 1e300, 1e-13, 1e-100, 1e-300])
 def test_value_far_from_the_money_matches_mpmath(m):
-    # calls: cos x cancels next to x = pi/2, so the root is solved in
-    # pi/2 - x; puts: the bracket reaches x = S0/K and x^2 must not overflow
+    # calls: the root x ~ 2 K/S0 passes the largest double above 9e307, so
+    # it is compared with K/S0 in scaled form; puts: the root x ~ 4 e^{-S0/K}
+    # leaves the doubles below K/S0 ~ 1.4e-3, so everything is formed from
+    # log x, down to log x = -1e300
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     res = rate_sqrt(m, params)
     assert res.branch == ("call" if m > 1.0 else "put")
@@ -157,7 +160,7 @@ def test_rate_beyond_the_largest_double_raises_convergence_error(capsys):
     for m in (9e307, 1.1e-308):
         with pytest.raises(ConvergenceError, match="overflows"):
             rate_sqrt(m, params)
-    # below K/S0 ~ 4e-155 the put diagnostic theta_star = -2 x^2/sigma^2 is
+    # below K/S0 ~ 4e-155 the put diagnostic theta_star = -a+^2/(2 sigma^2) is
     # -inf while the rate is finite
     res = rate_sqrt(1e-200, params)
     assert res.value == pytest.approx(4.0 * rate_sqrt_mpmath(1e-200), rel=mpmath_rel)
@@ -244,24 +247,6 @@ def test_asymptote_domain_checks():
         rate_cev_small_strike(0.0, params)
 
 
-def test_root_equations_derivatives_match_central_differences():
-    # _eq_call returns (g - 1, d g'/g) in d, _eq_put (g, 1 - g, x g') in x;
-    # both are differenced in the log of their variable, the put's g through
-    # whichever of g and 1 - g is smaller
-    h = 1e-5
-    for d in np.geomspace(1e-8, 1.5, 40):
-        gm1, dlog = _eq_call(float(d))
-        fd = (math.log1p(_eq_call(d * math.exp(h))[0])
-              - math.log1p(_eq_call(d * math.exp(-h))[0])) / (2.0 * h)
-        assert dlog == pytest.approx(fd, rel=1e-7)
-    for x in np.geomspace(1e-3, 1e3, 40):
-        g, gc, xdg = _eq_put(float(x))
-        assert g + gc == pytest.approx(1.0, abs=1e-15)
-        k, sign = (0, 1.0) if g < 0.5 else (1, -1.0)
-        fd = sign * (_eq_put(x * math.exp(h))[k] - _eq_put(x * math.exp(-h))[k]) / (2.0 * h)
-        assert xdg == pytest.approx(fd, rel=1e-7)
-
-
 def test_diagnostics_report_the_root_solve():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     for m in (1e-300, 1e-3, 0.5, 0.9999, 1.0001, 2.0, 1e3, 1e300):
@@ -273,9 +258,8 @@ def test_diagnostics_report_the_root_solve():
 
 @pytest.mark.parametrize("xlog", [1.00001e-5, 2e-5, 1e-4, 1e-3, -1.00001e-5, -2e-5, -1e-4])
 def test_root_near_the_money_is_solved_without_cancellation(xlog):
-    # g - 1 and 1 - g are O(x^2) = O(|log K/S0|); formed as differences of
-    # O(1) terms they would cost ~1e-11 of the rate (the brentq solve on
-    # g - K/S0 scattered up to 3e-11 here)
+    # the root's 1 - x and the rate's K/S0 - x are O(|log K/S0|); formed as
+    # differences of O(1) terms they would cost ~1e-11 of the rate
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     m = math.exp(xlog)
     res = rate_sqrt(m, params)

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 from cevasian import ConvergenceError, ModelParams
 from cevasian.float_strike import rate_float_sqrt
 from cevasian.rate_cev import rate_cev
-from cevasian.rate_sqrt import rate_sqrt
+from cevasian.rate_cev import rate_sqrt
 from cevasian.varsolve import (PathGrid, _action_and_grad, _hessian, _kkt_step, _rescaled,
                                _trapezoid_weights, action, minimize_fixed, minimize_float)
 from oracles import richardson_fixed
