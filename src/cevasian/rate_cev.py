@@ -132,8 +132,8 @@ def _root_equation(u: float, target: float, beta: float):
         else:
             q = (2.0 * sw * yd / A - y) / (3.0 - 2.0 * beta)
         gap = (target - 1.0) + w if target > 0.5 else target - y
-        df = (0.5 * y + e * q) / target + q / target * (yd / A) / sw
-        return (q - gap) / target, df, (A, q, yd, gap)
+        qt = q / target  # ~1 at the root: products with q itself underflow at K/S0 ~ 1e-308
+        return qt - gap / target, 0.5 * y / target + (e + yd / (A * sw)) * qt, (A, q, yd, gap)
     if v > -_U_NEAR:
         q = (2.0 / 3.0) * w * sw / y ** beta * hyp2f1(beta, 1.0, 2.5, -math.expm1(-v)) / A
     else:

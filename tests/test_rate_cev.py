@@ -346,8 +346,9 @@ def test_each_rate_takes_few_evaluations(monkeypatch):
             counts.append(len(calls))
     assert np.median(counts) <= 6
     assert max(counts) <= 12
+    # the last: beta - 1/2 = 1.1e-16 times K/S0 = 1.5e-308 underflows
     for beta, m in ((0.5001, 1.3e-3), (0.501, 1e-4), (0.5, 1e-300), (0.5, 1e300),
-                    (0.5 + 1e-9, 1e-300), (1.0 - 1e-9, 1e300)):
+                    (0.5 + 1e-9, 1e-300), (1.0 - 1e-9, 1e300), (math.nextafter(0.5, 1.0), 1.5e-308)):
         calls.clear()
         res = rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta))
         assert res.diag.iterations == len(calls) <= 12, (beta, m)
