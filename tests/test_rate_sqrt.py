@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from cevasian import ConvergenceError, ModelParams, RootBracketError
 from cevasian.cli import main
 from cevasian.float_strike import cumulant_float
-from cevasian.rate_cev import (rate_cev_large_strike, rate_cev_small_strike, rate_cev_taylor,
-                               rate_sqrt)
+from cevasian.rate_cev import (_root_equation, rate_cev_large_strike, rate_cev_small_strike,
+                               rate_cev_taylor, rate_sqrt)
 from oracles import legendre_fixed, rate_sqrt_mpmath, riccati_lambda
 
 riccati_rel = 1e-9
@@ -245,6 +245,23 @@ def test_asymptote_domain_checks():
         rate_cev_small_strike(1.1, params)
     with pytest.raises(ValueError):
         rate_cev_small_strike(0.0, params)
+
+
+def test_root_equations_derivatives_match_central_differences():
+    # the root equation rate_sqrt solves, in its beta = 1/2 elementary forms
+    # (A = 2 artanh sqrt(1 - y) and the near-money 2F1 of b), differenced in
+    # u = log x on the put side (u < 0) and the call side (u > 0) across the
+    # doubles.  The target K/S0 only shifts f; setting it to x keeps f, and so
+    # the differences' rounding, small
+    h = 1e-5
+    for x in np.concatenate([np.geomspace(1e-300, 1e300, 121), np.geomspace(1e-3, 1e3, 40)]):
+        u = math.log(x)
+        if abs(u) < 1e-3:
+            continue
+        m = float(x)
+        _, df, _ = _root_equation(u, m, 0.5)
+        fd = (_root_equation(u + h, m, 0.5)[0] - _root_equation(u - h, m, 0.5)[0]) / (2.0 * h)
+        assert df == pytest.approx(fd, rel=1e-7), x
 
 
 def test_diagnostics_report_the_root_solve():
