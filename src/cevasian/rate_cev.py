@@ -65,7 +65,7 @@ class CevRateDiag:
 @functools.lru_cache(maxsize=64)
 def _series(d: float) -> tuple[float, float, tuple[float, ...]]:
     """(c(d), B(d, 1/2), (1/2)_n/(n! (n + d)) for n = 14 down to 1), where
-    c(d) = B(d, 1/2) - 1/d, for 0 < d < 1/2.  Below d = 1/8, c is expm1 of
+    c(d) = B(d, 1/2) - 1/d, for 0 < d <= 1/2.  Below d = 1/8, c is expm1 of
     log(d B) = 2d log 2 + 2 lgamma(1+d) - lgamma(1+2d), the lgamma difference
     summed from its Taylor series (truncation below 1e-18), so c stays
     relatively exact as d -> 0; above, B - 1/d loses at most ~8x of scipy's B."""
@@ -231,17 +231,19 @@ def _put_start(target: float, beta: float) -> float:
 
 
 def _call_start(target: float, beta: float) -> float:
-    """log x of the call root: the larger of 1 + 3/2 (K/S0 - 1) and two
-    fixed-point steps of the deep-call asymptote
-    x = (3 - 2 beta)/(2 - 2 beta) K/S0 (1 - x^(beta-1)/((1-beta) B(1-beta, 1/2))),
-    taken in logs, since x passes the largest double as beta -> 1."""
-    log_c = math.log((3.0 - 2.0 * beta) / (2.0 - 2.0 * beta)) + math.log(target)
-    log_b = math.lgamma(2.0 - beta) + math.lgamma(0.5) - math.lgamma(1.5 - beta)
-    lx = log_c
+    """log x of the call root: the larger of 1 + 3/2 (K/S0 - 1) and two fixed-point
+    steps, in logs (x passes the largest double as beta -> 1), of the deep-call asymptote
+    x = (3 - 2 beta)/(2 - 2 beta) K/S0 (1 - x^(beta-1)/((1-beta) B(1-beta, 1/2))), with
+    log(d B(d, 1/2)) = log1p(d c(d)), d = 1 - beta.  Where d log x is at rounding
+    level, the asymptote says nothing of x, and the near-money start stands."""
+    d = 1.0 - beta
+    lx = log_c = math.log((3.0 - 2.0 * beta) / (2.0 * d)) + math.log(target)
+    log_b = math.log1p(d * _series(d)[0])
     for _ in range(2):
-        g = -math.expm1(-(1.0 - beta) * lx - log_b)
+        g = -math.expm1(-d * lx - log_b)
         lx = log_c + math.log(g) if g > 0.0 else -math.inf
-    return max(lx, math.log1p(1.5 * (target - 1.0)))
+    near = math.log1p(1.5 * (target - 1.0))
+    return max(lx, near) if d * lx > _EPS else near
 
 
 def rate_cev_large_strike(K: float, params: ModelParams) -> float:

@@ -19,11 +19,12 @@ strike, S0 e^t for a floating one) where K/S0 or kappa is at least ``edge``.
 Below the edge a continuation ladder steps the target down geometrically and
 rescales the certified path of each rung to start the next.  Each start is
 certified by a Newton solve of the KKT system of the equality-constrained
-problem (Nocedal & Wright, Numerical Optimization, ch. 16) with one LAPACK
-tridiagonal solve (``gtsv``) per step, step-halving to keep g > 0, an Armijo
-test once the iterate is feasible and a Levenberg shift where the Hessian is
-not positive on the constraint's tangent space.  A solve that does not meet
-its tolerances raises ConvergenceError.
+problem (Nocedal & Wright, Numerical Optimization, ch. 16): a step makes one
+pass over the interval terms for the action, gradient and Hessian and one LAPACK
+tridiagonal solve (``gtsv``), with step-halving to keep g > 0, an Armijo test
+once the iterate is feasible and a Levenberg shift where the Hessian is not
+positive on the constraint's tangent space.  A solve that does not meet its
+tolerances raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -67,19 +68,21 @@ def action(path: PathGrid, params: ModelParams) -> float:
 
 
 def _action_and_grad(g: np.ndarray, n: int, params: ModelParams):
-    """Action, gradient and the interval terms (dg, mid, mpow) at the path g."""
-    beta, sig = params.beta, params.sigma
-    h = 1.0 / n
-    dg = np.diff(g)
-    mid = 0.5 * (g[:-1] + g[1:])
+    """Action, gradient and interval terms (mid, mpow, s1, s2) at the path g:
+    with c = n/(2 sigma^2), mpow = mid^(-2 beta), r = dg mpow, s1 = r/mid and
+    s2 = dg s1, the action is c dg . r, and interval i adds -2c r - beta c s2
+    to the gradient at node i and 2c r - beta c s2 at node i + 1."""
+    beta, c = params.beta, 0.5 * n / params.sigma ** 2
+    dg, mid = g[1:] - g[:-1], 0.5 * (g[:-1] + g[1:])
     mpow = mid ** (-2.0 * beta)
-    val = float(np.sum(dg * dg * mpow) / (2.0 * sig ** 2 * h))
-    t1 = dg * mpow / (sig ** 2 * h)
-    t2 = -beta * dg * dg * mpow / mid / (2.0 * sig ** 2 * h)
-    grad = np.zeros_like(g)
-    grad[:-1] += -t1 + t2
+    r = dg * mpow
+    s1 = r / mid
+    s2 = dg * s1
+    t1, t2 = (2.0 * c) * r, (-beta * c) * s2
+    grad = np.empty_like(g)
+    grad[:-1], grad[-1] = t2 - t1, 0.0
     grad[1:] += t1 + t2
-    return val, grad, (dg, mid, mpow)
+    return c * float(dg @ r), grad, (mid, mpow, s1, s2)
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:
@@ -100,21 +103,22 @@ def _rescaled(base: np.ndarray, w: np.ndarray, ref: int, m: float) -> np.ndarray
     With L = log(base/S0) and D = L - L[ref], s is the root of
     F(s) = log(w . e^{sD}) - log m.  F is convex in s (a log-sum-exp of linear
     functions), so Newton's method from s = 0 overshoots at most once and then
-    converges monotonically.  The sum is shifted by its largest term, so
-    nothing overflows.  Where |F(0)| is at rounding level, as at the money,
-    s = 0 gives the constant path."""
+    converges monotonically.  The sum is shifted by its largest term, s max D
+    for s >= 0 and s min D below, so nothing overflows.  Where |F(0)| is at
+    rounding level, as at the money, s = 0 gives the constant path."""
     L = np.log(base / base[0])
     D = L - L[ref]
+    wD, hi, lo = w * D, D.max(), D.min()
+    D_hi, D_lo = D - hi, D - lo
     s = 0.0
     for _ in range(max_newton):
-        x = s * D
-        top = np.max(x)
-        e = w * np.exp(x - top)
-        total = np.sum(e)
-        F = math.log(total) + top - math.log(m)
+        top, D_top = (hi, D_hi) if s >= 0.0 else (lo, D_lo)
+        e = np.exp(s * D_top)
+        total = w @ e
+        F = math.log(total) + s * top - math.log(m)
         if abs(F) <= 1e-14:
             return base[0] * np.exp(s * L)
-        s -= F * total / (e @ D)  # numpy division: a zero slope gives inf
+        s -= F * total / (wD @ e)  # numpy division: a zero slope gives inf
         if not math.isfinite(s):
             break
     raise ConvergenceError(f"no rescaled start path has mean {m} times its node {ref}")
@@ -127,17 +131,17 @@ def _rescaled(base: np.ndarray, w: np.ndarray, ref: int, m: float) -> np.ndarray
 def _hessian(terms: tuple, n: int, params: ModelParams):
     """Tridiagonal Hessian (diag, off) of the action in g[1:] (g[0] = S0 is
     fixed), from the interval terms of :func:`_action_and_grad` at that path."""
-    dg, mid, mpow = terms
-    beta = params.beta
-    c = 0.5 * n / params.sigma ** 2
-    # second derivatives of dg^2 mid^(-2 beta) in (dg, mid)
-    f_dd = 2.0 * mpow
-    f_dm = -4.0 * beta * dg * mpow / mid
-    f_mm = 2.0 * beta * (2.0 * beta + 1.0) * dg * dg * mpow / (mid * mid)
+    mid, mpow, s1, s2 = terms
+    beta, c = params.beta, 0.5 * n / params.sigma ** 2
+    # c times the second derivatives of dg^2 mpow in (dg, mid), the last quartered
+    f_dd = (2.0 * c) * mpow
+    f_dm = (-4.0 * beta * c) * s1
+    f_mm4 = (0.5 * beta * (2.0 * beta + 1.0) * c) * s2 / mid
     # node i + 1 ends interval i and starts interval i + 1
-    diag = c * (f_dd + f_dm + 0.25 * f_mm)
-    diag[:-1] += c * (f_dd[1:] - f_dm[1:] + 0.25 * f_mm[1:])
-    return diag, c * (0.25 * f_mm[1:] - f_dd[1:])
+    end = f_dd + f_mm4
+    diag = end + f_dm
+    diag[:-1] += end[1:] - f_dm[1:]
+    return diag, f_mm4[1:] - f_dd[1:]
 
 
 def _kkt_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray, a: np.ndarray,
@@ -148,7 +152,8 @@ def _kkt_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray, a: np.ndarray
     Returns (d, nu, dec), where dec = d_t' (H + shift I) d_t is the Newton
     decrement of the step d_t for e = 0, so that a rounding-level constraint
     error does not enter it."""
-    b = np.array((grad, a)).T  # Fortran order, as gtsv takes it
+    b = np.empty((grad.size, 2), order="F")  # Fortran order, as gtsv takes it
+    b[:, 0], b[:, 1] = grad, a
     if diag.size == 1:  # 1 x 1: the gtsv wrapper refuses an empty off-diagonal
         x, info = b / (diag + shift), 0
     else:
@@ -161,7 +166,7 @@ def _kkt_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray, a: np.ndarray
     step_t = -x1 - nu_t * x2
     dec = -float((grad + nu_t * a) @ step_t)
     step = step_t - (e / ax2) * x2
-    if not (math.isfinite(dec) and np.all(np.isfinite(step))):
+    if not (math.isfinite(dec) and np.isfinite(step).all()):
         raise ConvergenceError("non-finite Newton step")
     return step, float(nu_t + e / ax2), dec
 
@@ -177,40 +182,33 @@ def _certify(init: PathGrid, cons_vec: np.ndarray, cons_target: float,
     error of the value; it is reported relative to the action as
     ``kkt_residual``.  Raises ConvergenceError if it or the constraint error
     stays above tolerance."""
-    S0 = params.S0
-    a = cons_vec[1:]
+    a, acons = cons_vec[1:], np.abs(cons_vec)
     g = np.asarray(init.values, dtype=float).copy()
     val, grad, terms = _action_and_grad(g, n, params)
 
     for it in range(1, max_newton + 1):
         diag, off = _hessian(terms, n, params)
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
             raise ConvergenceError(f"non-finite Hessian at Newton step {it}")
         e = float(cons_vec @ g) - cons_target
-        feasible = abs(e) <= tol * float(np.abs(cons_vec) @ np.abs(g))
-        base = float(np.max(np.abs(diag)))
+        feasible = abs(e) <= tol * float(acons @ g)  # |g| = g: g >= 0 throughout
         shift = 0.0
         for _ in range(20):  # shifts up to 1e8 times the largest diagonal entry
             step, nu, dec = _kkt_step(diag, off, grad[1:], a, e, shift)
             # converged: feasible, no negative curvature along the unshifted
             # step, and a decrement at the tolerance
             if shift == 0.0 and feasible and 0.0 <= dec <= tol * val:
-                info = {
-                    "converged": True,
-                    "constraint_err": e,
-                    "lam": -nu,  # sign convention of min A - lam (mean - K)
-                    "floor_active": bool(np.min(g) <= 1e-9 * S0),
-                    "path": PathGrid(n, g),
-                    "n": n,
-                    "iterations": it,
-                    "kkt_residual": dec / val if val > 0.0 else 0.0,
-                }
-                return val, info
+                return val, {"converged": True, "constraint_err": e,
+                             "lam": -nu,  # sign convention of min A - lam (mean - K)
+                             "floor_active": bool(g.min() <= 1e-9 * params.S0),
+                             "path": PathGrid(n, g), "n": n, "iterations": it,
+                             "kkt_residual": dec / val if val > 0.0 else 0.0}
             trial = _line_search(g, val, -dec, step, feasible, params, n)
             if trial is not None:
                 break
             # at least twice the negative curvature measured along the step
-            shift = max(10.0 * shift, 1e-10 * base, -2.0 * dec / float(step @ step))
+            shift = max(10.0 * shift, 1e-10 * float(np.abs(diag).max()),
+                        -2.0 * dec / float(step @ step))
         else:
             raise ConvergenceError(f"no acceptable step at Newton step {it} "
                                    f"(Levenberg shift {shift:.3g})")
@@ -231,7 +229,7 @@ def _line_search(g: np.ndarray, val: float, slope: float, step: np.ndarray,
     for _ in range(60):
         trial = g.copy()
         trial[1:] += alpha * step
-        if np.min(trial) > 0.0:
+        if trial.min() > 0.0:
             tval, tgrad, terms = _action_and_grad(trial, n, params)
             if math.isfinite(tval) and (not armijo or tval <= val + 1e-4 * alpha * slope):
                 return trial, tval, tgrad, terms

@@ -109,6 +109,19 @@ def test_put_branch_up_to_the_largest_kappa_matches_mpmath(kappa):
     assert res.value == pytest.approx(jf, rel=1e-15, abs=0.0)
 
 
+def test_put_branch_near_kappa_4e5_keeps_its_residual_at_rounding():
+    # there 2z ~ 0.1, where 1 - sin 2z/(2z) formed directly lost ~600x and
+    # left residuals up to 1.2e-13; the series now runs to 2z = 1
+    params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
+    for kappa in np.geomspace(3e5, 6e5, 400):
+        assert rate_float_sqrt(float(kappa), params).diag.residual < 2e-14, kappa
+    for kappa in np.geomspace(3e5, 6e5, 9):
+        jf, z = jf_put_mpmath(float(kappa))
+        res = rate_float_sqrt(float(kappa), params)
+        assert res.value == pytest.approx(jf, rel=1e-15, abs=0.0)
+        assert res.diag.z_star == pytest.approx(z, rel=5e-15, abs=0.0)
+
+
 def test_float_cli_at_huge_kappa_returns_the_limit_two(capsys):
     rc = main(["float", "--sigma", "0.5", "--beta", "0.5", "--kappa", "1e200", "--json"])
     out = json.loads(capsys.readouterr().out)
@@ -293,8 +306,7 @@ def test_newton_evaluations_are_bounded():
     counts = []
     for lk in logs:
         diag = rate_float_sqrt(math.exp(lk), params).diag
-        # the equations' rounding noise: up to ~1.1e-13 near kappa = 4e5,
-        # where 1 - sin 2z/(2z) is formed directly just above 2z = 0.1
+        # the equations' rounding noise: up to ~1.1e-14 near kappa = 4e5
         assert diag.residual < 5e-13
         counts.append(diag.iterations)
     assert min(counts) >= 1

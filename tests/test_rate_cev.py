@@ -354,6 +354,22 @@ def test_each_rate_takes_few_evaluations(monkeypatch):
         assert res.diag.iterations == len(calls) <= 12, (beta, m)
 
 
+def test_call_start_near_beta_one_takes_few_evaluations(monkeypatch):
+    # at the largest beta below 1, x^(beta-1) is 1 to the doubles at the
+    # deep-call asymptote's x, and the solve starts from the near-money guess
+    module = importlib.import_module("cevasian.rate_cev")
+    calls = []
+    real = module._root_equation
+    monkeypatch.setattr(module, "_root_equation",
+                        lambda u, target, beta: calls.append(u) or real(u, target, beta))
+    beta = math.nextafter(1.0, 0.0)
+    for m in (1.0003, 1.001, 1.01):
+        calls.clear()
+        res = rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta))
+        assert res.diag.iterations == len(calls) <= 6, m
+        assert res.value == pytest.approx(float(rate_cev_mpmath(m, beta)) / 0.25, rel=mpmath_rel)
+
+
 def test_root_equation_derivative_matches_central_differences():
     # on both sides of each switch of the factor's forms: the series at
     # y = min(x, 1/x) = _Y_SERIES and the near-money 2F1 of b at |log x| =

@@ -211,6 +211,30 @@ def test_deep_put_matches_closed_form():
         assert val == pytest.approx(rate_cev(m, params).value, rel=1e-4)
 
 
+def rising_then_falling_path(n):
+    t = np.linspace(0.0, 1.0, n + 1)
+    return 1.0 + 0.4 * np.sin(5.0 * t) - 0.3 * t  # rises, then falls below S0
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.75, 0.9])
+def test_action_and_gradient_match_the_reference_action(beta):
+    # the solver's one-pass value and gradient against action(), which forms
+    # the discrete action from its definition
+    params = ModelParams(S0=1.0, sigma=0.7, beta=beta)
+    n = 12
+    g = rising_then_falling_path(n)
+    val, grad, _ = _action_and_grad(g, n, params)
+    assert val == pytest.approx(action(PathGrid(n, g), params), rel=1e-14)
+    eps = 1e-6
+    fd = np.empty(n + 1)
+    for j in range(n + 1):
+        up, down = g.copy(), g.copy()
+        up[j] += eps
+        down[j] -= eps
+        fd[j] = (action(PathGrid(n, up), params) - action(PathGrid(n, down), params)) / (2.0 * eps)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+
 def dense_hessian(g, n, params):
     diag, off = _hessian(_action_and_grad(g, n, params)[2], n, params)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -220,8 +244,7 @@ def dense_hessian(g, n, params):
 def test_hessian_matches_central_differences(beta):
     params = ModelParams(S0=1.0, sigma=0.7, beta=beta)
     n = 12
-    t = np.linspace(0.0, 1.0, n + 1)
-    g = 1.0 + 0.4 * np.sin(5.0 * t) - 0.3 * t  # rises, then falls below S0
+    g = rising_then_falling_path(n)
     dense = dense_hessian(g, n, params)
     eps = 1e-6
     fd = np.empty((n, n))
@@ -238,8 +261,7 @@ def kkt_problem(beta, n=12):
     """The Hessian and gradient at a path that rises, then falls below S0,
     with the floating-strike constraint vector at kappa = 0.7."""
     params = ModelParams(S0=1.0, sigma=0.7, beta=beta)
-    t = np.linspace(0.0, 1.0, n + 1)
-    g = 1.0 + 0.4 * np.sin(5.0 * t) - 0.3 * t
+    g = rising_then_falling_path(n)
     _, grad, terms = _action_and_grad(g, n, params)
     a = np.full(n, 1.0 / n)
     a[-1] = 0.5 / n - 0.7
@@ -370,20 +392,20 @@ def test_richardson_extrapolated_minimum_matches_closed_form(beta):
 # r = 0.03, q = 0.01: a ladder case (K/S0 = 0.05), the Levenberg-shift case
 # (beta = 0.9, kappa = 0.2, n = 200) and the smallest grids among them
 PINNED = [
-    ("fixed", 0.5, 1.5, 800, 1.1690070048305974, 3, 1, 4.923557891965687e-17, 4.1845896237676605, 3.16714268008865e-16, "325f8530b68bd253"),
-    ("fixed", 0.75, 0.6, 800, 1.5039502927595207, 3, 1, 7.027343679138588e-24, -9.674508717166619, -1.6746442065338182e-16, "995f9b9d408d038e"),
-    ("fixed", 0.9, 3.0, 800, 6.871747530630587, 4, 1, 1.9298679847168644e-23, 4.124186153073909, 1.1408148671061227e-15, "3967f874e4d8e432"),
-    ("float", 0.5, 2.0, 800, 1.4336664285865326, 5, 1, 2.3911477269011372e-21, 4.018205324404013, 6.413840896272736e-17, "bba4d07a59d8e975"),
-    ("float", 0.75, 0.5, 800, 4.629846128061814, 7, 1, 2.8608041684286004e-18, -12.626564564348925, 5.694026374973517e-15, "5c7e77fed381c59a"),
-    ("float", 0.9, 1.5, 800, 0.8519639745153413, 5, 1, 1.0569210594919252e-18, 4.758133483952323, 3.9503839634781954e-17, "7e08dff17eea7d5a"),
-    ("fixed", 0.75, 0.05, 800, 70.64564731395635, 15, 3, 4.551838457348699e-15, -1436.9990107634278, -1.0637269305939268e-18, "f2e75d3515d5e3d0"),
-    ("float", 0.9, 0.2, 200, 32.44821452436935, 8, 1, 2.8503894287827504e-21, -30.129879420944498, 2.441516636082209e-16, "59a829f2cb2fc868"),
+    ("fixed", 0.5, 1.5, 800, 1.1690070048305963, 3, 1, 4.9235598643214984e-17, 4.184589623767654, 3.161591564965524e-16, "2b508c903600327e"),
+    ("fixed", 0.75, 0.6, 800, 1.5039502927595205, 3, 1, 7.024515017944366e-24, -9.674508717166624, -5.595639561759264e-17, "896b1a2819597d71"),
+    ("fixed", 0.9, 3.0, 800, 6.871747530630589, 4, 1, 2.002389937234217e-23, 4.1241861530739365, 1.1907749032142547e-15, "ccda34bd7f6f84e1"),
+    ("float", 0.5, 2.0, 800, 1.433666428586532, 5, 1, 2.389617660185234e-21, 4.018205324403818, 6.885685681738501e-17, "6e8ae62772f030b4"),
+    ("float", 0.75, 0.5, 800, 4.629846128061929, 7, 1, 2.8616701421227537e-18, -12.626564564348858, -3.1625002482175084e-15, "b85573189dbcc110"),
+    ("float", 0.9, 1.5, 800, 0.8519639745153413, 5, 1, 1.057166612415099e-18, 4.758133483952761, 8.148414775341857e-17, "0dd37687d2856831"),
+    ("fixed", 0.75, 0.05, 800, 70.64564731395635, 15, 3, 4.551838414646731e-15, -1436.9990107634278, 2.407414087254196e-18, "abd206d60c00f834"),
+    ("float", 0.9, 0.2, 200, 32.44821452436934, 8, 1, 2.850639324626772e-21, -30.12987942094428, 1.0204311645620075e-16, "b1b2b85290f6f1e9"),
     ("fixed", 0.75, 1.3, 1, 0.48575521069312516, 1, 1, -0.0, 2.6778812897185036, 4.440892098500626e-16, "d699ab30b303bfe7"),
     ("float", 0.75, 1.3, 1, 0.3840232127713135, 1, 1, -0.0, 3.0032584588525717, 3.275157922644212e-16, "1c3b6dd4443620eb"),
-    ("fixed", 0.5, 0.8, 2, 0.29680915717477635, 3, 1, 2.6917306417274105e-22, -3.207661579047996, 2.7755575615628914e-17, "e0c1812bd18f93c9"),
-    ("float", 0.9, 0.7, 2, 0.9872267493061305, 6, 1, 8.13764801583588e-18, -4.776289826654602, 3.6139786867337666e-17, "0a9cb6a792a108c8"),
-    ("fixed", 0.9, 2.0, 3, 2.68043650107272, 3, 1, 9.964859744773741e-19, 3.6676621532924276, 3.043265873986263e-17, "7cc1143129b637e9"),
-    ("float", 0.5, 3.0, 3, 2.4778062979043436, 5, 1, 4.5391329684022836e-18, 4.012796224202407, 1.0419974315154806e-16, "1587b80ebb7a6c57"),
+    ("fixed", 0.5, 0.8, 2, 0.2968091571747763, 3, 1, 2.691730641727411e-22, -3.207661579047996, 2.7755575615628914e-17, "e0c1812bd18f93c9"),
+    ("float", 0.9, 0.7, 2, 0.9872267493061312, 6, 1, 8.137652353215937e-18, -4.776289826654604, -7.488251559517799e-17, "a46c455ceabce311"),
+    ("fixed", 0.9, 2.0, 3, 2.680436501072714, 3, 1, 9.964799016706433e-19, 3.6676621532924276, -1.4498647074270128e-15, "8235a4c4d61c7cd6"),
+    ("float", 0.5, 3.0, 3, 2.477806297904343, 5, 1, 4.539131430752839e-18, 4.012796224202407, 1.3658124803644846e-16, "1a3a467817ef7edc"),
 ]
 
 
