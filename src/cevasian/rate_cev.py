@@ -20,6 +20,12 @@ one evaluation of the factors.  Outside K/S0 in (1e-308, 1e308) `rate_cev`
 raises `RootBracketError`, and where the rate exceeds the largest double,
 `ConvergenceError`.  `rate_sqrt` is `rate_cev` behind the beta = 1/2 check.
 
+The root, and all of I = rate_unit J(K/S0; beta) but rate_unit, depends on
+(K/S0, beta) alone.  `_solve` keeps that part for the last 4096 distinct
+(K/S0, beta) in an LRU memo that keeps no error; the result, every diag field
+included, is bit-identical whether the memo was cold or warm, and a term
+structure, or a sigma calibration at fixed K/S0 and beta, solves each root once.
+
 Also provided: the leading large/small-strike asymptotes.  Inside ATM_WINDOW
 the rate is `model`'s ATM series `rate_cev_taylor`, re-exported here.
 """
@@ -174,13 +180,25 @@ def rate_cev(K: float, params: ModelParams) -> RateResult:
     """Rate function I(K, S0) for the CEV model, with solver diagnostics."""
     if not 0 < K < math.inf:
         raise ValueError(f"strike must be positive and finite, got {K}")
-    beta = params.beta
     target = K / params.S0
     if not 1e-308 < target < 1e308:  # beyond it K/S0 or S0/K leaves the normal doubles
         raise RootBracketError(f"root not bracketed: K/S0={target} lies outside (1e-308, 1e308)")
-    xlog = math.log(target)
-    if abs(xlog) < ATM_WINDOW:
+    if abs(math.log(target)) < ATM_WINDOW:
         return RateResult(rate_cev_taylor(K, params), CevRateDiag(1.0, "atm"))
+    g, ratio, a, x, branch, residual, n = _solve(target, params.beta)
+    unit = rate_unit(params)
+    value = 0.5 * unit * g * ratio
+    if math.isinf(value):
+        raise ConvergenceError(f"the rate at K/S0={target} overflows a double")
+    theta = (-0.5 if branch == "put" else 0.5) * unit * a * a / params.S0
+    return RateResult(value, CevRateDiag(x, branch, residual, n, theta))
+
+
+@functools.lru_cache(maxsize=4096)
+def _solve(target: float, beta: float) -> tuple[float, float, float, float, str, float, int]:
+    """The root of K/S0 = x +- b/a at K/S0 = target outside ATM_WINDOW, and all
+    of the rate that depends on (K/S0, beta) alone: (g, g/gap, a, x, branch,
+    |f|, evaluations), with J = g (g/gap)/2 (`_root_equation`)."""
     put = target < 1.0
     eq = lambda u: _root_equation(u, target, beta)  # noqa: E731
 
@@ -194,21 +212,15 @@ def rate_cev(K: float, params: ModelParams) -> RateResult:
         start = min(max(_put_start(target, beta), lo), -_EPS)
         u, f, data, n = _newton(eq, start, lo, -_EPS)
     else:
-        hi = xlog + math.log((3.0 - 2.0 * beta) / (2.0 - 2.0 * beta))
+        hi = math.log(target) + math.log((3.0 - 2.0 * beta) / (2.0 - 2.0 * beta))
         # deep calls at beta = 1/2 have their root within rounding of hi,
         # where f's sign is noise, so the start stays below it
         start = max(min(_call_start(target, beta), math.nextafter(hi, 0.0)), _EPS)
         u, f, data, n = _newton(eq, start, _EPS, hi)
     A, q, yd, gap = data
-    unit = rate_unit(params)
     g = q * A / yd
-    value = 0.5 * unit * g * (g / gap)
-    if math.isinf(value):
-        raise ConvergenceError(f"the rate at K/S0={target} overflows a double")
-    a = A * math.exp((0.5 - beta) * u)
-    theta = (-0.5 if put else 0.5) * unit * a * a / params.S0
     x = math.exp(u) if u <= _LOG_MAX else math.inf
-    return RateResult(value, CevRateDiag(x, "put" if put else "call", abs(f), n, theta))
+    return (g, g / gap, A * math.exp((0.5 - beta) * u), x, "put" if put else "call", abs(f), n)
 
 
 def rate_sqrt(K: float, params: ModelParams) -> RateResult:
@@ -234,8 +246,11 @@ def _call_start(target: float, beta: float) -> float:
     """log x of the call root: the larger of 1 + 3/2 (K/S0 - 1) and two fixed-point
     steps, in logs (x passes the largest double as beta -> 1), of the deep-call asymptote
     x = (3 - 2 beta)/(2 - 2 beta) K/S0 (1 - x^(beta-1)/((1-beta) B(1-beta, 1/2))), with
-    log(d B(d, 1/2)) = log1p(d c(d)), d = 1 - beta.  Where d log x is at rounding
-    level, the asymptote says nothing of x, and the near-money start stands."""
+    log(d B(d, 1/2)) = log1p(d c(d)), d = 1 - beta.  The near-money start stands where
+    d log x is at rounding level, which leaves the asymptote nothing to say of x, and
+    where the asymptote's log x exceeds twice the near-money start's: near the money as
+    beta -> 1, where x^(beta-1)/(d B) is 1 - O(d), its two steps stop far above the
+    root (x = 1.2 to 2.1 for a root at 1.0005)."""
     d = 1.0 - beta
     lx = log_c = math.log((3.0 - 2.0 * beta) / (2.0 * d)) + math.log(target)
     log_b = math.log1p(d * _series(d)[0])
@@ -243,7 +258,7 @@ def _call_start(target: float, beta: float) -> float:
         g = -math.expm1(-d * lx - log_b)
         lx = log_c + math.log(g) if g > 0.0 else -math.inf
     near = math.log1p(1.5 * (target - 1.0))
-    return max(lx, near) if d * lx > _EPS else near
+    return max(lx, near) if d * lx > _EPS and lx < 2.0 * near else near
 
 
 def rate_cev_large_strike(K: float, params: ModelParams) -> float:

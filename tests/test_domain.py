@@ -5,7 +5,8 @@ rate or price, or raise one of the documented numerical errors (CLI exit 3).
 The closed-form rates have no known failure left: the fixed-strike rate on
 K/S0 in [1e-3, 1e6] at every beta, and in [1e-300, 1e300] at beta = 1/2, and
 the floating rate on kappa in [1e-2, 1e2] must always return, and so must the
-floating prices up to kappa = 1e308 unless their forward overflows a double.
+equivalent vols built on them on the same ranges, and the floating prices up
+to kappa = 1e308 unless their forward overflows a double.
 The inputs that once failed stay in the sweep as explicit examples.
 """
 
@@ -18,6 +19,7 @@ from cevasian import (ConvergenceError, ModelParams, OptionSpec, RootBracketErro
                       price_fixed, price_floating)
 from cevasian.cli import main
 from cevasian.float_strike import rate_float_sqrt
+from cevasian.pricing import equiv_lognormal_vol, equiv_normal_vol
 from cevasian.rate_cev import rate_cev
 
 def _log_uniform(lo, hi):
@@ -68,6 +70,27 @@ def test_rate_cev_at_beta_half_is_finite_over_the_domain(m):
 def test_rate_float_sqrt_is_finite_over_the_domain(kappa):
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     assert _outcome(lambda: rate_float_sqrt(kappa, params).value) is None
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(beta=st.floats(0.5, 1.0, exclude_max=True), m=_log_uniform(1e-3, 1e6),
+       S0=st.floats(0.5, 2.0))
+@example(beta=0.5001, m=1.3e-3, S0=1.0)
+@example(beta=0.5, m=EDGES[0], S0=1.0)
+@example(beta=0.99, m=EDGES[3], S0=1.0)
+def test_equiv_lognormal_vol_is_finite_or_a_documented_error(beta, m, S0):
+    params = ModelParams(S0=S0, sigma=0.5, beta=beta)
+    assert _outcome(lambda: equiv_lognormal_vol(m * S0, params)) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kappa=_log_uniform(1e-2, 1e2), S0=st.floats(0.5, 2.0))
+@example(kappa=0.01, S0=1.0)
+@example(kappa=EDGES[0], S0=1.0)
+@example(kappa=EDGES[3], S0=1.0)
+def test_equiv_normal_vol_at_beta_half_is_finite_over_the_domain(kappa, S0):
+    params = ModelParams(S0=S0, sigma=0.5, beta=0.5)
+    assert _outcome(lambda: equiv_normal_vol(kappa, params)) is None
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)

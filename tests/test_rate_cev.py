@@ -28,6 +28,7 @@ from cevasian.rate_cev import (
     rate_cev_small_strike,
     rate_cev_taylor,
     _root_equation,
+    _solve,
 )
 from oracles import bs_limit_rate, rate_cev_alt, rate_cev_mpmath, rate_sqrt_mpmath
 
@@ -42,6 +43,17 @@ taylor_bound = 0.01   # measured sup of |remainder| / |x|^5 at beta = 3/4 is ~0.
 # K/S0 = 3), over beta from 1/2 to 1 - 1e-9, where scipy's 2F1 far out on the
 # negative axis loses up to 2e-6, and K/S0 from 1e-300 to 1e300
 solve_rel = 5e-15
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The u of every evaluation of `rate_cev`'s root equation, in order."""
+    module = importlib.import_module("cevasian.rate_cev")
+    calls = []
+    real = module._root_equation
+    monkeypatch.setattr(module, "_root_equation",
+                        lambda u, target, beta: calls.append(u) or real(u, target, beta))
+    return calls
 
 
 def ab_plus_quad(x, beta):
@@ -143,6 +155,7 @@ def test_every_hypergeometric_argument_is_nonpositive(monkeypatch):
     branches = set()
     for beta in (0.6, 0.75, 0.9):
         for m in (1e-3, 0.3, 0.9, 1.1, 3.0, 1e3, 1e6):
+            module._solve.cache_clear()  # a memo hit would evaluate no 2F1
             branches.add(rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta)).branch)
     assert branches == {"put", "call"}
     assert args and max(args) <= 0.0
@@ -341,6 +354,7 @@ def test_each_rate_takes_few_evaluations(monkeypatch):
         params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
         for m in np.geomspace(0.5, 2.0, 41):
             calls.clear()
+            module._solve.cache_clear()  # a memo hit would count no evaluation
             res = rate_cev(float(m), params)
             assert res.diag.iterations == len(calls)
             counts.append(len(calls))
@@ -350,6 +364,7 @@ def test_each_rate_takes_few_evaluations(monkeypatch):
     for beta, m in ((0.5001, 1.3e-3), (0.501, 1e-4), (0.5, 1e-300), (0.5, 1e300),
                     (0.5 + 1e-9, 1e-300), (1.0 - 1e-9, 1e300), (math.nextafter(0.5, 1.0), 1.5e-308)):
         calls.clear()
+        module._solve.cache_clear()
         res = rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta))
         assert res.diag.iterations == len(calls) <= 12, (beta, m)
 
@@ -365,8 +380,21 @@ def test_call_start_near_beta_one_takes_few_evaluations(monkeypatch):
     beta = math.nextafter(1.0, 0.0)
     for m in (1.0003, 1.001, 1.01):
         calls.clear()
+        module._solve.cache_clear()
         res = rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta))
         assert res.diag.iterations == len(calls) <= 6, m
+        assert res.value == pytest.approx(float(rate_cev_mpmath(m, beta)) / 0.25, rel=mpmath_rel)
+
+
+@pytest.mark.parametrize("beta", [0.99, 0.999, 1.0 - 1e-9, 1.0 - 1e-15])
+def test_call_start_near_the_money_takes_few_evaluations(beta, evaluations):
+    # the deep-call asymptote's fixed point stops at x = 1.2 to 2.1 here, for
+    # roots at 1.00045 to 1.015; the near-money start is within a few 1e-5
+    for m in (1.0003, 1.001, 1.01):
+        evaluations.clear()
+        _solve.cache_clear()
+        res = rate_cev(m, ModelParams(S0=1.0, sigma=0.5, beta=beta))
+        assert res.diag.iterations == len(evaluations) <= 3, m
         assert res.value == pytest.approx(float(rate_cev_mpmath(m, beta)) / 0.25, rel=mpmath_rel)
 
 
@@ -402,3 +430,64 @@ def test_rate_beyond_the_doubles_is_a_documented_error():
         for m in (2e-308, 1e-300, 1e300) + ((9e307,) if beta > 0.5 + 1e-9 else ()):
             res = rate_cev(m, params)
             assert math.isfinite(res.value) and res.value > 0.0, (beta, m)
+
+
+# S0 a power of 2, so that K = m S0 and K/S0 = m are exact and every market
+# below shares one key of the memo
+MARKETS = ((1.0, 0.5), (0.5, 0.3), (2.0, 1.7), (4.0, 1e-3))
+MEMO_STRIKES = (1e-300, 1e-20, 1e-3, 0.3, 0.9999, 1.0001, 3.0, 1e6, 1e300)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.5 + 1e-9, 0.6, 0.75, 0.9, 0.99, 1.0 - 1e-9])
+def test_memo_results_equal_cold_solves(beta):
+    # every field, iterations included, is the same whether the (K/S0, beta)
+    # root was solved for this market, for another one, or not at all
+    for m in MEMO_STRIKES:
+        cold = []
+        for S0, sigma in MARKETS:
+            _solve.cache_clear()
+            cold.append(rate_cev(m * S0, ModelParams(S0=S0, sigma=sigma, beta=beta)))
+        _solve.cache_clear()
+        for _ in range(2):
+            warm = [rate_cev(m * S0, ModelParams(S0=S0, sigma=sigma, beta=beta))
+                    for S0, sigma in MARKETS]
+            assert warm == cold, (beta, m)
+        assert _solve.cache_info().misses == 1
+        assert {res.branch for res in cold} == {"put" if m < 1.0 else "call"}
+
+
+def test_memo_hit_makes_no_evaluation(evaluations):
+    _solve.cache_clear()
+    first = rate_cev(0.75, ModelParams(S0=1.0, sigma=0.4, beta=0.8))
+    assert len(evaluations) == first.diag.iterations > 0
+    evaluations.clear()
+    again = rate_cev(1.5, ModelParams(S0=2.0, sigma=0.9, beta=0.8))
+    assert evaluations == []
+    assert again.diag.iterations == first.diag.iterations
+    assert again.value == pytest.approx(
+        first.value * 0.16 / 0.81 * 2.0 ** 0.4, rel=1e-15)
+
+
+def test_memo_caches_no_error():
+    # the bracket check precedes the memo and the overflow follows it, so
+    # both raise on every repeat, and the solve behind an overflow still
+    # serves a market whose rate is a double
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
+    for _ in range(3):
+        for m in (1e-310, 1e308):
+            with pytest.raises(RootBracketError, match="not bracketed"):
+                rate_cev(m, params)
+    for _ in range(3):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            rate_cev(1.1e-308, ModelParams(S0=1.0, sigma=0.5, beta=0.99))
+    res = rate_cev(1.1e-308, ModelParams(S0=1.0, sigma=100.0, beta=0.99))
+    assert math.isfinite(res.value) and res.value > 0.0
+
+
+def test_memo_is_bounded():
+    _solve.cache_clear()
+    bound = _solve.cache_info().maxsize
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
+    for i in range(bound + 50):
+        rate_cev(10.0 + i * 1e-3, params)
+    assert _solve.cache_info().currsize == bound

@@ -6,6 +6,7 @@ package found on the same path as the tests.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +36,21 @@ def test_make_figures_writes_the_four_csvs(tmp_path):
              "fig4_vol_skew.csv")
     for name in names:
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_bench_layers_quick_writes_every_layer(tmp_path):
+    proc = _run("bench_layers.py", "--quick", "--label", "smoke", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert out["label"] == "smoke" and out["machine"]["cores"] >= 1
+    layers = out["layers"]
+    for branch in ("put", "call"):
+        for memo in ("cold", "warm"):
+            assert layers[f"rate_cev.{branch}.{memo}"]["us_per_call"] > 0.0
+    for name in ("specfun.hyp2f1", "float_strike.rate_float_sqrt", "pricing.price_fixed.cold",
+                 "pricing.price_fixed.warm", "varsolve.minimize_fixed", "varsolve.minimize_float"):
+        assert layers[name]["us_per_call"] > 0.0, name
+    assert layers["mc.simulate_asian"]["ns_per_path_step"] > 0.0
 
 
 def test_the_benchmarks_trace_hooks_resolve(monkeypatch):
