@@ -10,7 +10,8 @@ the machine, to ``BENCH_<label>.json``:
 * ``rate_cev`` on its put and call branches, with the memo of the
   scale-free root cold (cleared before every call) and warm (every call a
   hit);
-* ``rate_float_sqrt``, the closed-form floating-strike rate at beta = 1/2;
+* ``rate_float_cev`` on its put (kappa = 1.3) and call (kappa = 0.5)
+  branches at beta = 1/2 and 3/4, with its memo cold and warm;
 * ``price_fixed``, with the memo cold and warm;
 * one ``minimize_fixed`` and one ``minimize_float`` solve at n = 800;
 * Monte Carlo nanoseconds per path-step of ``simulate_asian``.
@@ -38,9 +39,10 @@ import sys
 import time
 
 from cevasian import (McConfig, ModelParams, OptionSpec, hyp2f1, minimize_fixed, minimize_float,
-                      price_fixed, rate_cev, rate_float_sqrt, simulate_asian)
+                      price_fixed, rate_cev, rate_float_cev, simulate_asian)
 
 rate_cev_module = importlib.import_module("cevasian.rate_cev")
+float_strike = importlib.import_module("cevasian.float_strike")
 
 
 def per_call(fn, calls, repeats):
@@ -56,10 +58,8 @@ def per_call(fn, calls, repeats):
     return statistics.median(runs), min(runs)
 
 
-def cold(fn):
+def cold(fn, clear=rate_cev_module._solve.cache_clear):
     """fn behind a cleared memo, so that every call solves its root."""
-    clear = rate_cev_module._solve.cache_clear
-
     def call():
         clear()
         return fn()
@@ -76,7 +76,12 @@ def layers(quick):
     for branch, K in (("put", 0.7), ("call", 1.6)):
         yield f"rate_cev.{branch}.cold", cold(lambda K=K: rate_cev(K, p)), n
         yield f"rate_cev.{branch}.warm", lambda K=K: rate_cev(K, p), n
-    yield "float_strike.rate_float_sqrt", lambda: rate_float_sqrt(1.3, half), n
+    for params in (half, p):
+        for branch, kappa in (("put", 1.3), ("call", 0.5)):
+            name = f"float_strike.rate_float_cev.beta{params.beta}.{branch}"
+            yield (f"{name}.cold", cold(lambda k=kappa, q=params: rate_float_cev(k, q),
+                                        float_strike._solve.cache_clear), n)
+            yield f"{name}.warm", lambda k=kappa, q=params: rate_float_cev(k, q), n
     yield "pricing.price_fixed.cold", cold(lambda: price_fixed(spec, p)), n
     yield "pricing.price_fixed.warm", lambda: price_fixed(spec, p), n
     solves = 2 if quick else 20

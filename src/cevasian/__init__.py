@@ -15,7 +15,7 @@ from .float_strike import (cumulant_float, jf_taylor, rate_float_cev,
 from .varsolve import PathGrid, action, minimize_fixed, minimize_float
 from .pricing import (OptionSpec, PricingResult, atm_price, average_forward, equiv_lognormal_vol,
                       equiv_normal_vol, equiv_vol, parity_gap, price_fixed, price_floating,
-                      price_from_rate, price_variational, rate_float)
+                      price_from_rate, price_variational)
 from .mc import McConfig, McEstimate, rate_from_mc, simulate_asian, simulate_floating
 from .bench import (BenchRow, Scenario, run_custom, run_floating, run_table1,
                     run_table2, to_csv)
@@ -31,7 +31,7 @@ __all__ = [
     "PathGrid", "action", "minimize_fixed", "minimize_float",
     "OptionSpec", "PricingResult", "atm_price", "average_forward",
     "equiv_lognormal_vol", "equiv_normal_vol", "equiv_vol", "parity_gap",
-    "price_fixed", "price_floating", "price_from_rate", "price_variational", "rate_float",
+    "price_fixed", "price_floating", "price_from_rate", "price_variational",
     "McConfig", "McEstimate", "rate_from_mc", "simulate_asian", "simulate_floating",
     "BenchRow", "Scenario", "run_custom", "run_floating", "run_table1",
     "run_table2", "to_csv",

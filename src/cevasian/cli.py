@@ -20,15 +20,14 @@ import numpy as np
 
 from .model import ModelParams, ConvergenceError, RootBracketError
 from . import bench as bench_mod
-from .float_strike import jf_taylor, rate_float_sqrt
+from .float_strike import jf_taylor, rate_float_cev, rate_float_sqrt
 from .mc import McConfig, simulate_asian, simulate_floating
 from .pricing import (OptionSpec, equiv_lognormal_vol, equiv_vol, price_fixed, price_floating,
-                      price_from_rate, price_variational, rate_float)
+                      price_from_rate, price_variational)
 from .rate_cev import rate_cev, rate_cev_taylor
 from .varsolve import CERTIFICATE, minimize_fixed
-# not called here (rate_cev, rate_float and `equiv_vol` on their results cover
-# them), but perfbench/worker.py traces the layers by patching these names
-from .float_strike import rate_float_cev  # noqa: F401
+# not called here (rate_cev, rate_float_cev and `equiv_vol` on their results
+# cover them), but perfbench/worker.py traces the layers by patching these names
 from .pricing import equiv_normal_vol  # noqa: F401
 from .rate_cev import rate_sqrt  # noqa: F401
 
@@ -188,14 +187,11 @@ def cmd_vol_curve(args) -> int:
 
 def cmd_float(args) -> int:
     params = _params(args)
-    res = rate_float(args.kappa, params)
+    res = rate_float_cev(args.kappa, params)
     vol = equiv_vol("floating", args.kappa, params, res)
-    out = {"kappa": args.kappa, "rate": res.value, "branch": res.branch,
-           "sigma_n": vol}
-    # the variational route's certificate (general beta) or the closed form's
-    # Newton solve (beta = 1/2)
-    out.update({k: getattr(res.diag, k) for k in CERTIFICATE + ("residual",)
-                if hasattr(res.diag, k)})
+    diag = res.diag
+    out = {"kappa": args.kappa, "rate": res.value, "branch": res.branch, "sigma_n": vol,
+           "u": diag.u, "v": diag.v, "residual": diag.residual, "iterations": diag.iterations}
     if args.maturity is not None:
         spec = OptionSpec("floating", args.side, args.kappa, args.maturity)
         pres = price_from_rate(spec, params, res)

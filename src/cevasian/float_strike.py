@@ -1,59 +1,50 @@
-"""Floating-strike Asian rate function.
+"""Floating-strike Asian rate function I_f(kappa) = rate_unit J_f for every
+beta in [1/2, 1), from two relations in 0 < v < u < 1 through
+A(x; p) = int_x^1 s^-p (1-s)^(-1/2) ds (`rate_cev._tail`):
 
-For beta = 1/2 the OTM rate has the closed form I_f(kappa, S0) =
-(S0/sigma^2) J_f(kappa) where J_f solves a one-dimensional transcendental
-system: a trigonometric one for kappa > 1 (OTM put) and a hyperbolic one for
-kappa < 1 (OTM call).  The limiting cumulant Lambda_f(theta) of
-(1/T) int S dt - kappa S_T is also provided, so J_f can be cross-checked
-against the Legendre-dual sup_theta { -Lambda_f(theta) }.
+* kappa > 1 (OTM put), p = beta, d = 1 - beta, h(x) = x^d sqrt(1-x):
+  F = A(v) - A(u) - h(u)/d - 2 h(v) = 0, kappa = 2 sqrt(1-v) v^-beta/dB with
+  dB = A(v) - A(u), and J_f = u^(2beta-2) dB (dB/2 + h(u) - h(v))/(3 - 2beta);
+* kappa < 1 (OTM call), p = 3/2 - beta, d = beta - 1/2, k(x) = x^-p sqrt(1-x):
+  G = A(u) + A(v) - 2 k(v) + k(u)/(1 - beta) = 0, kappa = v (SF + SH)/SF with
+  SF = A(u) + A(v), SH = sum over x in {u, v} of (k(x) - A(x)/2)/p, and
+  J_f = u^(2-2beta) SF SH/2.
 
-Each root z is found by safeguarded Newton (`model._newton`) in log z, on
-an equation whose derivative is elementary, from the root of its
-truncation at z^4 near the money (`_near_money_start`) or, for kappa below
-_KAPPA_NEAR, from 2 e^{-1/kappa} below the hyperbolic pole 1/kappa: 1 to 6
-evaluations over kappa from 0.04 to 1e308.  Both equations and J_f are
-written in excess terms (1 - sin y/y and its relatives, `_sinc_excess` and
-`_sinhc_excess`, summed from their series for small arguments), so that near
-the money, where their O(1) parts cancel to O(kappa - 1), they keep their
-relative accuracy.  Above _KAPPA_FLAT the kappa > 1 root, ~(3/kappa)^(1/4),
-is solved in w = z (kappa/3)^(1/4), so every finite kappa > 1 returns, with
-J_f -> 2; below _KAPPA_POLE the kappa < 1 root is its pole asymptote.
-
-For general beta there is no closed form; `rate_float_cev` delegates to the
-discretized variational solver.  Inside ATM_WINDOW both rates return `model`'s
-floating ATM series (branch "atm"): at general beta its leading term alone.
-
-Note on signs: the hyperbolic branch is
-J_f = 2z (tanh z - kappa z)/(1 - kappa z tanh z), which is the positive
-convex branch matching the Legendre dual (`rate_float_sqrt` evaluates it in
-a form that stays exact next to the pole kappa z tanh z = 1); and the tanh form of Lambda_f is
-evaluated as the rational continuation (tanh u - ku)/(1 - ku tanh u) with
-Lambda_f = +inf once 1 - ku tanh u <= 0 (the MGF genuinely diverges there).
+At beta = 1/2 they are the square-root model's trigonometric and hyperbolic
+root equations, z = (A(v) - A(u))/2 and z = (A(u) + A(v))/2.  `_solve` takes
+Newton steps in t = logit v and s = logit u - t with the elementary Jacobian
+of dA/dx = -x^-p (1-x)^(-1/2), forming everything from log x and log(1 - x):
+1 - u ~ c (1 - v)^3 next to the money, v of deep puts (1e-462 at
+kappa = 1.8e308) and u/v at the kappa < 1 pole end (1 at beta = 1/2, where
+v ~ 4 e^(-1/kappa)) keep their relative accuracy, and the terms that cancel
+are taken whole.  Inside ATM_WINDOW the rate is `model`'s ATM series.  The
+cumulant Lambda_f(theta) at beta = 1/2 is the Legendre-dual check,
+J_f = sup_theta -Lambda_f, its tanh form the rational continuation
+(tanh u - ku)/(1 - ku tanh u), +inf once 1 - ku tanh u <= 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from math import exp, expm1, log, log1p, sqrt
 
-from .model import (ATM_WINDOW, ModelParams, RateResult, RootBracketError, _newton,
-                    atm_floating, beta_is_half, rate_unit)
+from .model import (ATM_WINDOW, ConvergenceError, ModelParams, RateResult, RootBracketError,
+                    _EPS, _FLOOR, _newton, _require_sqrt_beta, atm_floating, rate_unit)
+from .rate_cev import _series, _tail
+from .specfun import _hyp2f1
 
-_KAPPA_POLE = 0.04  # below it the kappa < 1 root is taken from its pole asymptote
-_KAPPA_NEAR = 0.4   # above it the kappa < 1 root starts from `_near_money_start`
-_KAPPA_FLAT = 1e8   # above it the kappa > 1 root is solved with _eqw_flat
-_Z_POLE = 1.0       # from here up the hyperbolic forms are the pole-stable products
-_SLOPE_RATIOS = tuple(1.0 / (2 * n * (2 * n + 3)) for n in range(10, 0, -1))  # `_shc_slope`
-_EXCESS_RATIOS = tuple(1.0 / ((2 * n + 2) * (2 * n + 3)) for n in range(9, 0, -1))  # `_shc_excess`
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class FloatRateDiag:
-    """Solver internals: root variable z, branch, residual of the root
-    equation (relative to its O(1) terms) and its evaluations; both 0 at the
-    money and on the pole asymptote."""
+    """Solver internals: the root (u, v) (1 at the money, v 0.0 below the
+    doubles), branch, residual (`_solve`'s larger one) and evaluations."""
 
-    z_star: float
+    u: float
+    v: float
     branch: str  # "put" (kappa>1) | "call" (kappa<1) | "atm"
     residual: float = 0.0
     iterations: int = 0
@@ -61,40 +52,13 @@ class FloatRateDiag:
 
 @dataclass(frozen=True)
 class VariationalDiag:
-    """Certificate of the variational route (see varsolve.minimize_float and
-    minimize_fixed)."""
+    """Certificate of the variational route (`varsolve.minimize_float`, `minimize_fixed`)."""
 
     branch: str           # "put" (kappa > 1 or K < S0) | "call" (kappa < 1 or K > S0)
     iterations: int       # Newton steps over all continuation rungs
     kkt_residual: float   # Newton decrement per unit of action
     constraint_err: float
     rungs: int            # certified solves of the continuation ladder
-
-
-def _require_sqrt_beta(params: ModelParams) -> None:
-    if not beta_is_half(params.beta):
-        raise ValueError(f"square-root model requires beta = 1/2, got beta={params.beta}")
-
-
-def _shc_excess(s: float) -> float:
-    """sinh z/z - 1 at s = z^2, sin z/z - 1 at s = -z^2: the sum over n >= 1
-    of s^n/(2n + 1)!, to below 1e-21 relative for |s| <= 1 (ten terms)."""
-    acc = 1.0
-    for r in _EXCESS_RATIOS:
-        acc = 1.0 + s * r * acc
-    return s / 6.0 * acc
-
-
-def _sinc_excess(y: float) -> float:
-    """1 - sin(y)/y, from its series below y = 1 like `_sinhc_excess`."""
-    return -_shc_excess(-y * y) if y < 1.0 else 1.0 - math.sin(y) / y
-
-
-def _sinhc_excess(y: float, e: float) -> float:
-    """4 e^{-y} (sinh(y)/y - 1), given e = e^{-y}: from its series below y = 1,
-    where the difference cancels to O(y^2) (formed directly it would lose ~600x
-    at y = 0.1), and above in overflow-free form, which loses at most ~6x."""
-    return 4.0 * e * _shc_excess(y * y) if y < 1.0 else -2.0 * math.expm1(-2.0 * y) / y - 4.0 * e
 
 
 def solve_theta_c(kappa: float, params: ModelParams) -> float:
@@ -147,151 +111,190 @@ def cumulant_float(theta: float, kappa: float, params: ModelParams) -> float:
     return -(s / sig) * S0 * (th - kappa * u) / denom
 
 
-def _eqz_trig(z: float, kappa: float) -> tuple[float, float]:
-    """kappa > 1 root equation and its log-derivative z dF/dz:
-    F = 2(1 - k) + 2k sin^2 z - (1 - sin 2z/(2z))(1 - k^2 z^2), the raw
-    1 + k^2 z^2 + (1 - k^2 z^2) sin 2z/(2z) - 2k cos^2 z with its O(1) terms
-    cancelled, so that it keeps its relative accuracy near the money, where
-    every term is O(kappa - 1).  Negative at 0+, positive at pi/2."""
-    s2 = math.sin(z) ** 2
-    e = _sinc_excess(2.0 * z)
-    kz2 = (kappa * z) ** 2
-    h = 1.0 - kz2
-    return (2.0 * (1.0 - kappa) + 2.0 * kappa * s2 - e * h,
-            2.0 * kappa * z * math.sin(2.0 * z) - (2.0 * s2 - e) * h + 2.0 * kz2 * e)
+def _logit(t: float) -> tuple[float, float, float, float]:
+    """(log x, log(1 - x), x, 1 - x) at x = 1/(1 + e^-t), each to a few ulp."""
+    e = exp(-abs(t))
+    big, small, lb = 1.0 / (1.0 + e), e / (1.0 + e), -log1p(e)
+    return (lb, lb - t, big, small) if t > 0.0 else (lb + t, lb, small, big)
 
 
-def _eqw_flat(w: float, kappa: float) -> tuple[float, float]:
-    """kappa > 1 root equation at z = w (3/kappa)^(1/4), divided by 2 kappa, and
-    its log-derivative w dH/dw: H = w^4 S(2z) - cos^2 z + (1 + sin 2z/(2z))/(2 kappa),
-    where S(y) = 6 (1 - sin y/y)/y^2 is summed from its series; for
-    kappa >= _KAPPA_FLAT and w <= 2, y < 0.053 and the truncation is below
-    1e-17.  Negative at w = 0+ (1/kappa - 1), positive at w = 2 (16 S - cos^2 z > 15)."""
-    z = w * (3.0 / kappa) ** 0.25
-    y2 = 4.0 * z * z
-    series = 1.0 - y2 * (1.0 / 20.0 - y2 * (1.0 / 840.0 - y2 / 60480.0))
-    yds = -y2 * (1.0 / 10.0 - y2 * (1.0 / 210.0 - y2 / 10080.0))  # y dS/dy
-    sinc = math.sin(2.0 * z) / (2.0 * z)
-    w4 = w ** 4
-    return (w4 * series - math.cos(z) ** 2 + (1.0 + sinc) / (2.0 * kappa),
-            w4 * (4.0 * series + yds) + z * math.sin(2.0 * z)
-            + (math.cos(2.0 * z) - sinc) / (2.0 * kappa))
+def _excess(lx: float, d: float, w: float, A: float | None = None) -> float:
+    """A(x; 1 - d) - 2 x^d sqrt(w), w = 1 - x: (2/3)(1 + 2d) w^(3/2) 2F1(1 - d, 3/2;
+    5/2; w) for w <= 1/2, where both terms tend to 2 sqrt(w), else from A."""
+    if w <= 0.5:
+        return (2.0 / 3.0) * (1.0 + 2.0 * d) * w * sqrt(w) * _hyp2f1(1.0 - d, 1.5, 2.5, w)
+    if A is None:
+        A = _tail(lx, d)[0]
+    return A - 2.0 * exp(d * lx) * sqrt(w)
 
 
-def _eqz_hyp(z: float, kappa: float) -> tuple[float, float]:
-    """kappa < 1 root equation, exp(-2z)-scaled, and its log-derivative z dE/dz.
-
-    The raw equation 1 - c^2 + (1 + c^2) sinh 2z/(2z) - 2k cosh^2 z, c = kappa z,
-    is 2 (1 - k) - 2k sinh^2 z + (sinh 2z/(2z) - 1)(1 + c^2); times 2 e^{-2z}
-    that is E = 4 (1 - k) e^{-2z} - k (1 - e^{-2z})^2 + (1 + c^2) X/2, X the
-    `_sinhc_excess` of 2z, which keeps its relative accuracy near
-    the money, where every term is O(1 - kappa).  From z = _Z_POLE up, with
-    t = tanh(z/2), it is 2 e^{-2z} (1 - c^2) + (1 - e^{-4z}) (t - c)(1 - ct)/(2zt):
-    products only, so it stays exact next to the tanh pole, where t - c and
-    1 - ct are ~e^{-z}.  Positive at 0+ (4 (1 - kappa)), negative at z = 1/kappa.
-    """
-    c = kappa * z
-    e2 = math.exp(-2.0 * z)
-    if z < _Z_POLE:
-        m = math.expm1(-2.0 * z)
-        x = _sinhc_excess(2.0 * z, e2)
-        return (4.0 * (1.0 - kappa) * e2 - kappa * m * m + 0.5 * (1.0 + c * c) * x,
-                4.0 * z * e2 * (kappa * m - 2.0 * (1.0 - kappa))
-                + (m * m - (0.5 + z) * x) * (1.0 + c * c) + c * c * x)
-    t = math.tanh(0.5 * z)
-    m = -math.expm1(-4.0 * z)
-    p = (t - c) * (1.0 - c * t)
-    zt = 0.5 * z * (1.0 - t * t)  # z dt/dz
-    zdp = (zt - c) * (1.0 - c * t) - (t - c) * c * (t + zt)
-    return (2.0 * e2 * (1.0 - c * c) + m * p / (2.0 * z * t),
-            -4.0 * e2 * (z * (1.0 - c * c) + c * c)
-            + (4.0 * z * e2 * e2 * p + m * zdp - m * p * (1.0 + zt / t)) / (2.0 * z * t))
-
-
-def _shc_slope(s: float) -> float:
-    """z d/dz (sinh z / z) = cosh z - sinh z/z at s = z^2, and
-    cos z - sin z/z at s = -z^2: the sum over n >= 1 of 2n s^n/(2n + 1)!.
-    Ten terms leave a truncation below 1e-17 relative for |s| <= (pi/2)^2."""
-    acc = 1.0
-    for r in _SLOPE_RATIOS:
-        acc = 1.0 + s * r * acc
-    return s / 3.0 * acc
+def _put_system(t: float, s: float, beta: float, lk: float):
+    """kappa > 1 at v = 1/(1 + e^-t), u = 1/(1 + e^-(t+s)): (F, K, F_t, F_s, K_t,
+    K_s, F's scale, J_f, u, v), K = log kappa(u, v) - log kappa; F is Q(v) - A(u) -
+    h(u)/d, Q = A - 2h (`_excess`), for u > 1/2, else D(u) - H(v) - 2h(v) with the
+    heads H(x) = x^d/d 2F1(d, 1/2; 1 + d; x) and D = H - h/d (a 2F1 of x^(1+d))."""
+    d = 1.0 - beta
+    lv, lwv, v, wv = _logit(t)
+    lu, lwu, u, _ = _logit(t + s)
+    hv, hu = exp(d * lv + 0.5 * lwv), exp(d * lu + 0.5 * lwu)
+    if u > 0.5:
+        Au, Qv = _tail(lu, d)[0], _excess(lv, d, wv)
+        F = Qv - Au - hu / d
+        dB = Qv + 2.0 * hv - Au
+        C = 0.5 * (Qv - Au) + hu  # dB/2 + h(u) - h(v), u's terms ~ Qv
+        K = -lv - log1p((Qv - Au) / (2.0 * hv)) - lk
+    else:
+        Du = ((1.0 + 2.0 * d) / (2.0 * d * (1.0 + d)) * exp((1.0 + d) * lu)
+              * _hyp2f1(1.0 + d, 0.5, 2.0 + d, u))
+        Hv = exp(d * lv) / d * _hyp2f1(d, 0.5, 1.0 + d, v)
+        F = Du - Hv - 2.0 * hv
+        dB = Du + hu / d - Hv
+        C = 0.5 * dB + hu - hv
+        K = _LOG2 + 0.5 * lwv - beta * lv - log(dB) - lk
+    # partials in logit v (at fixed u) and logit u
+    Fv, Fu = -(1.0 + 2.0 * d) * hv * wv, (1.0 + 0.5 / d) * hu * u
+    Kv, Ku = hv / dB - 0.5 * v - beta * wv, -hu / dB
+    jf = exp(-2.0 * d * lu) * dB * C / (3.0 - 2.0 * beta)
+    return F, K, Fv + Fu, Fu, Kv + Ku, Ku, Fu - Fv, jf, u, v
 
 
-def _near_money_start(kappa: float) -> float:
-    """z of the root of either equation truncated at z^4: s = +-z^2 (+ for
-    kappa > 1) solves 2(1 - k) + (2k - 2/3) s + (2/15 + 2k(k - 1)/3) s^2 = 0,
-    the root s ~ 3/2 (kappa - 1) nearest 0 (real for kappa > _KAPPA_NEAR)."""
-    a = 2.0 / 15.0 + 2.0 * kappa * (kappa - 1.0) / 3.0
-    b = 2.0 * kappa - 2.0 / 3.0
-    c = 2.0 * (kappa - 1.0)
-    return math.sqrt(abs(2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c))))
+def _call_system(t: float, s: float, beta: float, lk: float):
+    """kappa < 1, as `_put_system`.  At G = 0, SH = 2k(v) - SF and the kappa
+    relation is kappa SF = 2 v^d sqrt(1-v), the form solved here; G and SH are
+    taken times v^p, which keeps them finite as v -> 0, and SF - 2 sqrt(1-v)
+    through Q (`_excess`) next to the money.  K's t-partial is formed along
+    s = const, where u/v barely moves at the pole end, so it keeps its size
+    ~1/|log v|."""
+    p, d = 1.5 - beta, beta - 0.5
+    lv, lwv, v, wv = _logit(t)
+    lu, lwu, u, wu = _logit(t + s)
+    rho = s + lwu - lwv  # log(u/v)
+    vp = exp(p * lv)
+    Au, Av = _tail(lu, d)[0], _tail(lv, d)[0]
+    SF, kv = Au + Av, sqrt(wv)
+    ku, hu, hv = exp(0.5 * lwu - p * rho), exp(d * lu + 0.5 * lwu), exp(d * lv + 0.5 * lwv)
+    Qv = _excess(lv, d, wv, Av)
+    Ev = Qv + 2.0 * kv * expm1(d * lv) + Au  # SF - 2 sqrt(1-v)
+    G = vp * (Qv + Au) - 2.0 * kv * wv + ku / (1.0 - beta)
+    K = d * lv - log1p(Ev / (2.0 * kv)) - lk
+    Ht = -vp * Ev - 2.0 * kv * expm1(p * lv)  # v^p SH
+    # partials in logit v (at fixed u) and logit u; G's t-partial adds v^p's, p (1-v) G
+    Gv, Gu = (3.0 - 2.0 * beta) * wv * kv, ku * ((d - 1.0) * wu - 0.5 * u) / (1.0 - beta) - vp * hu
+    Kv, Ku = d * wv - 0.5 * v + hv / SF, hu / SF
+    jf = 0.5 * exp((1.0 - 2.0 * d) * rho - d * lv) * SF * Ht
+    return G, K, Gv + Gu + p * wv * G, Gu, Kv + Ku, Ku, Gv - Gu, jf, u, v
 
 
-def _solve(eq, kappa: float, sign: float, start: float, hi: float, what: str):
-    """Root v in (1e-9, hi) of eq(v, kappa) = 0, with sign * eq rising through
-    it, by `model._newton` in log v from start.  Neither end is taken on
-    trust: either is evaluated when the iteration reaches it, and
-    RootBracketError if eq has no sign change.  Returns (v, eq(v), evaluations)."""
-    def f(u: float):
-        value, slope = eq(math.exp(u), kappa)
-        return sign * value, sign * slope, None
+def _start(kappa: float, lk: float, beta: float) -> tuple[float, float]:
+    """(t, s) of the root within a few percent.  Near the money, t from the
+    system's expansion at u = v = 1 (logit kappa^(-+3/2) plus a cubic in log
+    kappa, its linear term 3/10 (beta - 5/6) alone beyond |log kappa| = 3/2),
+    and sqrt(1-u) (c0 + c1 (1-u)) = Q(v) (puts) or 2k(v) - A(v) (calls).
+    Beyond, deep puts' log u = (log 2d + beta/d log(2 + 2d) - log kappa)/
+    (beta (1 + d)/d + d) with v^d = u^(1+d)/(2 + 2d), and calls'
+    v^d = kappa (1 + d c)/(d + kappa (1 + r^d)/2), c = B(d, 1/2) - 1/d
+    (4 e^(-1/kappa) at d = 0), with k(u)/k(v) = (2 - 2beta)(1 - A(v)/k(v)),
+    whose limit is u/v = r = (2 - 2beta)^(-1/p)."""
+    if kappa > 1.0:
+        d = 1.0 - beta
+        lu = (log(2.0 * d) + beta / d * log(2.0 + 2.0 * d) - lk) / (beta * (1.0 + d) / d + d)
+        if lu < -2.0:
+            lv = ((1.0 + d) * lu - log(2.0 + 2.0 * d)) / d
+            t = lv - log1p(-exp(lv))
+            return t, lu - log1p(-exp(lu)) - t
+        c0, c1 = 2.0 + 1.0 / d, 2.0 * beta / 3.0 - 1.0
+        tau = ((587.0 - d * (1584.0 + 4428.0 * d)) / 16800.0,
+               (8.0 + d * (17.0 + d * (27.0 + 298.0 * d))) / 1400.0)
+    else:
+        p, d = 1.5 - beta, beta - 0.5
+        rho = -log(2.0 - 2.0 * beta) / p
+        pole = (2.0 * _LOG2 - 1.0 / kappa if d == 0.0 else
+                (log1p(d * _series(d)[0]) - log1p(d / kappa + 0.5 * expm1(d * rho))) / d)
+        if pole < 1.5 * lk and kappa * (1.0 + exp(d * rho)) < 1.0:
+            if not math.isfinite(pole):
+                raise RootBracketError(f"log v of the root leaves the doubles at kappa={kappa}")
+            t = pole - log1p(-exp(pole))
+            lv, lwv, _, _ = _logit(t)
+            return t, rho - log(max(1.0 - _tail(lv, d)[0] * exp(p * lv - 0.5 * lwv), 0.05)) / p
+        c0, c1 = 2.0 + 1.0 / (1.0 - beta), p * (2.0 / 3.0 + 1.0 / (1.0 - beta))
+        tau = ((302.0 - d * (387.0 + 1107.0 * d)) / 4200.0,
+               (d * (1219.0 - d * (2244.0 - 596.0 * d)) - 155.0) / 2800.0)
+    lv, x = -1.5 * abs(lk), lk if abs(lk) < 1.5 else 0.0  # where the cubic helps
+    t = lv - log1p(-exp(lv)) + lk * (0.3 * (beta - 5.0 / 6.0) + x * (tau[0] + x * tau[1]))
+    lv, _, _, wv = _logit(t)
+    q = _excess(lv, d, wv)
+    if kappa < 1.0:  # 2 k(v) - A(v)
+        q = 2.0 * exp((d - 1.0) * lv) * wv * sqrt(wv) - q
+    swu = min(q / (c0 + c1 * (q / c0) ** 2), 0.7)  # sqrt(1-u)
+    return t, log1p(-swu * swu) - 2.0 * log(swu) - t
 
-    lo, hi = math.log(1e-9), math.log(hi)
-    try:
-        u, fu, _, n = _newton(f, min(max(math.log(start), lo), hi), lo, hi, False, False)
-    except RootBracketError:
-        raise RootBracketError(f"{what} has no sign change on (1e-9, {math.exp(hi)})") from None
-    return math.exp(u), sign * fu, n
+
+@functools.lru_cache(maxsize=4096)
+def _solve(kappa: float, beta: float) -> tuple[float, float, float, float, int]:
+    """(J_f, u, v, residual, evaluations) at kappa outside ATM_WINDOW, kept
+    for the last 4096 (kappa, beta), by Newton's method in (t, s) from
+    `_start`, halving a step until the residuals' squares fall (the first
+    relation's over its scale, K's over |log kappa|) and keeping
+    v < min(kappa, 1/kappa), as every root does, and, for puts, s > 0.  It
+    stops at residuals or a step at rounding level, or at a step below _FLOOR
+    that stops shrinking; RootBracketError where no step lowers them."""
+    put, lk = kappa > 1.0, log(kappa)
+    system = _put_system if put else _call_system
+    t_max = -abs(lk) - log(-expm1(-abs(lk)))  # logit min(kappa, 1/kappa)
+    a = 1.0 / abs(lk)
+    t, s = _start(kappa, lk, beta)
+    f, k, ft, fs, kt, ks, scale, jf, u, v = system(t, s, beta, lk)
+    m, prev, n = (f / scale) ** 2 + (k * a) ** 2, math.inf, 1
+    while m > _EPS * _EPS:
+        det = ft * ks - fs * kt
+        if not det or not math.isfinite(det):
+            raise RootBracketError(f"no root of the floating-strike system near t={t}, s={s}")
+        dt, ds = (f * ks - k * fs) / det, (k * ft - f * kt) / det
+        size = max(abs(dt) / (abs(t) + 1.0), abs(ds) / (abs(s) + 1.0))
+        if size <= 4.0 * _EPS or _FLOOR > size > 0.5 * prev:
+            break
+        lam = 1.0
+        while True:
+            nt, ns = t - lam * dt, s - lam * ds
+            if nt < t_max and (ns > 0.0 or not put):
+                try:
+                    out = system(nt, ns, beta, lk)
+                    n += 1
+                    m2 = (out[0] / out[6]) ** 2 + (out[1] * a) ** 2
+                    if m2 < m or size * lam < _FLOOR:
+                        break
+                except (ValueError, OverflowError, ZeroDivisionError, ConvergenceError):
+                    pass
+            lam *= 0.5
+            if lam < 1e-3:
+                raise RootBracketError(f"no root of the floating-strike system near t={t}, s={s}")
+        if n >= 100:
+            raise ConvergenceError(f"the floating-strike solve did not converge at kappa={kappa}")
+        prev, t, s, m = size * lam, nt, ns, m2
+        f, k, ft, fs, kt, ks, scale, jf, u, v = out
+    return jf, u, v, max(abs(f / scale), abs(k * a)), n
+
+
+def rate_float_cev(kappa: float, params: ModelParams) -> RateResult:
+    """Floating-strike rate I_f(kappa) = rate_unit J_f for beta in [1/2, 1),
+    with its solve's diag; ConvergenceError beyond the largest double."""
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    lk = math.log(kappa)
+    if abs(lk) < ATM_WINDOW:
+        return _atm_rate(kappa, params)
+    jf, u, v, residual, n = _solve(kappa, params.beta)
+    value = rate_unit(params) * jf
+    if math.isinf(value):
+        raise ConvergenceError(f"the floating-strike rate at kappa={kappa} overflows a double")
+    return RateResult(value, FloatRateDiag(u, v, "put" if kappa > 1.0 else "call", residual, n))
 
 
 def rate_float_sqrt(kappa: float, params: ModelParams) -> RateResult:
-    """Floating-strike rate (S0/sigma^2) J_f(kappa) for beta = 1/2."""
+    """Floating-strike rate (S0/sigma^2) J_f(kappa) for beta = 1/2:
+    `rate_float_cev` behind the beta check."""
     _require_sqrt_beta(params)
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if abs(math.log(kappa)) < ATM_WINDOW:
-        return _atm_rate(kappa, params)
-    unit = params.S0 / params.sigma ** 2
-    if kappa > 1.0:
-        if kappa < _KAPPA_FLAT:
-            z, f, n = _solve(_eqz_trig, kappa, 1.0, _near_money_start(kappa), 0.5 * math.pi,
-                             "the trigonometric z-equation")
-            f /= 2.0 * kappa
-        else:
-            c = (3.0 / kappa) ** 0.25
-            w, f, n = _solve(_eqw_flat, kappa, 1.0, 1.0, 2.0,
-                             "the scaled trigonometric z-equation")
-            z = c * w
-        # J_f = 2z (kz - tan z)/(1 + kz tan z), kz - tan z = (k - 1) z - (tan z - z)
-        jf = (2.0 * z * z * ((kappa - 1.0) + _shc_slope(-z * z) / math.cos(z))
-              / (1.0 + kappa * z * math.tan(z)))
-        return RateResult(unit * jf, FloatRateDiag(z, "put", abs(f), n))
-    if kappa < _KAPPA_POLE:
-        # the root sits 2 e^{-1/kappa} (relative) below z = 1/kappa, which
-        # doubles stop resolving near kappa = 0.027; the asymptote's
-        # remainder, O(e^{-2/kappa}/kappa), is below 1e-17 here
-        z = 1.0 / kappa
-        if math.isinf(z):
-            raise RootBracketError(f"the hyperbolic root 1/kappa overflows for kappa={kappa}")
-        jf = 2.0 * z * (1.0 - 4.0 * math.exp(-z))
-        return RateResult(unit * jf, FloatRateDiag(z, "call"))
-    start = (_near_money_start(kappa) if kappa > _KAPPA_NEAR
-             else (1.0 - 2.0 * math.exp(-1.0 / kappa)) / kappa)
-    z, f, n = _solve(_eqz_hyp, kappa, -1.0, start, 1.0 / kappa, "the hyperbolic z-equation")
-    c = kappa * z
-    if z < _Z_POLE:
-        # J_f = 2z (tanh z - c)/(1 - c tanh z), tanh z - c = (1 - k) z - (z - tanh z)
-        jf = (2.0 * z * z * ((1.0 - kappa) - _shc_slope(z * z) / math.cosh(z))
-              / (1.0 - c * math.tanh(z)))
-    else:
-        # with tanh z = 2t/(1 + t^2), in 1 - c and (1 - t)^2 so that it stays
-        # exact near the pole
-        e = math.exp(-z)
-        p = 2.0 * math.tanh(0.5 * z) * (1.0 - c)
-        q = (2.0 * e / (1.0 + e)) ** 2
-        jf = 2.0 * z * (p - c * q) / (p + q)
-    return RateResult(unit * jf, FloatRateDiag(z, "call", abs(f) / 4.0, n))
+    return rate_float_cev(kappa, params)
 
 
 def jf_taylor(kappa: float) -> float:
@@ -305,18 +308,4 @@ def _atm_rate(kappa: float, params: ModelParams) -> RateResult:
     """The floating ATM series rate_unit log^2 kappa atm_floating(log kappa)."""
     lk = math.log(kappa)
     return RateResult(rate_unit(params) * lk * lk * atm_floating(lk, params.beta),
-                      FloatRateDiag(0.0, "atm"))
-
-
-def rate_float_cev(kappa: float, params: ModelParams) -> RateResult:
-    """Floating-strike rate for general beta via the variational solver, and
-    the ATM series inside ATM_WINDOW."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if abs(math.log(kappa)) < ATM_WINDOW:
-        return _atm_rate(kappa, params)
-    from .varsolve import CERTIFICATE, minimize_float
-
-    value, info = minimize_float(kappa, params, full_output=True)
-    branch = "put" if kappa > 1.0 else "call"
-    return RateResult(value, VariationalDiag(branch, **{k: info[k] for k in CERTIFICATE}))
+                      FloatRateDiag(1.0, 1.0, "atm"))

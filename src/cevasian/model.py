@@ -7,10 +7,10 @@ the branch that produced the value.
 
 Inside ATM_WINDOW every rate route and both equivalent vols read the ATM
 series written here once each: I = rate_unit x^2 P(x), x = log(K/S0)
-(`atm_fixed`) or log kappa (`atm_floating`, leading term only at beta != 1/2).
-`_newton` is the root solve of every closed form (the fixed-strike rate,
-the floating-strike rate at beta = 1/2 and its cumulant's boundary), and
-`_exp` the overflow-checked exponential of the discount factors.
+(`atm_fixed`) or log kappa (`atm_floating`), both to x^4 at every beta.
+`_newton` is the one-dimensional root solve of the fixed-strike rate and of
+the floating cumulant's boundary, and `_exp` the overflow-checked
+exponential of the discount factors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
-BETA_TOL = 1.0e-7    # how far beta may sit from 1/2 for the floating beta = 1/2 forms and rate_sqrt
+BETA_TOL = 1.0e-7    # how far beta may sit from 1/2 for the square-root model's names
 ATM_WINDOW = 1.0e-5  # |log-moneyness| below which rates and vols use their ATM series
 _C2 = 1.5            # log-moneyness^2 coefficient of both ATM series
 _EPS = 2.0 ** -52    # the spacing of doubles at 1
@@ -123,9 +123,15 @@ def _exp(x: float, what: str) -> float:
 
 
 def beta_is_half(beta: float) -> bool:
-    """Whether beta is close enough to 1/2 for the square-root floating-strike
-    closed forms (the fixed-strike rate needs no such dispatch)."""
+    """Whether beta is close enough to 1/2 for the square-root model's names
+    (`rate_sqrt`, `rate_float_sqrt`, the floating cumulant); no route
+    dispatches on it."""
     return abs(beta - 0.5) <= BETA_TOL
+
+
+def _require_sqrt_beta(params: ModelParams) -> None:
+    if not beta_is_half(params.beta):
+        raise ValueError(f"square-root model requires beta = 1/2, got beta={params.beta}")
 
 
 def rate_unit(params: ModelParams) -> float:
@@ -143,10 +149,11 @@ def atm_fixed(x: float, beta: float) -> float:
 
 
 def atm_floating(x: float, beta: float) -> float:
-    """P(x) = c2 + c3 x + c4 x^2 of the floating-strike ATM series
-    I_f = rate_unit x^2 P(x), x = log kappa; c3 and c4 are known at beta = 1/2
-    only, so at general beta P is the leading c2."""
-    c3, c4 = (-33.0 / 20.0, 5809.0 / 5600.0) if beta_is_half(beta) else (0.0, 0.0)
+    """P(x) = c2 + c3(beta) x + c4(beta) x^2 of the floating-strike ATM series
+    I_f = rate_unit x^2 P(x), x = log kappa (-33/20 and 5809/5600 at beta = 1/2)."""
+    u = 1.0 - beta
+    c3 = (-3.0 - 27.0 * u) / 10.0
+    c4 = (109.0 + u * (1107.0 + 3159.0 * u)) / 1400.0
     return _C2 + x * (c3 + x * c4)
 
 

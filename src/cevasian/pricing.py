@@ -1,13 +1,16 @@
 """Short-maturity asymptotic option prices built on the rate functions.
 
-`price_from_rate` prices every route's `RateResult`.  Fixed-strike Asian
-calls/puts take a Black-type formula on the forward of the average, with the
-equivalent log-normal volatility Sigma_LN^2 = ln^2(K/S0) / (2 I(K));
-floating-strike options a Bachelier formula with the equivalent normal
-volatility Sigma_N^2 = S0^2 (kappa - 1)^2 / (2 I_f(kappa)).  At the money
-both are 0/0; for a rate of branch "atm" `equiv_vol` cancels the x^2 of
-`model`'s ATM series against the numerator (levels sigma S0^(beta-1)/sqrt(3),
-sigma S0^beta/sqrt(3)).  Each price's note names the route of its vol.
+`price_from_rate` prices every route's `RateResult`: `rate_cev`'s for fixed
+strikes and `rate_float_cev`'s for floating ones, at every beta, or, in
+`price_variational`, the variational solver's certified minimum.  Fixed-
+strike Asian calls/puts take a Black-type formula on the forward of the
+average, with the equivalent log-normal volatility Sigma_LN^2 =
+ln^2(K/S0) / (2 I(K)); floating-strike options a Bachelier formula with the
+equivalent normal volatility Sigma_N^2 = S0^2 (kappa - 1)^2 / (2 I_f(kappa)).
+At the money both are 0/0; for a rate of branch "atm" `equiv_vol` cancels
+the x^2 of `model`'s ATM series against the numerator (levels
+sigma S0^(beta-1)/sqrt(3), sigma S0^beta/sqrt(3)).  Each price's note names
+the route of its vol.
 
 Floating-strike payoff convention: call = (kappa S_T - A_T)^+,
 put = (A_T - kappa S_T)^+, where A_T is the arithmetic average.
@@ -19,12 +22,13 @@ import math
 from dataclasses import dataclass
 
 from .model import (ATM_WINDOW, ConvergenceError, ModelParams, RateResult, _exp, atm_fixed,
-                    atm_floating, beta_is_half)
+                    atm_floating)
 from .specfun import norm_cdf, norm_pdf
 from .rate_cev import rate_cev
-from .float_strike import VariationalDiag, rate_float_sqrt, rate_float_cev
-# not called here (rate_cev covers beta = 1/2), but perfbench/worker.py
-# traces the rate layers by patching this module name
+from .float_strike import VariationalDiag, rate_float_cev
+# not called here (rate_cev and rate_float_cev cover beta = 1/2), but
+# perfbench/worker.py traces the rate layers by patching these module names
+from .float_strike import rate_float_sqrt  # noqa: F401
 from .rate_cev import rate_sqrt  # noqa: F401
 
 
@@ -81,14 +85,6 @@ def average_forward(params: ModelParams, T: float) -> float:
     return A
 
 
-def rate_float(kappa: float, params: ModelParams) -> RateResult:
-    """Floating-strike rate by the route for ``params.beta``: the closed form
-    at beta = 1/2, the variational solver otherwise."""
-    if beta_is_half(params.beta):
-        return rate_float_sqrt(kappa, params)
-    return rate_float_cev(kappa, params)
-
-
 def equiv_vol(style: str, strike: float, params: ModelParams, rate: RateResult) -> float:
     """Equivalent vol num / sqrt(2 I) of the rate I at the strike: log-normal
     for style "fixed" (x = log(K/S0), num = |x|), normal for "floating"
@@ -125,7 +121,7 @@ def equiv_lognormal_vol(K: float, params: ModelParams) -> float:
 
 def equiv_normal_vol(kappa: float, params: ModelParams) -> float:
     """Equivalent normal (Bachelier) volatility for the floating-strike payoff."""
-    return equiv_vol("floating", kappa, params, rate_float(kappa, params))
+    return equiv_vol("floating", kappa, params, rate_float_cev(kappa, params))
 
 
 def price_from_rate(spec: OptionSpec, params: ModelParams, rate: RateResult) -> PricingResult:
@@ -171,23 +167,23 @@ def price_floating(spec: OptionSpec, params: ModelParams) -> PricingResult:
     """Asymptotic floating-strike Asian price (Bachelier formula)."""
     if spec.style != "floating":
         raise ValueError(f"price_floating needs a floating-strike spec, got style {spec.style!r}")
-    return price_from_rate(spec, params, rate_float(spec.strike, params))
+    return price_from_rate(spec, params, rate_float_cev(spec.strike, params))
 
 
 def price_variational(spec: OptionSpec, params: ModelParams) -> PricingResult:
-    """Asymptotic price with the rate from the variational solver: for a
-    floating strike `rate_float_cev`'s, for a fixed one the certified minimum
-    of `minimize_fixed`, which inside ATM_WINDOW is never solved for."""
-    K = spec.strike
-    if spec.style == "floating":
-        rate = rate_float_cev(K, params)
-    elif abs(math.log(K / params.S0)) < ATM_WINDOW:
-        rate = rate_cev(K, params)  # every fixed-strike route's ATM series
+    """Asymptotic price with the rate from the variational solver: the
+    certified minimum of `minimize_fixed` or `minimize_float`, which inside
+    ATM_WINDOW is never solved for."""
+    K, floating = spec.strike, spec.style == "floating"
+    if abs(math.log(K if floating else K / params.S0)) < ATM_WINDOW:
+        # every route's ATM series
+        rate = rate_float_cev(K, params) if floating else rate_cev(K, params)
     else:
-        from .varsolve import CERTIFICATE, minimize_fixed
+        from .varsolve import CERTIFICATE, minimize_fixed, minimize_float
 
-        value, info = minimize_fixed(K, params, full_output=True)
-        branch = "call" if K > params.S0 else "put"
+        solve = minimize_float if floating else minimize_fixed
+        value, info = solve(K, params, full_output=True)
+        branch = "put" if (K > 1.0 if floating else K < params.S0) else "call"
         rate = RateResult(value, VariationalDiag(branch, **{k: info[k] for k in CERTIFICATE}))
     return price_from_rate(spec, params, rate)
 

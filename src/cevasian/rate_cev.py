@@ -38,9 +38,8 @@ from dataclasses import dataclass
 
 from scipy.special import cython_special, zeta
 
-from .float_strike import _require_sqrt_beta
 from .model import (_EPS, _LOG_MAX, ATM_WINDOW, ConvergenceError, ModelParams, RateResult,
-                    RootBracketError, _newton, rate_cev_taylor, rate_unit)
+                    RootBracketError, _newton, _require_sqrt_beta, rate_cev_taylor, rate_unit)
 from .specfun import hyp2f1
 
 _betainc = cython_special.betainc["double"]
@@ -87,6 +86,29 @@ def _series(d: float) -> tuple[float, float, tuple[float, ...]]:
     return c, B, tuple(math.comb(2 * n, n) / 4.0 ** n / (n + d) for n in range(14, 0, -1))
 
 
+def _tail(v: float, d: float) -> tuple[float, float, float, float]:
+    """(A, w, y, y^d) at y = e^v <= 1, w = 1 - y: A = A(y; 1 - d), 0 <= d <= 1/2.
+    Below y = 1/16, A = c(d) - expm1(d v)/d - y^d sum_n (1/2)_n y^n/(n! (n + d)),
+    whose expm1 term is the pair that cancels as d -> 0 in 2F1's 1/z
+    connection formula; the sum stops where y^n < 2e-17 (A > 2.6).  Above,
+    A = B(d, 1/2) I_w(1/2, d); at d = 0 and 1/2, 2 artanh sqrt(w), 2 arccos sqrt(y)."""
+    w, y = -math.expm1(v), math.exp(v)
+    # y^d as a power of y: d v would round by ~|v| ulp, which the rate
+    # would carry at first order
+    yd = y ** d if v > -708.0 else math.exp(d * v)
+    if d == 0.0:
+        return 2.0 * math.log1p(math.sqrt(w)) - v, w, y, yd
+    if d == 0.5:
+        return 2.0 * math.atan2(math.sqrt(w), yd), w, y, yd
+    if w <= 1.0 - _Y_SERIES:
+        return _series(d)[1] * _betainc(0.5, d, w), w, y, yd
+    c, _, coefs = _series(d)
+    acc = 0.0
+    for coef in coefs[-int(38.4 / -v):]:
+        acc = acc * y + coef
+    return c - math.expm1(d * v) / d - yd * y * acc, w, y, yd
+
+
 def _root_equation(u: float, target: float, beta: float):
     """f = (x - K/S0 +- b/a)/(K/S0) at x = e^u (+ put, u < 0; - call), df/du
     and the factors (A, q, y^d, gap): A = A(y; p) of a, q = b+/a+ (put) or
@@ -96,15 +118,11 @@ def _root_equation(u: float, target: float, beta: float):
     there (`oracles.rate_cev_alt`), so the root's own error enters it at
     second order.
 
-    Below y = 1/16, A = c(d) - expm1(d v)/d - y^d sum_n (1/2)_n y^n/(n! (n + d)),
-    whose expm1 term is the pair that cancels as d -> 0 in 2F1's 1/z
-    connection formula; the sum stops where y^n < 2e-17 (A > 2.6).  Above,
-    A = B(d, 1/2) I_w(1/2, d), w = 1 - y.  At beta = 1/2, A is 2 artanh sqrt(w)
-    for puts (d = 0) and 2 arccos sqrt(y) for calls (d = 1/2).  The identity
-    for b gives q = (2 sqrt(w) y^d/A - y)/(3 - 2 beta) for puts and
-    (1 - 2 sqrt(w) y^d/A)/(3 - 2 beta) for calls; within _U_NEAR of the money,
-    where that cancels, b is its own 2F1 at z = 1 - 1/y: b+ = 2/3 x^-beta
-    w^(3/2) 2F1(beta, 3/2; 5/2; z), b- = 2/3 (x w)^(3/2) 2F1(beta, 1; 5/2; z).
+    A comes from `_tail`.  The identity for b gives q = (2 sqrt(w) y^d/A - y)/
+    (3 - 2 beta) for puts and (1 - 2 sqrt(w) y^d/A)/(3 - 2 beta) for calls;
+    within _U_NEAR of the money, where that cancels, b is its own 2F1 at
+    z = 1 - 1/y: b+ = 2/3 x^-beta w^(3/2) 2F1(beta, 3/2; 5/2; z),
+    b- = 2/3 (x w)^(3/2) 2F1(beta, 1; 5/2; z).
 
     b' = -+a/2 and x a' = (1/2 - beta) a -+ |1-x|^(-1/2) make the slope of
     x + q, q = +-b/a, elementary: x/2 + (beta - 1/2) q + |q|/(a sqrt|1-x|).
@@ -114,22 +132,7 @@ def _root_equation(u: float, target: float, beta: float):
     the scaled form x/(K/S0) (gap - b/(a x)), which holds beyond the doubles."""
     v = -abs(u)
     d = beta - 0.5 if u < 0.0 else 1.0 - beta
-    w, y = -math.expm1(v), math.exp(v)
-    # y^d as a power of y: d v would round by ~|v| ulp, which the rate
-    # would carry at first order
-    yd = y ** d if v > -708.0 else math.exp(d * v)
-    if d == 0.0:
-        A = 2.0 * math.log1p(math.sqrt(w)) - v
-    elif d == 0.5:
-        A = 2.0 * math.atan2(math.sqrt(w), yd)
-    elif w <= 1.0 - _Y_SERIES:
-        A = _series(d)[1] * _betainc(0.5, d, w)
-    else:
-        c, _, coefs = _series(d)
-        acc = 0.0
-        for coef in coefs[-int(38.4 / -v):]:
-            acc = acc * y + coef
-        A = c - math.expm1(d * v) / d - yd * y * acc
+    A, w, y, yd = _tail(v, d)
     sw = math.sqrt(w)
     e = beta - 0.5
     if u < 0.0:

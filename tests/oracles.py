@@ -8,8 +8,10 @@ from its own transcendental equations, the general-beta rate is recomputed
 as a one-dimensional infimum over the same a, b building blocks without
 root solving, the variational minimum is extrapolated in the grid size,
 the 2F1 triples of beta = 1/2 are evaluated through their arcsin/arctan
-forms, and the fixed-strike root (beta = 1/2 and general beta) and the
-floating call rate are solved in many-digit arithmetic.
+forms, the fixed-strike root (beta = 1/2 and general beta), the floating
+call rate and the general-beta floating-strike system are solved in
+many-digit arithmetic, and the incomplete beta integral A(y; p) of both
+systems is integrated by quadrature.
 """
 
 import math
@@ -19,10 +21,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
-from cevasian.float_strike import cumulant_float, solve_theta_c
+from cevasian.float_strike import _start, cumulant_float, solve_theta_c
 from cevasian.model import RateResult, RootBracketError
 from cevasian.rate_cev import CevRateDiag, ab_minus, ab_plus
-from cevasian.varsolve import minimize_fixed
+from cevasian.varsolve import minimize_fixed, minimize_float
 
 
 def sup_on_grid(f, lo, hi, n=4000):
@@ -164,6 +166,89 @@ def rate_sqrt_mpmath(m, dps=60):
         return float(r * r * ((1 - e * e) / r - 4 * e) / (1 + e) ** 2)
 
 
+def a_quadrature(x, p, dps=30):
+    """A(x; p) = int_x^1 s^-p (1-s)^(-1/2) ds by tanh-sinh quadrature in
+    `dps` digits, in the variable r = sqrt(1 - s), which removes the square
+    root's singularity: 2 int_0^sqrt(1-x) (1 - r^2)^-p dr."""
+    with mpmath.workdps(dps):
+        x, p = mpmath.mpf(x), mpmath.mpf(p)
+        return mpmath.quad(lambda r: 2 * (1 - r * r) ** -p, [0, mpmath.sqrt(1 - x)])
+
+
+def float_system_mpmath(kappa, beta, dps=30):
+    """(J_f, u, v) of the floating-strike system (see `cevasian.float_strike`)
+    in units of S0^(2-2beta)/sigma^2, for kappa != 1, solved in `dps` digits.
+
+    Newton's method with difference quotients in t = logit v and
+    s = logit u - t, started from the library's asymptotic start; A is
+    mpmath's incomplete beta integral, and every relation is formed as
+    written, with enough guard digits for its cancellations: the put
+    relation's A(v) - A(u) ~ u^(1-beta) of deep puts and the call relation's
+    k(v) ~ v^(beta-3/2) at the pole end."""
+    t0, s0 = _start(kappa, math.log(kappa), beta)
+    guard = int(max(abs(t0), abs(t0 + s0)) / 2.3) + 10
+    with mpmath.workdps(dps + guard):
+        b, lk = mpmath.mpf(beta), mpmath.log(mpmath.mpf(kappa))
+        put = kappa > 1
+        p = b if put else mpmath.mpf(3) / 2 - b
+        d = 1 - p
+        half = mpmath.mpf(1) / 2
+
+        def A(x):
+            if p == 1:
+                return 2 * mpmath.atanh(mpmath.sqrt(1 - x))
+            if x > 0.25:
+                return mpmath.betainc(half, d, 0, 1 - x)
+            # B(d, 1/2) - x^d sum_n (1/2)_n x^n/(n! (n + d)): mpmath's betainc
+            # keeps only ~130 digits at 1 - x within 1e-400 of 1
+            total, term, n = 0, mpmath.mpf(1), 0
+            while abs(term) > mpmath.eps * abs(total) or n == 0:
+                total += term / (n + d)
+                term *= (n + half) * x / (n + 1)
+                n += 1
+            return mpmath.beta(d, half) - x ** d * total
+
+        def system(t, s):
+            v, u = 1 / (1 + mpmath.exp(-t)), 1 / (1 + mpmath.exp(-(t + s)))
+            Au, Av = A(u), A(v)
+            if put:
+                h = lambda x: x ** d * mpmath.sqrt(1 - x)  # noqa: E731
+                dB = Av - Au
+                rel = (dB - h(u) / d - 2 * h(v)) / (h(u) / d)
+                jf = u ** (2 * b - 2) * dB * (dB / 2 + h(u) - h(v)) / (3 - 2 * b)
+                return rel, mpmath.log(2 * mpmath.sqrt(1 - v) * v ** -b / dB) - lk, jf, u, v
+            k = lambda x: x ** -p * mpmath.sqrt(1 - x)  # noqa: E731
+            SF = Au + Av
+            SH = (k(u) + k(v) - SF / 2) / p
+            rel = (SF - 2 * k(v) + k(u) / (1 - b)) / k(v)
+            return rel, mpmath.log(v * (SF + SH) / SF) - lk, u ** (2 - 2 * b) * SF * SH / 2, u, v
+
+        t, s = mpmath.mpf(t0), mpmath.mpf(s0)
+        step = mpmath.mpf(10) ** -((dps + guard) // 2)
+        for _ in range(60):
+            f, g = system(t, s)[:2]
+            ft, gt = system(t + step, s)[:2]
+            fs, gs = system(t, s + step)[:2]
+            a, c, e, h = (ft - f) / step, (fs - f) / step, (gt - g) / step, (gs - g) / step
+            det = a * h - c * e
+            dt, ds = (f * h - g * c) / det, (g * a - f * e) / det
+            lam = 1
+            while lam > 1e-3:  # damped while the step would leave 0 < v < 1
+                try:
+                    nt, ns = t - lam * dt, s - lam * ds
+                    system(nt, ns)
+                    break
+                except (ValueError, ZeroDivisionError):
+                    lam /= 2
+            t, s = nt, ns
+            if lam * (abs(dt) + abs(ds)) < mpmath.mpf(10) ** (-dps - 3) * (1 + abs(t) + abs(s)):
+                break
+        else:
+            raise RuntimeError(f"float_system_mpmath did not converge at kappa={kappa}")
+        jf, u, v = system(t, s)[2:]
+        return float(jf), float(u), float(v)
+
+
 def rate_cev_mpmath(m, beta, dps=30):
     """General-beta fixed-strike rate in units of S0^(2-2beta)/sigma^2 at
     K/S0 = m != 1, re-solved in `dps` digits.
@@ -289,6 +374,12 @@ def richardson_fixed(K, params):
     """Richardson extrapolation (4 I_1600 - I_800)/3 of the variational
     minimum I_n, whose discretization error is O(1/n^2)."""
     return (4.0 * minimize_fixed(K, params, n=1600) - minimize_fixed(K, params, n=800)) / 3.0
+
+
+def richardson_float(kappa, params):
+    """The floating-strike twin of `richardson_fixed`."""
+    return (4.0 * minimize_float(kappa, params, n=1600)
+            - minimize_float(kappa, params, n=800)) / 3.0
 
 
 def _elem_arcsin(z):

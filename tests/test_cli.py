@@ -12,6 +12,7 @@ from cevasian.bench import BenchRow, Scenario
 from cevasian.cli import main
 from cevasian.pricing import equiv_vol
 from cevasian.rate_cev import rate_cev, rate_sqrt
+from cevasian.varsolve import minimize_float
 
 
 def test_price_human_readable(capsys):
@@ -65,8 +66,7 @@ def test_price_variational_engine_reports_the_same_fields(style, capsys):
     (["--beta", "0.5", "--style", "floating", "--strike", "1.3"], ""),
     (["--beta", "0.5", "--style", "floating", "--strike", "1.3", "--engine", "varsolve"],
      "rate from variational solver"),
-    (["--beta", "0.75", "--style", "floating", "--strike", "1.3"],
-     "rate from variational solver"),
+    (["--beta", "0.75", "--style", "floating", "--strike", "1.3"], ""),
     (["--beta", "0.75", "--style", "floating", "--strike", "1.000001"],
      "vol from at-the-money series"),
     # the solver stalls this close to the money, so it must never be asked
@@ -119,28 +119,33 @@ def test_rate_variational_engine_reports_its_certificate(capsys):
 
 
 def test_float_json_reports_the_variational_certificate(capsys):
-    args = ["float", "--sigma", "0.5", "--kappa", "0.05", "--maturity", "1", "--json"]
-    assert main(args + ["--beta", "0.75"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["rungs"] > 1  # small kappa climbs the continuation ladder
-    assert 0.0 <= out["kkt_residual"] <= 1e-12
-    assert abs(out["constraint_err"]) <= 1e-12 and out["iterations"] >= out["rungs"]
-    # the closed form at beta = 1/2 runs no variational solver
-    assert main(args[:3] + ["--kappa", "0.5", "--maturity", "1", "--json",
-                            "--beta", "0.5"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert not {"rungs", "kkt_residual", "constraint_err"} & out.keys()
+    # the variational solver's certificate stays on minimize_float ...
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
+    value, info = minimize_float(0.05, params, full_output=True)
+    assert info["rungs"] > 1  # small kappa climbs the continuation ladder
+    assert 0.0 <= info["kkt_residual"] <= 1e-12
+    assert abs(info["constraint_err"]) <= 1e-12 and info["iterations"] >= info["rungs"]
+    # ... while `cevasian float` reports the closed route's solve at every beta
+    for beta in ("0.75", "0.5"):
+        assert main(["float", "--sigma", "0.5", "--kappa", "0.05", "--maturity", "1", "--json",
+                     "--beta", beta]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert not {"rungs", "kkt_residual", "constraint_err"} & out.keys()
+        assert out["branch"] == "call" and 0.0 < out["v"] < out["u"] < 1.0
+        assert 1 <= out["iterations"] <= 10 and 0.0 <= out["residual"] < 1e-13
+        if beta == "0.75":  # n = 800 carries the grid's O(1/n^2) error, 3.3e-5 here
+            assert out["rate"] == pytest.approx(value, rel=1e-4)
 
 
 @pytest.mark.parametrize("kappa, branch", [("0.5", "call"), ("1.3", "put"), ("1e200", "put"),
                                            ("0.01", "call"), ("1.000001", "atm")])
 def test_float_json_reports_the_newton_solve_at_beta_half(capsys, kappa, branch):
     # the root solve of the closed form: its evaluations and residual, both 0
-    # where no equation is solved (the ATM series, the pole asymptote)
+    # where no equation is solved (the ATM series)
     assert main(["float", "--sigma", "0.5", "--beta", "0.5", "--kappa", kappa, "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["branch"] == branch
-    if kappa in ("0.01", "1.000001"):
+    if kappa == "1.000001":
         assert out["iterations"] == 0 and out["residual"] == 0.0
     else:
         assert 1 <= out["iterations"] <= 10 and 0.0 <= out["residual"] < 1e-13
@@ -273,7 +278,8 @@ def test_exit_code_two_on_bad_model(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["rate", "--engine", "varsolve", "--strike", "5e-4"],
-    ["float", "--kappa", "5e-4"],
+    ["price", "--style", "floating", "--engine", "varsolve", "--strike", "5e-4",
+     "--maturity", "1"],
 ])
 def test_exit_code_two_on_an_infeasible_variational_target(argv, capsys):
     rc = main(argv + ["--sigma", "0.5", "--beta", "0.75"])
@@ -309,6 +315,7 @@ def test_rate_far_out_of_the_money_call_exits_zero(capsys):
 
 
 def test_float_solves_the_variational_problem_once(monkeypatch, capsys):
+    # once for `price --engine varsolve`, never for `cevasian float`
     import cevasian.varsolve as varsolve
 
     calls = []
@@ -323,9 +330,31 @@ def test_float_solves_the_variational_problem_once(monkeypatch, capsys):
                "--kappa", "1.5", "--maturity", "1", "--json"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert len(calls) == 1
+    assert calls == []
     assert out["sigma_n"] == pytest.approx(0.5 / math.sqrt(2.0 * out["rate"]), rel=1e-14)
+    assert out["note"] == ""
+    rc = main(["price", "--style", "floating", "--engine", "varsolve", "--sigma", "0.5",
+               "--beta", "0.75", "--r", "0.03", "--strike", "1.5", "--maturity", "1", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert len(calls) == 1
     assert out["note"] == "rate from variational solver"
+
+
+def test_floating_varsolve_engine_checks_the_closed_route(capsys):
+    # the variational engine stays an independent check of rate_float_cev
+    args = ["price", "--style", "floating", "--sigma", "0.5", "--beta", "0.75",
+            "--strike", "1.3", "--maturity", "0.5"]
+    assert main(args) == 0
+    closed = capsys.readouterr().out
+    assert main(args + ["--engine", "varsolve"]) == 0
+    out = capsys.readouterr().out
+    assert "note: rate from variational solver" in out
+    assert "note:" not in closed
+    assert main(args + ["--json"]) == 0
+    ref = json.loads(capsys.readouterr().out)["price"]
+    assert main(args + ["--engine", "varsolve", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["price"] == pytest.approx(ref, rel=1e-5)
 
 
 @pytest.mark.parametrize("beta", ["0.5", "0.75"])

@@ -4,9 +4,9 @@ Over the documented domain every call must return a finite, non-negative
 rate or price, or raise one of the documented numerical errors (CLI exit 3).
 The closed-form rates have no known failure left: the fixed-strike rate on
 K/S0 in [1e-3, 1e6] at every beta, and in [1e-300, 1e300] at beta = 1/2, and
-the floating rate on kappa in [1e-2, 1e2] must always return, and so must the
-equivalent vols built on them on the same ranges, and the floating prices up
-to kappa = 1e308 unless their forward overflows a double.
+the floating rate on kappa in [1e-300, 1e308] at every beta must always
+return, and so must the equivalent vols built on them, and the floating
+prices up to kappa = 1e308 unless their forward overflows a double.
 The inputs that once failed stay in the sweep as explicit examples.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from cevasian import (ConvergenceError, ModelParams, OptionSpec, RootBracketError,
                       price_fixed, price_floating)
 from cevasian.cli import main
-from cevasian.float_strike import rate_float_sqrt
+from cevasian.float_strike import rate_float_cev, rate_float_sqrt
 from cevasian.pricing import equiv_lognormal_vol, equiv_normal_vol
 from cevasian.rate_cev import rate_cev
 
@@ -73,6 +73,20 @@ def test_rate_float_sqrt_is_finite_over_the_domain(kappa):
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
+@given(beta=st.floats(0.5, 1.0, exclude_max=True), kappa=_log_uniform(1e-300, 1e308))
+@example(beta=0.5, kappa=1e-300)
+@example(beta=0.5 + 1e-12, kappa=1e-300)
+@example(beta=1.0 - 1e-15, kappa=1e-300)
+@example(beta=0.51, kappa=1.7976931348623157e308)
+@example(beta=1.0 - 1e-15, kappa=1.7976931348623157e308)
+@example(beta=0.75, kappa=EDGES[0])
+@example(beta=0.99, kappa=EDGES[3])
+def test_rate_float_cev_is_finite_over_the_domain(beta, kappa):
+    params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
+    assert _outcome(lambda: rate_float_cev(kappa, params).value) is None
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(beta=st.floats(0.5, 1.0, exclude_max=True), m=_log_uniform(1e-3, 1e6),
        S0=st.floats(0.5, 2.0))
 @example(beta=0.5001, m=1.3e-3, S0=1.0)
@@ -90,6 +104,17 @@ def test_equiv_lognormal_vol_is_finite_or_a_documented_error(beta, m, S0):
 @example(kappa=EDGES[3], S0=1.0)
 def test_equiv_normal_vol_at_beta_half_is_finite_over_the_domain(kappa, S0):
     params = ModelParams(S0=S0, sigma=0.5, beta=0.5)
+    assert _outcome(lambda: equiv_normal_vol(kappa, params)) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(beta=st.floats(0.5, 1.0, exclude_max=True), kappa=_log_uniform(1e-300, 1e300),
+       S0=st.floats(0.5, 2.0))
+@example(beta=0.5001, kappa=1e-300, S0=2.0)
+@example(beta=0.6, kappa=EDGES[1], S0=1.0)
+@example(beta=0.9, kappa=EDGES[2], S0=1.0)
+def test_equiv_normal_vol_is_finite_over_the_domain(beta, kappa, S0):
+    params = ModelParams(S0=S0, sigma=0.5, beta=beta)
     assert _outcome(lambda: equiv_normal_vol(kappa, params)) is None
 
 
@@ -121,6 +146,23 @@ def test_price_floating_at_beta_half_is_finite_over_the_domain(kappa, T, side, S
     # the price returns wherever kappa S0 e^{rT}, which bounds the forward and
     # S0 |kappa - 1|, is a double; beyond, ConvergenceError
     params = ModelParams(S0=S0, sigma=0.5, beta=0.5, r=0.02)
+    spec = OptionSpec("floating", side, kappa, T)
+    failed = _outcome(lambda: price_floating(spec, params).price)
+    overflow = math.isinf(kappa * S0 * math.exp(0.02 * T))
+    assert failed is (ConvergenceError if overflow else None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(beta=st.floats(0.5, 1.0, exclude_max=True), kappa=_log_uniform(1e-2, 1e308),
+       T=_log_uniform(1e-4, 10.0), side=st.sampled_from(["call", "put"]),
+       S0=st.floats(0.5, 2.0))
+@example(beta=0.75, kappa=EDGES[0], T=1e-4, side="call", S0=1.0)
+@example(beta=0.6, kappa=EDGES[3], T=1.0, side="put", S0=1.0)
+@example(beta=0.99, kappa=1.7e308, T=1.0, side="call", S0=2.0)
+@example(beta=0.51, kappa=1.7e308, T=1.0, side="put", S0=0.5)
+def test_price_floating_is_finite_over_the_domain(beta, kappa, T, side, S0):
+    # as at beta = 1/2: ConvergenceError exactly where kappa S0 e^{rT} overflows
+    params = ModelParams(S0=S0, sigma=0.5, beta=beta, r=0.02)
     spec = OptionSpec("floating", side, kappa, T)
     failed = _outcome(lambda: price_floating(spec, params).price)
     overflow = math.isinf(kappa * S0 * math.exp(0.02 * T))

@@ -20,7 +20,8 @@ from cevasian import (
     parity_gap,
     price_fixed,
     price_floating,
-    rate_float,
+    price_variational,
+    rate_float_cev,
 )
 from cevasian.rate_cev import rate_cev
 from cevasian.rate_cev import rate_sqrt
@@ -154,10 +155,10 @@ def test_normal_vol_level_and_continuity():
 @pytest.mark.parametrize("beta", [0.5, 0.6, 0.75, 0.9, 0.99])
 def test_vols_are_continuous_across_the_atm_window_edge(beta):
     # the ATM series inside |x| < 1e-5, the rate outside.  Measured worst:
-    # 1.0e-11 (fixed), 2.1e-11 (floating at beta = 1/2) and, where the
-    # floating series is its leading term alone, 1.3e-6 to 4.8e-6
+    # 1.0e-11 (fixed) and 2.1e-11 (floating); before the floating series had
+    # its x^3 and x^4 terms at every beta, 1.3e-6 to 4.8e-6 at beta != 1/2
     p = ModelParams(S0=1.3, sigma=0.5, beta=beta)
-    float_tol = 1e-10 if beta == 0.5 else 5e-6
+    float_tol = 1e-10
     for x in (1e-5, -1e-5):
         inside, outside = math.exp(x * (1.0 - 1e-9)), math.exp(x * (1.0 + 1e-9))
         ln_in, ln_out = equiv_lognormal_vol(1.3 * inside, p), equiv_lognormal_vol(1.3 * outside, p)
@@ -176,17 +177,22 @@ def test_atm_vols_and_rates_read_one_series(beta):
         x = math.log(1.3 * m / 1.3)
         lhs = 2.0 * equiv_lognormal_vol(1.3 * m, p) ** 2 * rate_cev(1.3 * m, p).value
         assert lhs == pytest.approx(x * x, rel=1e-14, abs=0.0)
-        res = rate_float(m, p)
+        res = rate_float_cev(m, p)
         assert res.branch == "atm"
         lhs = 2.0 * equiv_normal_vol(m, p) ** 2 * res.value
         assert lhs == pytest.approx((1.3 * (m - 1.0)) ** 2, rel=1e-14, abs=0.0)
 
 
 def test_floating_prices_are_positive_and_noted():
+    # the closed route at every beta; the variational solver only when asked
     p = ModelParams(S0=1.0, sigma=0.7, beta=0.8)
-    res = price_floating(OptionSpec("floating", "put", 1.2, 0.1), p)
+    spec = OptionSpec("floating", "put", 1.2, 0.1)
+    res = price_floating(spec, p)
     assert res.price > 0.0
-    assert res.note == "rate from variational solver"
+    assert res.note == ""
+    check = price_variational(spec, p)
+    assert check.note == "rate from variational solver"
+    assert check.price == pytest.approx(res.price, rel=1e-5)
 
 
 def test_option_spec_validation():

@@ -47,7 +47,10 @@ def test_bench_layers_quick_writes_every_layer(tmp_path):
     for branch in ("put", "call"):
         for memo in ("cold", "warm"):
             assert layers[f"rate_cev.{branch}.{memo}"]["us_per_call"] > 0.0
-    for name in ("specfun.hyp2f1", "float_strike.rate_float_sqrt", "pricing.price_fixed.cold",
+            for beta in ("0.5", "0.75"):
+                name = f"float_strike.rate_float_cev.beta{beta}.{branch}.{memo}"
+                assert layers[name]["us_per_call"] > 0.0, name
+    for name in ("specfun.hyp2f1", "pricing.price_fixed.cold",
                  "pricing.price_fixed.warm", "varsolve.minimize_fixed", "varsolve.minimize_float"):
         assert layers[name]["us_per_call"] > 0.0, name
     assert layers["mc.simulate_asian"]["ns_per_path_step"] > 0.0
