@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -22,10 +23,9 @@ from .model import ModelParams, ConvergenceError, RootBracketError
 from . import bench as bench_mod
 from .float_strike import jf_taylor, rate_float_cev, rate_float_sqrt
 from .mc import McConfig, simulate_asian, simulate_floating
-from .pricing import (OptionSpec, equiv_lognormal_vol, equiv_vol, price_fixed, price_floating,
-                      price_from_rate, price_variational)
+from .pricing import (OptionSpec, VariationalDiag, equiv_lognormal_vol, equiv_vol, price_fixed,
+                      price_floating, price_from_rate, price_variational, rate_variational)
 from .rate_cev import rate_cev, rate_cev_taylor
-from .varsolve import CERTIFICATE, minimize_fixed
 # not called here (rate_cev, rate_float_cev and `equiv_vol` on their results
 # cover them), but perfbench/worker.py traces the layers by patching these names
 from .pricing import equiv_normal_vol  # noqa: F401
@@ -140,21 +140,18 @@ def cmd_price(args) -> int:
 
 def cmd_rate(args) -> int:
     params = _params(args)
-    if args.engine == "varsolve":
-        value, info = minimize_fixed(args.strike, params, full_output=True)
-        out = {"rate": value, "engine": "varsolve", **{k: info[k] for k in CERTIFICATE}}
-        branch = None
-    else:
-        res = rate_cev(args.strike, params)
-        branch = res.branch
-        out = {"rate": res.value, "engine": "closed", "branch": branch,
-               "iterations": res.diag.iterations, "residual": res.diag.residual}
+    res = (rate_variational("fixed", args.strike, params) if args.engine == "varsolve"
+           else rate_cev(args.strike, params))
+    diag = res.diag
+    # the route's solve: varsolve's certificate (repeating the branch) or the root's
+    solve = (dataclasses.asdict(diag) if isinstance(diag, VariationalDiag) else
+             {"iterations": diag.iterations, "residual": diag.residual})
+    out = {"rate": res.value, "engine": args.engine, "branch": res.branch, **solve}
     if args.json:
         print(json.dumps(out))
     else:
         print(f"rate {out['rate']:.6f}")
-        if branch is not None:
-            print(f"branch {branch}")
+        print(f"branch {out['branch']}")
     return 0
 
 

@@ -50,17 +50,6 @@ class FloatRateDiag:
     iterations: int = 0
 
 
-@dataclass(frozen=True)
-class VariationalDiag:
-    """Certificate of the variational route (`varsolve.minimize_float`, `minimize_fixed`)."""
-
-    branch: str           # "put" (kappa > 1 or K < S0) | "call" (kappa < 1 or K > S0)
-    iterations: int       # Newton steps over all continuation rungs
-    kkt_residual: float   # Newton decrement per unit of action
-    constraint_err: float
-    rungs: int            # certified solves of the continuation ladder
-
-
 def solve_theta_c(kappa: float, params: ModelParams) -> float:
     """Upper boundary theta_c of the finite domain of Lambda_f.
 

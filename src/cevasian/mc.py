@@ -111,34 +111,36 @@ def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
             return rng.standard_normal((chunks[c], m))
 
         drawer = ThreadPoolExecutor(max_workers=1)
-        try:
-            ahead = deque(drawer.submit(draw, c) for c in range(min(_CHUNKS_AHEAD, len(chunks))))
-            for c in range(len(chunks)):
-                zs = ahead.popleft().result()
-                if c + _CHUNKS_AHEAD < len(chunks):
-                    ahead.append(drawer.submit(draw, c + _CHUNKS_AHEAD))
-                for z in zs:
-                    # s += (mu s) dt + ((sig s^beta) dw) z, in that order;
-                    # np.sqrt is what s ** 0.5 computes, faster than np.power
-                    if beta == 0.5:
-                        np.sqrt(s, out=diff)
-                    else:
-                        np.power(s, beta, out=diff)
-                    diff *= sig
-                    diff *= dw
-                    diff *= z
-                    np.multiply(s, mu, out=drift)
-                    drift *= dt
-                    drift += diff
-                    s += drift
-                    np.maximum(s, 0.0, out=s)
-                    acc += s
-        finally:
-            drawer.shutdown(cancel_futures=True)
-        acc -= 0.5 * s  # the s_T end term counts half
-        pay = payoff(acc / steps, s)
-        pm = 0.5 * (pay[0] + pay[1])
-        with np.errstate(over="ignore"):  # an inf sum raises ConvergenceError below
+        # a path beyond the doubles turns inf or NaN: ConvergenceError below
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                ahead = deque(drawer.submit(draw, c)
+                              for c in range(min(_CHUNKS_AHEAD, len(chunks))))
+                for c in range(len(chunks)):
+                    zs = ahead.popleft().result()
+                    if c + _CHUNKS_AHEAD < len(chunks):
+                        ahead.append(drawer.submit(draw, c + _CHUNKS_AHEAD))
+                    for z in zs:
+                        # s += (mu s) dt + ((sig s^beta) dw) z, in that order;
+                        # np.sqrt is what s ** 0.5 computes, faster than np.power
+                        if beta == 0.5:
+                            np.sqrt(s, out=diff)
+                        else:
+                            np.power(s, beta, out=diff)
+                        diff *= sig
+                        diff *= dw
+                        diff *= z
+                        np.multiply(s, mu, out=drift)
+                        drift *= dt
+                        drift += diff
+                        s += drift
+                        np.maximum(s, 0.0, out=s)
+                        acc += s
+            finally:
+                drawer.shutdown(cancel_futures=True)
+            acc -= 0.5 * s  # the s_T end term counts half
+            pay = payoff(acc / steps, s)
+            pm = 0.5 * (pay[0] + pay[1])
             return float(np.sum(pm)), float(np.sum(pm * pm)), int(np.count_nonzero(s <= 0.0))
 
     with ThreadPoolExecutor(max_workers=_workers(n_blocks)) as ex:

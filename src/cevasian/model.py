@@ -65,21 +65,18 @@ class ModelParams:
             raise ValueError(f"beta must lie in [1/2, 1), got {self.beta}")
 
 
-def _newton(eq, t: float, lo: float, hi: float, lo_known: bool = True,
-            hi_known: bool = True) -> tuple[float, float, Any, int]:
+def _newton(eq, t: float, lo: float, hi: float) -> tuple[float, float, Any, int]:
     """Root of an increasing function by Newton's method from t, kept inside
-    the sign bracket lo < root < hi.
+    the proven sign bracket lo < root < hi.
 
     eq(t) returns (f, df/dt, data).  Every evaluation narrows the bracket, and
     a Newton step that leaves it, or fails to halve the step before, is
-    replaced by bisection.  An end whose sign is assumed rather than known
-    (lo_known/hi_known False) is evaluated only when an iterate would cross
-    it, or a bisection would move towards it; RootBracketError if f has the
-    wrong sign there, so a one-signed f cannot pass for a root.  The
-    iteration stops when the step falls below 4 ulp of max(|t|, 1), or when
-    it stops shrinking below _FLOOR of that, which is f's rounding noise.
-    t is a log variable in every caller, so these are relative tolerances on
-    the root.
+    replaced by bisection.  A start on an end of the bracket where f has the
+    wrong sign raises RootBracketError, so a one-signed f cannot pass for a
+    root.  The iteration stops when the step falls below 4 ulp of
+    max(|t|, 1), or when it stops shrinking below _FLOOR of that, which is
+    f's rounding noise.  t is a log variable in every caller, so these are
+    relative tolerances on the root.
 
     Returns (t, f, data, evaluations) of the last point evaluated, so the
     caller needs no further evaluation at the root.
@@ -90,9 +87,9 @@ def _newton(eq, t: float, lo: float, hi: float, lo_known: bool = True,
         if (f > 0.0 and t <= lo) or (f < 0.0 and t >= hi):
             raise RootBracketError(f"no sign change on [{lo}, {hi}]")
         if f < 0.0:
-            lo, lo_known = t, True
+            lo = t
         elif f > 0.0:
-            hi, hi_known = t, True
+            hi = t
         step = f / df if df > 0.0 else math.inf
         scale = max(abs(t), 1.0)
         if abs(step) <= 4.0 * _EPS * scale or hi - lo <= 4.0 * _EPS * scale:
@@ -100,17 +97,10 @@ def _newton(eq, t: float, lo: float, hi: float, lo_known: bool = True,
         if abs(step) > 0.5 * prev:
             if abs(step) <= _FLOOR * scale:
                 return t, f, data, n
-            # towards an assumed end, the step to infinity evaluates it
-            step = t - 0.5 * (lo + hi) if (lo_known if f > 0.0 else hi_known) \
-                else math.copysign(math.inf, f)
+            step = t - 0.5 * (lo + hi)
         new = t - step
         if not lo < new < hi:
-            if new <= lo and not lo_known:
-                new = lo
-            elif new >= hi and not hi_known:
-                new = hi
-            else:
-                new = 0.5 * (lo + hi)
+            new = 0.5 * (lo + hi)
         prev, t = abs(new - t), new
     raise ConvergenceError(f"Newton iteration did not converge on [{lo}, {hi}]")
 
@@ -135,8 +125,15 @@ def _require_sqrt_beta(params: ModelParams) -> None:
 
 
 def rate_unit(params: ModelParams) -> float:
-    """S0^(2-2beta)/sigma^2, the unit of the rate functions."""
-    return params.S0 ** (2.0 * (1.0 - params.beta)) / params.sigma ** 2
+    """S0^(2-2beta)/sigma^2, the unit of the rate functions; ConvergenceError
+    where it, or sigma^2, is not a positive normal double."""
+    try:
+        unit = params.S0 ** (2.0 * (1.0 - params.beta)) / params.sigma ** 2
+    except (OverflowError, ZeroDivisionError):  # sigma^2 beyond the doubles
+        unit = 0.0
+    if not sys.float_info.min <= unit < math.inf:
+        raise ConvergenceError("the rate unit S0^(2-2beta)/sigma^2 leaves the normal doubles")
+    return unit
 
 
 def atm_fixed(x: float, beta: float) -> float:

@@ -1,8 +1,8 @@
 """Short-maturity asymptotic option prices built on the rate functions.
 
 `price_from_rate` prices every route's `RateResult`: `rate_cev`'s for fixed
-strikes and `rate_float_cev`'s for floating ones, at every beta, or, in
-`price_variational`, the variational solver's certified minimum.  Fixed-
+strikes and `rate_float_cev`'s for floating ones, at every beta, or
+`rate_variational`'s, the variational solver's certified minimum.  Fixed-
 strike Asian calls/puts take a Black-type formula on the forward of the
 average, with the equivalent log-normal volatility Sigma_LN^2 =
 ln^2(K/S0) / (2 I(K)); floating-strike options a Bachelier formula with the
@@ -25,7 +25,7 @@ from .model import (ATM_WINDOW, ConvergenceError, ModelParams, RateResult, _exp,
                     atm_floating)
 from .specfun import norm_cdf, norm_pdf
 from .rate_cev import rate_cev
-from .float_strike import VariationalDiag, rate_float_cev
+from .float_strike import rate_float_cev
 # not called here (rate_cev and rate_float_cev cover beta = 1/2), but
 # perfbench/worker.py traces the rate layers by patching these module names
 from .float_strike import rate_float_sqrt  # noqa: F401
@@ -58,6 +58,17 @@ class OptionSpec:
             raise ValueError(f"strike must be positive, got {self.strike}")
         if not self.maturity > 0:
             raise ValueError(f"maturity must be positive, got {self.maturity}")
+
+
+@dataclass(frozen=True)
+class VariationalDiag:
+    """Certificate of a rate from the variational route (`rate_variational`)."""
+
+    branch: str           # "put" (kappa > 1 or K < S0) | "call" (kappa < 1 or K > S0)
+    iterations: int       # Newton steps over all continuation rungs
+    kkt_residual: float   # Newton decrement per unit of action
+    constraint_err: float
+    rungs: int            # certified solves of the continuation ladder
 
 
 @dataclass(frozen=True)
@@ -170,22 +181,27 @@ def price_floating(spec: OptionSpec, params: ModelParams) -> PricingResult:
     return price_from_rate(spec, params, rate_float_cev(spec.strike, params))
 
 
-def price_variational(spec: OptionSpec, params: ModelParams) -> PricingResult:
-    """Asymptotic price with the rate from the variational solver: the
-    certified minimum of `minimize_fixed` or `minimize_float`, which inside
-    ATM_WINDOW is never solved for."""
-    K, floating = spec.strike, spec.style == "floating"
-    if abs(math.log(K if floating else K / params.S0)) < ATM_WINDOW:
-        # every route's ATM series
-        rate = rate_float_cev(K, params) if floating else rate_cev(K, params)
-    else:
-        from .varsolve import CERTIFICATE, minimize_fixed, minimize_float
+def rate_variational(style: str, strike: float, params: ModelParams) -> RateResult:
+    """Rate at the strike (K for style "fixed", kappa for "floating") by the
+    variational route: the certified minimum of `minimize_fixed` or
+    `minimize_float`, on the branch of the OTM side, with its certificate.
+    Inside ATM_WINDOW, where the solver is never asked, it is the closed
+    route's ATM series."""
+    floating = style == "floating"
+    m = strike if floating else strike / params.S0
+    if 0.0 < m and abs(math.log(m)) < ATM_WINDOW:
+        return rate_float_cev(strike, params) if floating else rate_cev(strike, params)
+    from .varsolve import minimize_fixed, minimize_float
 
-        solve = minimize_float if floating else minimize_fixed
-        value, info = solve(K, params, full_output=True)
-        branch = "put" if (K > 1.0 if floating else K < params.S0) else "call"
-        rate = RateResult(value, VariationalDiag(branch, **{k: info[k] for k in CERTIFICATE}))
-    return price_from_rate(spec, params, rate)
+    value, info = (minimize_float if floating else minimize_fixed)(strike, params, full_output=True)
+    branch = "put" if (m > 1.0 if floating else m < 1.0) else "call"
+    return RateResult(value, VariationalDiag(branch, info["iterations"], info["kkt_residual"],
+                                             info["constraint_err"], info["rungs"]))
+
+
+def price_variational(spec: OptionSpec, params: ModelParams) -> PricingResult:
+    """Asymptotic price with the rate from `rate_variational`."""
+    return price_from_rate(spec, params, rate_variational(spec.style, spec.strike, params))
 
 
 def atm_price(params: ModelParams, T: float) -> float:

@@ -38,15 +38,13 @@ from scipy.linalg.lapack import dgtsv
 # by name for its per-layer trace, so the name stays importable.
 from scipy.optimize import minimize  # noqa: F401
 
-from .model import ConvergenceError, ModelParams
+from .model import ConvergenceError, ModelParams, rate_unit
 
 default_n = 800    # path intervals
 tol = 1.0e-12      # constraint error per unit of sum |cons_i g_i|, and
                    # Newton decrement per unit of action
 max_newton = 100   # Newton steps per solve
 edge = 0.2         # K/S0 or kappa below which the continuation ladder runs
-# the info keys that rate diagnostics and the CLI report with a solved value
-CERTIFICATE = ("iterations", "kkt_residual", "constraint_err", "rungs")
 
 
 @dataclass
@@ -171,10 +169,9 @@ def _kkt_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray, a: np.ndarray
     return step, float(nu_t + e / ax2), dec
 
 
-def _certify(init: PathGrid, cons_vec: np.ndarray, cons_target: float,
-             params: ModelParams, n: int):
-    """Minimize the action subject to cons_vec . g = cons_target (the active
-    averaging constraint), starting from ``init``.  Returns (value, info).
+def _certify(g: np.ndarray, cons_vec: np.ndarray, params: ModelParams, n: int):
+    """Minimize the action subject to cons_vec . g = 0 (the active averaging
+    constraint), starting from the path g.  Returns (value, info).
 
     The certificate is the Newton decrement d' H d = -(grad A + nu a) . d of
     the tangential step at the returned path, i.e. the KKT residual in the
@@ -183,14 +180,13 @@ def _certify(init: PathGrid, cons_vec: np.ndarray, cons_target: float,
     ``kkt_residual``.  Raises ConvergenceError if it or the constraint error
     stays above tolerance."""
     a, acons = cons_vec[1:], np.abs(cons_vec)
-    g = np.asarray(init.values, dtype=float).copy()
     val, grad, terms = _action_and_grad(g, n, params)
 
     for it in range(1, max_newton + 1):
         diag, off = _hessian(terms, n, params)
         if not (np.isfinite(diag).all() and np.isfinite(off).all()):
             raise ConvergenceError(f"non-finite Hessian at Newton step {it}")
-        e = float(cons_vec @ g) - cons_target
+        e = float(cons_vec @ g)
         feasible = abs(e) <= tol * float(acons @ g)  # |g| = g: g >= 0 throughout
         shift = 0.0
         for _ in range(20):  # shifts up to 1e8 times the largest diagonal entry
@@ -251,6 +247,7 @@ def _minimize(name: str, m: float, ref: int, params: ModelParams, n: int):
     over the rungs and ``rungs`` their number."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    rate_unit(params)  # ConvergenceError where the rate's unit, and so sigma^2, leaves the doubles
     if not m > 0.5 / n:
         # node ref alone carries trapezoid weight 1/(2n), so the mean of a
         # positive path is more than 1/(2n) times it
@@ -267,8 +264,7 @@ def _minimize(name: str, m: float, ref: int, params: ModelParams, n: int):
         for rung in rungs:
             cons = w.copy()
             cons[ref] -= rung
-            init = PathGrid(n, _rescaled(base, w, ref, rung))
-            value, info = _certify(init, cons, 0.0, params, n)
+            value, info = _certify(_rescaled(base, w, ref, rung), cons, params, n)
             base = info["path"].values
             iterations += info["iterations"]
     info.update(iterations=iterations, rungs=len(rungs))
@@ -288,8 +284,8 @@ def minimize_fixed(K: float, params: ModelParams, n: int = default_n,
     K/S0 <= 1/(2n), which no positive path's trapezoid mean reaches, and
     ConvergenceError rather than return an uncertified value.
     """
-    if not K > 0:
-        raise ValueError(f"strike must be positive, got {K}")
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"strike must be positive and finite, got {K}")
     value, info = _minimize("K/S0", K / params.S0, 0, params, n)
     return (value, info) if full_output else value
 
@@ -303,7 +299,7 @@ def minimize_float(kappa: float, params: ModelParams, n: int = default_n,
     equality.  Returns and raises as :func:`minimize_fixed`, with kappa in
     place of K/S0.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     value, info = _minimize("kappa", kappa, -1, params, n)
     return (value, info) if full_output else value

@@ -81,6 +81,19 @@ def test_price_note_names_the_route_used(args, note, capsys):
     assert json.loads(capsys.readouterr().out)["note"] == note
 
 
+@pytest.mark.parametrize("beta", [0.5, 0.75])
+@pytest.mark.parametrize("strike", [1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-7, 1.0 - 1e-7])
+def test_rate_variational_engine_takes_the_atm_series_as_price_does(beta, strike, capsys):
+    # the solver stalls this close to the money; `rate` yields to the ATM
+    # series inside ATM_WINDOW, as `price --engine varsolve` does
+    rc = main(["rate", "--engine", "varsolve", "--sigma", "0.5", "--beta", str(beta),
+               "--strike", repr(strike), "--json"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["rate"] == rate_cev(strike, ModelParams(S0=1.0, sigma=0.5, beta=beta)).value
+    assert out["branch"] == "atm" and out["engine"] == "varsolve"
+
+
 def test_rate_closed_form(capsys):
     rc = main(["rate", "--sigma", "0.5", "--beta", "0.5", "--strike", "1.5"])
     out = capsys.readouterr().out
@@ -107,8 +120,9 @@ def test_rate_variational_engine_reports_its_certificate(capsys):
                "--strike", "1000", "--json"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert set(out) == {"rate", "engine", "iterations", "kkt_residual",
+    assert set(out) == {"rate", "engine", "branch", "iterations", "kkt_residual",
                         "constraint_err", "rungs"}
+    assert out["branch"] == "call"
     assert out["rungs"] == 1 and out["iterations"] >= 1
     assert 0.0 <= out["kkt_residual"] <= 1e-12
     ref = rate_cev(1000.0, ModelParams(S0=1.0, sigma=0.5, beta=0.99)).value

@@ -10,6 +10,8 @@ prices up to kappa = 1e308 unless their forward overflows a double.
 The inputs that once failed stay in the sweep as explicit examples.
 """
 
+import contextlib
+import io
 import math
 
 import pytest
@@ -208,3 +210,71 @@ def test_price_floating_is_finite_over_the_domain(beta, kappa, T, side, S0):
 def test_cli_exits_zero_two_or_three_over_the_domain(args, code, capsys):
     # an undocumented exception would escape main() and exit 1 with a traceback
     assert main(args + ["--sigma", "0.5"]) == code
+
+
+def _or_any(valid):
+    """Draws from ``valid``, and one time in eight any double at all: NaN,
+    +-inf, zero, negative, subnormal or decades beyond the domain."""
+    return st.integers(0, 7).flatmap(lambda i: valid if i else st.floats())
+
+
+MODEL = st.fixed_dictionaries({
+    "beta": _or_any(st.floats(0.5, 1.0, exclude_max=True)),
+    "sigma": _or_any(_log_uniform(1e-2, 1e2)),
+    "s0": _or_any(_log_uniform(1e-3, 1e3)),
+    "r": _or_any(st.floats(-1.0, 1.0)),
+    "q": _or_any(st.floats(-1.0, 1.0)),
+})
+STRIKE = _or_any(_log_uniform(1e-300, 1e300))
+MATURITY = _or_any(_log_uniform(1e-4, 10.0))
+STYLE = st.sampled_from(["fixed", "floating"])
+SIDE = st.sampled_from(["call", "put"])
+# the work bound: mc runs at most 50 steps per unit maturity on at most 2,000
+# paths, so its maturities stop at 10 but for those refused before any step
+MC_MATURITY = st.one_of(_log_uniform(1e-4, 10.0),
+                        st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]))
+COMMANDS = st.one_of(
+    st.tuples(st.just("price"), st.fixed_dictionaries({
+        "style": STYLE, "side": SIDE, "engine": st.sampled_from(["asympt", "varsolve"]),
+        "strike": STRIKE, "maturity": MATURITY})),
+    st.tuples(st.just("rate"), st.fixed_dictionaries({
+        "engine": st.sampled_from(["closed", "varsolve"]), "strike": STRIKE})),
+    st.tuples(st.just("vol-curve"), st.fixed_dictionaries({
+        "k-min": STRIKE, "k-max": STRIKE, "n": st.integers(-1, 50)})),
+    st.tuples(st.just("float"), st.fixed_dictionaries({"kappa": STRIKE, "side": SIDE},
+                                                      optional={"maturity": MATURITY})),
+    st.tuples(st.just("mc"), st.fixed_dictionaries({
+        "style": STYLE, "side": SIDE, "strike": STRIKE, "maturity": MC_MATURITY,
+        "seed": st.integers(-1, 2 ** 32), "n-paths": st.integers(-1, 2000),
+        "n-steps": st.integers(-1, 50)})),
+)
+
+
+MARKET = {"beta": 0.5, "sigma": 0.5, "s0": 1.0, "r": 0.0, "q": 0.0}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(command=COMMANDS, model=MODEL, json_out=st.booleans())
+# sigma^2, or the rate's unit S0^(2-2beta)/sigma^2, beyond the doubles
+@example(command=("rate", {"engine": "closed", "strike": 1.0}),
+         model={**MARKET, "sigma": 1.3407807929942597e154}, json_out=False)
+@example(command=("rate", {"engine": "closed", "strike": 2.0}),
+         model={**MARKET, "sigma": 1e-200}, json_out=False)
+@example(command=("price", {"style": "floating", "side": "put", "engine": "varsolve",
+                            "strike": 2.0, "maturity": 1.0}),
+         model={**MARKET, "sigma": 1e155}, json_out=False)
+@example(command=("rate", {"engine": "varsolve", "strike": 2.0}),
+         model={**MARKET, "sigma": 1e-200}, json_out=False)
+# Euler paths beyond the doubles
+@example(command=("mc", {"style": "fixed", "side": "call", "strike": 1.0, "maturity": 1.0,
+                         "seed": 0, "n-paths": 349, "n-steps": 8}),
+         model={**MARKET, "sigma": 1.0990857060703296e155}, json_out=False)
+def test_cli_exit_code_over_a_sample_of_every_command(command, model, json_out):
+    # every value as --name=value, so that argparse takes "-1e-05" or "-inf"
+    # for a value, not an option
+    name, options = command
+    argv = [name] + [f"--{key}={value}" for key, value in {**options, **model}.items()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(argv + ["--json"] * json_out)
+    assert code in (0, 2, 3), (argv, out.getvalue())

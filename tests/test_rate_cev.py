@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cevasian import ConvergenceError, ModelParams, RootBracketError
+from cevasian.model import _newton
 from cevasian.rate_cev import (
     _U_NEAR,
     _Y_SERIES,
@@ -430,6 +431,18 @@ def test_rate_beyond_the_doubles_is_a_documented_error():
         for m in (2e-308, 1e-300, 1e300) + ((9e307,) if beta > 0.5 + 1e-9 else ()):
             res = rate_cev(m, params)
             assert math.isfinite(res.value) and res.value > 0.0, (beta, m)
+
+
+def test_newton_start_on_an_end_with_the_wrong_sign_raises():
+    # a start clamped onto an end of the bracket where f has the other end's
+    # sign: the bracket holds no root, and none is returned
+    with pytest.raises(RootBracketError, match="no sign change"):
+        _newton(lambda t: (t + 1.0, 1.0, None), 0.0, 0.0, 2.0)
+    with pytest.raises(RootBracketError, match="no sign change"):
+        _newton(lambda t: (t - 3.0, 1.0, None), 2.0, 0.0, 2.0)
+    # from the same ends with the right sign, the root
+    assert _newton(lambda t: (t - 1.0, 1.0, "data"), 0.0, 0.0, 2.0) == (1.0, 0.0, "data", 2)
+    assert _newton(lambda t: (t - 1.0, 1.0, "data"), 2.0, 0.0, 2.0) == (1.0, 0.0, "data", 2)
 
 
 # S0 a power of 2, so that K = m S0 and K/S0 = m are exact and every market
