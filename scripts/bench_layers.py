@@ -12,7 +12,8 @@ the machine, to ``BENCH_<label>.json``:
   hit);
 * ``rate_float_cev`` on its put (kappa = 1.3) and call (kappa = 0.5)
   branches at beta = 1/2 and 3/4, with its memo cold and warm;
-* ``price_fixed``, with the memo cold and warm;
+* ``price_fixed`` (K/S0 = 1.2) and ``price_floating`` (kappa = 0.8), with
+  their memo cold and warm;
 * one ``minimize_fixed`` and one ``minimize_float`` solve at n = 800;
 * Monte Carlo nanoseconds per path-step of ``simulate_asian``.
 
@@ -39,7 +40,7 @@ import sys
 import time
 
 from cevasian import (McConfig, ModelParams, OptionSpec, hyp2f1, minimize_fixed, minimize_float,
-                      price_fixed, rate_cev, rate_float_cev, simulate_asian)
+                      price_fixed, price_floating, rate_cev, rate_float_cev, simulate_asian)
 
 rate_cev_module = importlib.import_module("cevasian.rate_cev")
 float_strike = importlib.import_module("cevasian.float_strike")
@@ -72,6 +73,7 @@ def layers(quick):
     p = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
     half = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     spec = OptionSpec("fixed", "call", 1.2, 1.0)
+    floating = OptionSpec("floating", "call", 0.8, 1.0)
     yield "specfun.hyp2f1", lambda: hyp2f1(0.75, 1.5, 2.5, -0.3), n
     for branch, K in (("put", 0.7), ("call", 1.6)):
         yield f"rate_cev.{branch}.cold", cold(lambda K=K: rate_cev(K, p)), n
@@ -84,6 +86,9 @@ def layers(quick):
             yield f"{name}.warm", lambda k=kappa, q=params: rate_float_cev(k, q), n
     yield "pricing.price_fixed.cold", cold(lambda: price_fixed(spec, p)), n
     yield "pricing.price_fixed.warm", lambda: price_fixed(spec, p), n
+    yield ("pricing.price_floating.cold",
+           cold(lambda: price_floating(floating, p), float_strike._solve.cache_clear), n)
+    yield "pricing.price_floating.warm", lambda: price_floating(floating, p), n
     solves = 2 if quick else 20
     yield "varsolve.minimize_fixed", lambda: minimize_fixed(1.5, p, n=800), solves
     yield "varsolve.minimize_float", lambda: minimize_float(2.0, p, n=800), solves

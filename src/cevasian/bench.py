@@ -42,7 +42,7 @@ class Scenario:
     ref_value: float = math.nan
 
 
-@dataclass
+@dataclass(slots=True)
 class BenchRow:
     scenario: Scenario
     price: float

@@ -38,7 +38,7 @@ from .specfun import _hyp2f1
 _LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FloatRateDiag:
     """Solver internals: the root (u, v) (1 at the money, v 0.0 below the
     doubles), branch, residual (`_solve`'s larger one) and evaluations."""

@@ -39,6 +39,7 @@ from .pricing import OptionSpec, average_forward
 _BLOCK_PAIRS = 32768  # antithetic pairs per block
 _CHUNK_STEPS = 8      # Euler steps per draw of normals
 _CHUNKS_AHEAD = 2     # draws queued ahead of the stepping thread
+MAX_STEPS = 10 ** 7   # Euler steps per path; the schedule of draws holds one per chunk
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class McConfig:
             raise ValueError(f"n_steps must be positive, got {self.n_steps}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class McEstimate:
     mean: float
     std_error: float
@@ -74,18 +75,18 @@ def _workers(n_blocks: int) -> int:
     return min(n_cpu, n_blocks)
 
 
-def _steps_for(T: float, config: McConfig) -> int:
-    return max(1, int(round(config.n_steps * T)))
-
-
 def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
     """Simulate antithetic pairs in blocks; payoff(avg, s_final) -> per-path
     payoffs.  A pair counts as one sample: the mean of its two payoffs.
-    ConvergenceError where the forward or the discount (checked before any
-    path is drawn), the price or its standard error is not a finite double."""
+    ValueError where n_steps T exceeds MAX_STEPS = 1e7 Euler steps per path,
+    and ConvergenceError where the forward or the discount, the price or its
+    standard error is not a finite double; all but the last two are checked
+    before anything is allocated or drawn."""
+    if not config.n_steps <= MAX_STEPS / T:
+        raise ValueError(f"n_steps T = {config.n_steps} x {T:g} exceeds {MAX_STEPS:.0e} steps")
     average_forward(params, T)
     disc = _exp(-params.r * T, "discount factor")
-    steps = _steps_for(T, config)
+    steps = max(1, int(round(config.n_steps * T)))
     dt = T / steps
     sqdt = math.sqrt(dt)
     dw = np.array([[sqdt], [-sqdt]])  # Brownian increment per unit normal, per leg

@@ -3,7 +3,9 @@
 The CEV diffusion is dS = (r - q) S dt + sigma S^beta dW with beta in [1/2, 1).
 All rate-function modules take a :class:`ModelParams` and return a
 :class:`RateResult` whose ``diag`` field carries solver internals specific to
-the branch that produced the value.
+the branch that produced the value.  Inputs such as ModelParams are frozen,
+validated and hashable; returned records are slotted, mutable and unhashable,
+since a frozen record's per-field object.__setattr__ costs more than a warm rate.
 
 Inside ATM_WINDOW every rate route and both equivalent vols read the ATM
 series written here once each: I = rate_unit x^2 P(x), x = log(K/S0)
@@ -54,9 +56,16 @@ class ModelParams:
     q: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("S0", "sigma", "beta", "r", "q"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.S0):
+            raise ValueError(f"S0 must be finite, got {self.S0}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
+        if not math.isfinite(self.q):
+            raise ValueError(f"q must be finite, got {self.q}")
         if not self.S0 > 0:
             raise ValueError(f"S0 must be positive, got {self.S0}")
         if not self.sigma > 0:
@@ -163,7 +172,7 @@ def rate_cev_taylor(K: float, params: ModelParams) -> float:
     return rate_unit(params) * x * x * atm_fixed(x, params.beta)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RateResult:
     """A rate-function value plus solver diagnostics.
 

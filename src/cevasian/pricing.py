@@ -10,7 +10,8 @@ equivalent normal volatility Sigma_N^2 = S0^2 (kappa - 1)^2 / (2 I_f(kappa)).
 At the money both are 0/0; for a rate of branch "atm" `equiv_vol` cancels
 the x^2 of `model`'s ATM series against the numerator (levels
 sigma S0^(beta-1)/sqrt(3), sigma S0^beta/sqrt(3)).  Each price's note names
-the route of its vol.
+the route of its vol.  OptionSpec, an input, is frozen, validated and
+hashable; PricingResult and VariationalDiag, returned, are slotted (see `model`).
 
 Floating-strike payoff convention: call = (kappa S_T - A_T)^+,
 put = (A_T - kappa S_T)^+, where A_T is the arithmetic average.
@@ -51,16 +52,17 @@ class OptionSpec:
             raise ValueError(f"style must be 'fixed' or 'floating', got {self.style!r}")
         if self.side not in ("call", "put"):
             raise ValueError(f"side must be 'call' or 'put', got {self.side!r}")
-        for name in ("strike", "maturity"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.strike):
+            raise ValueError(f"strike must be finite, got {self.strike}")
+        if not math.isfinite(self.maturity):
+            raise ValueError(f"maturity must be finite, got {self.maturity}")
         if not self.strike > 0:
             raise ValueError(f"strike must be positive, got {self.strike}")
         if not self.maturity > 0:
             raise ValueError(f"maturity must be positive, got {self.maturity}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VariationalDiag:
     """Certificate of a rate from the variational route (`rate_variational`)."""
 
@@ -71,7 +73,7 @@ class VariationalDiag:
     rungs: int            # certified solves of the continuation ladder
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PricingResult:
     price: float
     equiv_vol: float

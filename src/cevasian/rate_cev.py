@@ -50,7 +50,7 @@ _LOG4 = math.log(4.0)
 _H = tuple((-1) ** k * float(zeta(k)) * (2.0 - 2.0 ** k) / k for k in range(30, 1, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CevRateDiag:
     """Solver internals: root variable x (0.0 or inf where it leaves the
     doubles), branch tag, relative residual of the root equation, its

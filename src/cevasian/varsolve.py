@@ -47,7 +47,7 @@ max_newton = 100   # Newton steps per solve
 edge = 0.2         # K/S0 or kappa below which the continuation ladder runs
 
 
-@dataclass
+@dataclass(slots=True)
 class PathGrid:
     """Discretized path g(t_i) at t_i = i/n, i = 0..n; values[0] = S0."""
 
@@ -248,6 +248,8 @@ def _minimize(name: str, m: float, ref: int, params: ModelParams, n: int):
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     rate_unit(params)  # ConvergenceError where the rate's unit, and so sigma^2, leaves the doubles
+    if not math.isfinite(m):  # K/S0 beyond the doubles
+        raise ValueError(f"{name} = {m:g} is not a finite double")
     if not m > 0.5 / n:
         # node ref alone carries trapezoid weight 1/(2n), so the mean of a
         # positive path is more than 1/(2n) times it
@@ -280,8 +282,8 @@ def minimize_fixed(K: float, params: ModelParams, n: int = default_n,
     all rungs), ``rungs`` (certified solves of the continuation ladder),
     ``kkt_residual`` (Newton decrement per unit of action), ``constraint_err``,
     the multiplier ``lam``, ``floor_active`` (min g <= 1e-9 S0) and the path.
-    Raises ValueError for an n that is not an integer >= 1 and for
-    K/S0 <= 1/(2n), which no positive path's trapezoid mean reaches, and
+    Raises ValueError for an n that is not an integer >= 1, for a K/S0 beyond
+    the doubles and for K/S0 <= 1/(2n), which no positive path's mean reaches, and
     ConvergenceError rather than return an uncertified value.
     """
     if not 0.0 < K < math.inf:

@@ -232,7 +232,7 @@ SIDE = st.sampled_from(["call", "put"])
 # the work bound: mc runs at most 50 steps per unit maturity on at most 2,000
 # paths, so its maturities stop at 10 but for those refused before any step
 MC_MATURITY = st.one_of(_log_uniform(1e-4, 10.0),
-                        st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]))
+                        st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e300]))
 COMMANDS = st.one_of(
     st.tuples(st.just("price"), st.fixed_dictionaries({
         "style": STYLE, "side": SIDE, "engine": st.sampled_from(["asympt", "varsolve"]),

@@ -249,6 +249,26 @@ def test_overflowing_discount_is_a_convergence_error():
         rate_from_mc(1.2, p, [10.0], config)
 
 
+@pytest.mark.parametrize("maturity, n_steps", [
+    (1e300, 400),                           # 4e302 steps
+    (mc.MAX_STEPS / 400 * (1 + 1e-9), 400),  # just above the bound
+    (1.0, mc.MAX_STEPS + 1),
+    (1.7e308, 10 ** 400),                   # n_steps T beyond the doubles
+])
+def test_step_count_above_the_bound_is_refused_before_any_draw(monkeypatch, maturity, n_steps):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("seeded a draw for a refused step count")
+    monkeypatch.setattr(mc, "SeedSequence", no_draws)
+    spec = OptionSpec("fixed", "call", 1.2, maturity)
+    config = McConfig(n_paths=4, n_steps=n_steps)
+    # r != q: the forward of the average overflows too, but the bound comes first
+    p = ModelParams(S0=1.0, sigma=0.5, beta=0.75, r=0.05)
+    with pytest.raises(ValueError, match="exceeds 1e[+]07 steps"):
+        simulate_asian(spec, p, config)
+    with pytest.raises(ValueError, match="exceeds 1e[+]07 steps"):
+        simulate_floating(OptionSpec("floating", "put", 1.2, maturity), p, config)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(n_paths=0, n_steps=100, seed=0)

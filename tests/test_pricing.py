@@ -5,25 +5,38 @@ normal volatilities (level, skew, curvature), put-call parity as an exact
 identity, the short-maturity at-the-money law, and spot benchmark values.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cevasian import (
+    BenchRow,
+    McConfig,
+    McEstimate,
     ModelParams,
     OptionSpec,
+    PathGrid,
+    PricingResult,
+    RateResult,
+    Scenario,
     atm_price,
     average_forward,
     equiv_lognormal_vol,
     equiv_normal_vol,
+    minimize_fixed,
     parity_gap,
     price_fixed,
     price_floating,
     price_variational,
     rate_float_cev,
+    run_table1,
+    simulate_asian,
 )
-from cevasian.rate_cev import rate_cev
+from cevasian.float_strike import FloatRateDiag
+from cevasian.pricing import VariationalDiag, rate_variational
+from cevasian.rate_cev import CevRateDiag, rate_cev
 from cevasian.rate_cev import rate_sqrt
 
 parity_tol = 1e-13  # measured worst over the sweep below is ~1.3e-15
@@ -232,3 +245,101 @@ def test_style_mismatch_is_rejected():
         price_fixed(OptionSpec("floating", "call", 1.0, 1.0), p)
     with pytest.raises(ValueError):
         price_floating(OptionSpec("fixed", "call", 1.0, 1.0), p)
+
+
+def _outputs():
+    """One record of each returned class, from the call that returns it."""
+    p = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
+    spec = OptionSpec("fixed", "call", 1.3, 0.5)
+    row = run_table1()[0]
+    return {
+        CevRateDiag: rate_cev(1.3, p),
+        FloatRateDiag: rate_float_cev(1.3, p),
+        VariationalDiag: rate_variational("fixed", 1.3, p),
+        PricingResult: price_fixed(spec, p),
+        McEstimate: simulate_asian(spec, p, McConfig(n_paths=100, n_steps=10, seed=3)),
+        BenchRow: dataclasses.replace(row, runtime_ms=0.0),  # the one field a rerun moves
+        PathGrid: minimize_fixed(1.3, p, n=100, full_output=True)[1]["path"],
+    }
+
+
+def _same(a, b):
+    # == on a PathGrid compares its arrays elementwise, which has no truth value
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
+
+
+def test_outputs_are_slotted_records_and_inputs_stay_frozen():
+    first, again = _outputs(), _outputs()
+    records = []
+    for cls, out in first.items():
+        records.extend([out, out.diag] if isinstance(out, RateResult) else [out])
+        if cls is PathGrid:
+            assert _same(out, again[cls])
+        else:
+            assert out == again[cls], cls.__name__
+    assert [type(r) for r in records if type(r) is not RateResult] == list(first)
+    for record in records:
+        cls = type(record)
+        assert dataclasses.is_dataclass(cls) and "__slots__" in vars(cls), cls.__name__
+        assert not hasattr(record, "__dict__"), cls.__name__
+        with pytest.raises(AttributeError):
+            record.not_a_field = 1.0
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+        assert _same(dataclasses.replace(record), record)
+        data = dataclasses.asdict(record)
+        for f in dataclasses.fields(record):  # asdict turns a nested record into a dict
+            inner = getattr(record, f.name)
+            if dataclasses.is_dataclass(inner):
+                data[f.name] = type(inner)(**data[f.name])
+        assert _same(cls(**data), record), cls.__name__
+    # returned records take assignment; inputs refuse it and hash
+    first[PricingResult].note = "edited"
+    assert first[PricingResult].note == "edited"
+    inputs = [ModelParams(S0=1.0, sigma=0.5, beta=0.75), OptionSpec("fixed", "call", 1.3, 0.5),
+              McConfig(n_paths=100, n_steps=10), run_table1()[0].scenario]
+    assert isinstance(inputs[-1], Scenario)
+    for record in inputs:
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+        assert hash(record) == hash(dataclasses.replace(record))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(S0=math.nan), "S0 must be finite, got nan"),
+    (dict(sigma=math.inf), "sigma must be finite, got inf"),
+    (dict(beta=-math.inf), "beta must be finite, got -inf"),
+    (dict(r=math.nan), "r must be finite, got nan"),
+    (dict(q=math.inf), "q must be finite, got inf"),
+    (dict(S0=-1.0, r=math.nan), "r must be finite, got nan"),  # finiteness is checked first
+    (dict(S0=-1.0, sigma=math.nan), "sigma must be finite, got nan"),
+    (dict(S0=0.0), "S0 must be positive, got 0.0"),
+    (dict(S0=-1.0, sigma=-1.0), "S0 must be positive, got -1.0"),
+    (dict(sigma=-0.5), "sigma must be positive, got -0.5"),
+    (dict(beta=1.0), "beta must lie in [1/2, 1), got 1.0"),
+    (dict(beta=0.25), "beta must lie in [1/2, 1), got 0.25"),
+])
+def test_model_params_messages_name_the_first_bad_field(fields, message):
+    good = dict(S0=1.0, sigma=0.5, beta=0.75, r=0.03, q=0.01)
+    with pytest.raises(ValueError) as info:
+        ModelParams(**{**good, **fields})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    (("flooded", "call", 1.0, 1.0), "style must be 'fixed' or 'floating', got 'flooded'"),
+    (("fixed", "upside", math.nan, 1.0), "side must be 'call' or 'put', got 'upside'"),
+    (("fixed", "call", math.nan, 1.0), "strike must be finite, got nan"),
+    (("fixed", "call", 1.0, math.inf), "maturity must be finite, got inf"),
+    (("fixed", "call", -1.0, math.nan), "maturity must be finite, got nan"),
+    (("fixed", "call", -1.0, 1.0), "strike must be positive, got -1.0"),
+    (("floating", "put", 0.0, -1.0), "strike must be positive, got 0.0"),
+    (("fixed", "call", 1.0, 0.0), "maturity must be positive, got 0.0"),
+])
+def test_option_spec_messages_name_the_first_bad_field(args, message):
+    with pytest.raises(ValueError) as info:
+        OptionSpec(*args)
+    assert str(info.value) == message

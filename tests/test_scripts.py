@@ -51,8 +51,9 @@ def test_bench_layers_quick_writes_every_layer(tmp_path):
             for beta in ("0.5", "0.75"):
                 name = f"float_strike.rate_float_cev.beta{beta}.{branch}.{memo}"
                 assert layers[name]["us_per_call"] > 0.0, name
-    for name in ("specfun.hyp2f1", "pricing.price_fixed.cold",
-                 "pricing.price_fixed.warm", "varsolve.minimize_fixed", "varsolve.minimize_float"):
+    for name in ("specfun.hyp2f1", "pricing.price_fixed.cold", "pricing.price_fixed.warm",
+                 "pricing.price_floating.cold", "pricing.price_floating.warm",
+                 "varsolve.minimize_fixed", "varsolve.minimize_float"):
         assert layers[name]["us_per_call"] > 0.0, name
     assert layers["mc.simulate_asian"]["ns_per_path_step"] > 0.0
 

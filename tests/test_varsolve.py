@@ -163,6 +163,13 @@ def test_target_at_or_below_the_reference_weight_is_refused(minimize, name):
         minimize(0.004 * (params.S0 if minimize is minimize_fixed else 1.0), params, n=100)
 
 
+def test_strike_over_a_spot_beyond_the_doubles_is_named():
+    # K/S0 = 1/5e-324 overflows while the rate unit S0/sigma^2 = 5e-4 is a double
+    params = ModelParams(S0=5e-324, sigma=1e-160, beta=0.5)
+    with pytest.raises(ValueError, match=r"^K/S0 = inf is not a finite double$"):
+        minimize_fixed(1.0, params)
+
+
 @pytest.mark.parametrize("minimize", [minimize_fixed, minimize_float])
 def test_grid_size_must_be_a_positive_integer(minimize):
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
