@@ -15,7 +15,8 @@ the machine, to ``BENCH_<label>.json``:
 * ``price_fixed`` (K/S0 = 1.2) and ``price_floating`` (kappa = 0.8), with
   their memo cold and warm;
 * one ``minimize_fixed`` and one ``minimize_float`` solve at n = 800;
-* Monte Carlo nanoseconds per path-step of ``simulate_asian``.
+* Monte Carlo nanoseconds per path-step of ``simulate_asian`` at beta = 1/2
+  (the square-root step) and 3/4 (the power step).
 
 Each layer is timed as ``repeats`` runs of ``calls`` calls; the file gives
 the median and the smallest time per call over the runs.  Load from other
@@ -94,10 +95,10 @@ def layers(quick):
     yield "varsolve.minimize_float", lambda: minimize_float(2.0, p, n=800), solves
 
 
-def mc_ns_per_path_step(quick, repeats):
+def mc_ns_per_path_step(beta, quick, repeats):
     config = McConfig(n_paths=2_000 if quick else 50_000, n_steps=50 if quick else 400, seed=1)
     spec = OptionSpec("fixed", "call", 1.1, 1.0)
-    params = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
+    params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
     steps = config.n_paths * max(1, round(config.n_steps * spec.maturity))
     median, best = per_call(lambda: simulate_asian(spec, params, config), 1, repeats)
     return {"ns_per_path_step": 1e9 * median / steps, "min_ns_per_path_step": 1e9 * best / steps,
@@ -129,8 +130,10 @@ def main(argv=None):
         out["layers"][name] = {"us_per_call": 1e6 * median, "min_us_per_call": 1e6 * best,
                                "calls": calls, "repeats": repeats}
         print(f"{name:32s} {1e6 * median:12.2f} us  (min {1e6 * best:.2f})")
-    out["layers"]["mc.simulate_asian"] = mc = mc_ns_per_path_step(args.quick, repeats)
-    print(f"{'mc.simulate_asian':32s} {mc['ns_per_path_step']:12.2f} ns per path-step")
+    for beta in (0.5, 0.75):
+        name = f"mc.simulate_asian.beta{beta}"
+        out["layers"][name] = mc = mc_ns_per_path_step(beta, args.quick, repeats)
+        print(f"{name:32s} {mc['ns_per_path_step']:12.2f} ns per path-step")
     out["machine"]["loadavg_after"] = loadavg()
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:

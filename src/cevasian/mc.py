@@ -2,20 +2,30 @@
 
 Full-truncation Euler scheme on S (the origin is absorbing: once a path is
 clamped at zero both drift and diffusion vanish), trapezoidal time average
-and antithetic pairs.  The pairs are simulated in fixed-size blocks, each
-with its own child of ``SeedSequence(seed)``; their sums are combined with
-the exact ``math.fsum``, so a result is identical for a given seed whatever
-the number of cores.
+and antithetic pairs.  The pairs are simulated in blocks of equal share (the
+first n_pairs % n_blocks blocks hold one pair more), at most ``_BLOCK_PAIRS``
+each; every block draws from its own SFC64 stream, seeded by its child of
+``SeedSequence(seed)``.  Block sums are combined with the exact
+``math.fsum``, so a result is identical for a given seed whatever the number
+of cores.  Seeded estimates differ from versions before the SFC64 streams
+and equal shares (PCG64 streams, full blocks first), each within its
+standard error.
+
+Each Euler step is six passes over both legs, held as one (2, m) array,
+with the normals z already scaled by sigma sqrt(dt):
+
+    diff = s^beta;  diff *= z;  s *= 1 + mu dt;
+    s[0] += diff[0], s[1] -= diff[1];  s = max(s, 0);  acc += s
 
 Thread layout (numpy releases the interpreter lock inside its ufuncs and
 samplers, so threads run in parallel): the blocks run on a pool of one
 thread per usable CPU, at most one per block.  Each block thread starts one
-drawing thread of its own, which draws the block's normals ``_CHUNK_STEPS``
-steps at a time, up to ``_CHUNKS_AHEAD`` chunks ahead, while the block
-thread steps both antithetic legs, held as one (2, m) array, through the
-chunk it already has.  That is at most two threads per pool thread.  An
-error on either thread reaches the caller, and a block's drawing thread is
-stopped and joined before the block returns.
+drawing thread of its own, which draws and scales the block's normals
+``_CHUNK_STEPS`` steps at a time, up to ``_CHUNKS_AHEAD`` chunks ahead,
+while the block thread steps through the chunk it already has.  That is at
+most two threads per pool thread.  An error on either thread reaches the
+caller, and a block's drawing thread is stopped and joined before the block
+returns.
 
 ``n_steps`` counts Euler steps per unit of maturity; the actual number of
 steps is max(1, round(n_steps * T)) so that step size is comparable across
@@ -29,31 +39,45 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .model import ConvergenceError, ModelParams, _exp
 from .pricing import OptionSpec, average_forward
 
-_BLOCK_PAIRS = 32768  # antithetic pairs per block
+_BLOCK_PAIRS = 32768  # antithetic pairs per block, at most
 _CHUNK_STEPS = 8      # Euler steps per draw of normals
 _CHUNKS_AHEAD = 2     # draws queued ahead of the stepping thread
 MAX_STEPS = 10 ** 7   # Euler steps per path; the schedule of draws holds one per chunk
+MAX_PATHS = 10 ** 9   # paths per estimate; see McConfig
 
 
 @dataclass(frozen=True)
 class McConfig:
+    """Paths, Euler steps per unit maturity and seed of one estimate.
+
+    ``n_paths`` is an integer from 3 to MAX_PATHS = 1e9 and ``seed`` a
+    non-negative integer; anything else raises ValueError.  The bound keeps
+    the set-up small: a run spawns one SeedSequence child and queues one task
+    per block before it draws, so 1e9 paths are 15,259 blocks (spawned in
+    ~0.3 s on a 2-core x86-64 Xeon), while 1e15 would ask for 1.5e10
+    children and exhaust memory before a path is drawn."""
+
     n_paths: int = 100_000
     n_steps: int = 400
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_paths < 3:
-            # one antithetic pair has no spread to estimate a standard error from
-            raise ValueError(f"n_paths must be at least 3 (two antithetic pairs), got {self.n_paths}")
-        if self.n_steps <= 0:
-            raise ValueError(f"n_steps must be positive, got {self.n_steps}")
+        # one antithetic pair has no spread to estimate a standard error from
+        if not (isinstance(self.n_paths, Integral) and 3 <= self.n_paths <= MAX_PATHS):
+            raise ValueError(f"n_paths must be an integer from 3 (two antithetic pairs) "
+                             f"to {MAX_PATHS:.0e}, got {self.n_paths!r}")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not self.n_steps > 0:  # NaN too
+            raise ValueError(f"n_steps must be positive, got {self.n_steps!r}")
 
 
 @dataclass(slots=True)
@@ -62,7 +86,12 @@ class McEstimate:
     std_error: float
     n_absorbed: int
     n_steps: int   # Euler steps per path
-    n_blocks: int  # seed blocks of up to _BLOCK_PAIRS antithetic pairs
+    n_blocks: int  # seed blocks of equal share, up to _BLOCK_PAIRS antithetic pairs each
+
+
+def _generator(seed: SeedSequence) -> Generator:
+    """The stream of one block."""
+    return Generator(SFC64(seed))
 
 
 def _workers(n_blocks: int) -> int:
@@ -88,10 +117,9 @@ def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
     disc = _exp(-params.r * T, "discount factor")
     steps = max(1, int(round(config.n_steps * T)))
     dt = T / steps
-    sqdt = math.sqrt(dt)
-    dw = np.array([[sqdt], [-sqdt]])  # Brownian increment per unit normal, per leg
-    mu = params.r - params.q
-    sig, beta, S0 = params.sigma, params.beta, float(params.S0)
+    scale = params.sigma * math.sqrt(dt)  # a normal times scale is sigma dW
+    growth = 1.0 + (params.r - params.q) * dt
+    beta, S0 = params.beta, float(params.S0)
 
     n_pairs = (config.n_paths + 1) // 2
     n_blocks = (n_pairs + _BLOCK_PAIRS - 1) // _BLOCK_PAIRS
@@ -99,17 +127,19 @@ def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
     chunks = [min(_CHUNK_STEPS, steps - i) for i in range(0, steps, _CHUNK_STEPS)]
 
     def block(b: int) -> tuple[float, float, int]:
-        m = min(_BLOCK_PAIRS, n_pairs - b * _BLOCK_PAIRS)
-        rng = default_rng(children[b])
+        m = n_pairs // n_blocks + (b < n_pairs % n_blocks)
+        rng = _generator(children[b])
         # row 0 is the + leg, row 1 the - leg; the running trapezoid sum
         # starts at the S0/2 end term and takes each new spot whole
         s = np.full((2, m), S0)
         acc = np.full((2, m), 0.5 * S0)
-        drift, diff = np.empty((2, m)), np.empty((2, m))
+        diff = np.empty((2, m))
 
         def draw(c: int) -> np.ndarray:
             # one draw of k*m normals is the same stream as k draws of m
-            return rng.standard_normal((chunks[c], m))
+            z = rng.standard_normal((chunks[c], m))
+            z *= scale
+            return z
 
         drawer = ThreadPoolExecutor(max_workers=1)
         # a path beyond the doubles turns inf or NaN: ConvergenceError below
@@ -122,19 +152,16 @@ def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
                     if c + _CHUNKS_AHEAD < len(chunks):
                         ahead.append(drawer.submit(draw, c + _CHUNKS_AHEAD))
                     for z in zs:
-                        # s += (mu s) dt + ((sig s^beta) dw) z, in that order;
-                        # np.sqrt is what s ** 0.5 computes, faster than np.power
+                        # s = max(s (1 + mu dt) +- s^beta z, 0); np.sqrt is
+                        # what s ** 0.5 computes, faster than np.power
                         if beta == 0.5:
                             np.sqrt(s, out=diff)
                         else:
                             np.power(s, beta, out=diff)
-                        diff *= sig
-                        diff *= dw
                         diff *= z
-                        np.multiply(s, mu, out=drift)
-                        drift *= dt
-                        drift += diff
-                        s += drift
+                        s *= growth
+                        s[0] += diff[0]
+                        s[1] -= diff[1]
                         np.maximum(s, 0.0, out=s)
                         acc += s
             finally:

@@ -230,7 +230,8 @@ MATURITY = _or_any(_log_uniform(1e-4, 10.0))
 STYLE = st.sampled_from(["fixed", "floating"])
 SIDE = st.sampled_from(["call", "put"])
 # the work bound: mc runs at most 50 steps per unit maturity on at most 2,000
-# paths, so its maturities stop at 10 but for those refused before any step
+# paths, so its maturities stop at 10 and its path counts at 2,000 but for
+# those refused before any step
 MC_MATURITY = st.one_of(_log_uniform(1e-4, 10.0),
                         st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e300]))
 COMMANDS = st.one_of(
@@ -245,7 +246,8 @@ COMMANDS = st.one_of(
                                                       optional={"maturity": MATURITY})),
     st.tuples(st.just("mc"), st.fixed_dictionaries({
         "style": STYLE, "side": SIDE, "strike": STRIKE, "maturity": MC_MATURITY,
-        "seed": st.integers(-1, 2 ** 32), "n-paths": st.integers(-1, 2000),
+        "seed": st.integers(-1, 2 ** 32),
+        "n-paths": st.one_of(st.integers(-1, 2000), st.just(10 ** 15)),
         "n-steps": st.integers(-1, 50)})),
 )
 

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
 from cevasian import (
     ConvergenceError,
@@ -25,6 +26,7 @@ from cevasian import (
     simulate_floating,
 )
 from cevasian import mc
+from cevasian.cli import main
 from cevasian.rate_cev import rate_sqrt
 
 se_band = 3.5
@@ -61,33 +63,97 @@ def test_seed_determinism():
     assert c.mean != a.mean
 
 
+def _reference(spec, params, config):
+    """The kernel as a plain recursion: the blocks in order, each leg on its
+    own, one draw of m normals per step from the block's stream, and
+    s = max(s (1 + mu dt) +- s^beta (z sigma sqrt(dt)), 0) at each step."""
+    T, S0, K = spec.maturity, float(params.S0), spec.strike
+    steps = max(1, round(config.n_steps * T))
+    dt = T / steps
+    scale = params.sigma * math.sqrt(dt)
+    growth = 1.0 + (params.r - params.q) * dt
+    n_pairs = (config.n_paths + 1) // 2
+    n_blocks = -(-n_pairs // mc._BLOCK_PAIRS)
+    sums, sums2, absorbed = [], [], 0
+    for b, child in enumerate(SeedSequence(config.seed).spawn(n_blocks)):
+        m = n_pairs // n_blocks + (b < n_pairs % n_blocks)
+        rng = mc._generator(child)
+        zs = [rng.standard_normal(m) * scale for _ in range(steps)]
+        pays = []
+        for sign in (1.0, -1.0):
+            s, acc = np.full(m, S0), np.full(m, 0.5 * S0)
+            for z in zs:
+                s = np.maximum(s * growth + sign * (s ** params.beta * z), 0.0)
+                acc = acc + s
+            avg = (acc - 0.5 * s) / steps
+            absorbed += int(np.count_nonzero(s <= 0.0))
+            if spec.style == "fixed":
+                pays.append(np.maximum(avg - K, 0.0) if spec.side == "call"
+                            else np.maximum(K - avg, 0.0))
+            else:
+                pays.append(np.maximum(K * s - avg, 0.0) if spec.side == "call"
+                            else np.maximum(avg - K * s, 0.0))
+        pm = 0.5 * (pays[0] + pays[1])
+        sums.append(float(np.sum(pm)))
+        sums2.append(float(np.sum(pm * pm)))
+    disc = math.exp(-params.r * T)
+    mean = math.fsum(sums) / n_pairs
+    var = max(math.fsum(sums2) / n_pairs - mean * mean, 0.0)
+    return mc.McEstimate(disc * mean, disc * math.sqrt(var / n_pairs), absorbed, steps, n_blocks)
+
+
+# (params, spec, config, pairs per block): 1 to 3 blocks, odd pair counts,
+# both power branches and a case with absorbed paths
+REFERENCE_CASES = [
+    (ModelParams(S0=0.25, sigma=1.5, beta=0.5, r=0.02), OptionSpec("fixed", "put", 0.25, 1.0),
+     McConfig(n_paths=150_000, n_steps=20, seed=5), mc._BLOCK_PAIRS),
+    (ModelParams(S0=1.0, sigma=0.6, beta=0.75, r=0.03, q=0.01),
+     OptionSpec("fixed", "call", 1.1, 0.5), McConfig(n_paths=20_001, n_steps=42, seed=3),
+     mc._BLOCK_PAIRS),
+    (ModelParams(S0=1.0, sigma=0.6, beta=0.75, r=0.03), OptionSpec("floating", "put", 1.0, 1.0),
+     McConfig(n_paths=4_005, n_steps=19, seed=4), 1_000),
+    (ModelParams(S0=2.0, sigma=0.8, beta=0.5, r=-0.01), OptionSpec("floating", "call", 0.9, 0.7),
+     McConfig(n_paths=3_001, n_steps=30, seed=6), 1_000),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+def test_kernel_equals_the_reference_recursion(monkeypatch, case):
+    p, spec, config, block_pairs = REFERENCE_CASES[case]
+    monkeypatch.setattr(mc, "_BLOCK_PAIRS", block_pairs)
+    run = simulate_asian if spec.style == "fixed" else simulate_floating
+    est = run(spec, p, config)
+    assert est == _reference(spec, p, config)
+    if case == 0:
+        assert est.n_absorbed > 0
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_estimate_is_bit_identical_for_any_worker_count(monkeypatch, workers):
-    # 150,000 paths are 3 blocks (32,768 + 32,768 + 9,464 pairs); the pinned
-    # values come from running the blocks one after another
+    # 150,000 paths are 3 blocks of 25,000 pairs; the pinned values come
+    # from _reference, which runs the blocks one after another
     monkeypatch.setattr(mc, "_workers", lambda n_blocks: workers)
     p = ModelParams(S0=0.25, sigma=1.5, beta=0.5, r=0.02)
     est = simulate_asian(OptionSpec("fixed", "put", 0.25, 1.0), p,
                          McConfig(n_paths=150_000, n_steps=20, seed=5))
-    assert est == mc.McEstimate(mean=0.12536913056814272, std_error=0.00012219809155305578,
-                                n_absorbed=112592, n_steps=20, n_blocks=3)
+    assert est == mc.McEstimate(mean=0.12532601002916108, std_error=0.00012184209457474546,
+                                n_absorbed=112595, n_steps=20, n_blocks=3)
 
 
-# beta = 0.75 runs the power path: two 3-block cases (32,768 + 32,768 +
-# 9,464 pairs) and one single-block case, recorded with the two antithetic
-# legs stepped one after another and one normal draw per step
+# beta = 0.75 runs the power path: two 3-block cases (3 x 25,000 pairs) and
+# one single-block case, recorded from _reference
 PINNED_POW = [
     (ModelParams(S0=1.0, sigma=0.6, beta=0.75, r=0.03), OptionSpec("fixed", "put", 0.9, 1.0),
      McConfig(n_paths=150_000, n_steps=20, seed=21),
-     mc.McEstimate(mean=0.08070240405906039, std_error=0.00025381422046452337,
-                   n_absorbed=0, n_steps=20, n_blocks=3)),
+     mc.McEstimate(mean=0.08097347086817051, std_error=0.0002554622430899259,
+                   n_absorbed=1, n_steps=20, n_blocks=3)),
     (ModelParams(S0=1.0, sigma=0.6, beta=0.75, r=0.03), OptionSpec("floating", "call", 1.0, 1.0),
      McConfig(n_paths=150_000, n_steps=20, seed=22),
-     mc.McEstimate(mean=0.1426907184216688, std_error=0.0005840561940735077,
-                   n_absorbed=1, n_steps=20, n_blocks=3)),
+     mc.McEstimate(mean=0.14163698199568317, std_error=0.0005808307148089742,
+                   n_absorbed=0, n_steps=20, n_blocks=3)),
     (ModelParams(S0=2.0, sigma=0.8, beta=0.75, r=0.01), OptionSpec("fixed", "call", 2.1, 0.5),
      McConfig(n_paths=20_000, n_steps=40, seed=23),
-     mc.McEstimate(mean=0.1759041249353272, std_error=0.001986724533104346,
+     mc.McEstimate(mean=0.17690020459754574, std_error=0.001974411899850927,
                    n_absorbed=0, n_steps=20, n_blocks=1)),
 ]
 
@@ -128,8 +194,9 @@ class _BrokenDraws:
 def test_a_failing_draw_or_step_reaches_the_caller_and_stops_every_thread(
         monkeypatch, call, bad_chunk, error):
     # 20 steps are chunks of 8, 8 and 4 in each of 3 blocks
-    monkeypatch.setattr(mc, "default_rng",
-                        lambda seed: _BrokenDraws(np.random.default_rng(seed), call, bad_chunk))
+    make = mc._generator
+    monkeypatch.setattr(mc, "_generator",
+                        lambda seed: _BrokenDraws(make(seed), call, bad_chunk))
     monkeypatch.setattr(mc, "_workers", lambda n_blocks: 2)
     before = threading.active_count()
     raised = []
@@ -281,6 +348,43 @@ def test_config_validation():
                           McConfig(n_paths=3, n_steps=10, seed=0)).std_error > 0.0
     with pytest.raises(ValueError):
         McConfig(n_paths=100, n_steps=0, seed=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_paths", mc.MAX_PATHS + 1, "n_paths must be an integer from 3"),
+    ("n_paths", 10 ** 15, "n_paths must be an integer from 3"),
+    ("n_paths", 1e5, "n_paths must be an integer from 3"),
+    ("n_paths", math.inf, "n_paths must be an integer from 3"),
+    ("n_paths", math.nan, "n_paths must be an integer from 3"),
+    ("seed", 1.5, "seed must be a non-negative integer"),
+    ("seed", -1, "seed must be a non-negative integer"),
+    ("n_steps", math.nan, "n_steps must be positive"),
+    ("n_steps", -math.inf, "n_steps must be positive"),
+])
+def test_config_outside_its_domain_is_a_value_error(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        McConfig(**{"n_paths": 100, "n_steps": 10, "seed": 0, field: value})
+
+
+@pytest.mark.parametrize("flag", [f"--n-paths={mc.MAX_PATHS + 1}", f"--n-paths={10 ** 15}",
+                                  "--seed=-1"])
+def test_cli_refuses_a_config_outside_its_domain_before_any_draw(monkeypatch, capsys, flag):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("seeded a draw for a refused config")
+    monkeypatch.setattr(mc, "SeedSequence", no_draws)
+    argv = ["mc", "--sigma=0.5", "--beta=0.5", "--strike=1", "--maturity=1", flag]
+    assert main(argv) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_config_bounds_take_integers_of_any_kind():
+    # the largest path count is accepted (and not run); numpy integers
+    # simulate like Python ones
+    assert McConfig(n_paths=mc.MAX_PATHS).n_paths == mc.MAX_PATHS
+    spec, p = OptionSpec("fixed", "call", 1.0, 1.0), ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    as_numpy = McConfig(n_paths=np.int64(1_000), n_steps=10, seed=np.uint32(7))
+    as_int = McConfig(n_paths=1_000, n_steps=10, seed=7)
+    assert simulate_asian(spec, p, as_numpy) == simulate_asian(spec, p, as_int)
 
 
 def test_style_mismatch_is_rejected():

@@ -55,7 +55,8 @@ def test_bench_layers_quick_writes_every_layer(tmp_path):
                  "pricing.price_floating.cold", "pricing.price_floating.warm",
                  "varsolve.minimize_fixed", "varsolve.minimize_float"):
         assert layers[name]["us_per_call"] > 0.0, name
-    assert layers["mc.simulate_asian"]["ns_per_path_step"] > 0.0
+    for beta in ("0.5", "0.75"):
+        assert layers[f"mc.simulate_asian.beta{beta}"]["ns_per_path_step"] > 0.0, beta
 
 
 def test_the_benchmarks_trace_hooks_resolve(monkeypatch):
