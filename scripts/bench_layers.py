@@ -16,7 +16,10 @@ the machine, to ``BENCH_<label>.json``:
   their memo cold and warm;
 * one ``minimize_fixed`` and one ``minimize_float`` solve at n = 800;
 * Monte Carlo nanoseconds per path-step of ``simulate_asian`` at beta = 1/2
-  (the square-root step) and 3/4 (the power step).
+  (the square-root step) and 3/4 (the power step), at 100,000 paths: two
+  seed blocks on their threads, as perfbench's ``monte_carlo`` runs them
+  (one block is bound by its drawing thread).  Each entry records its
+  ``n_blocks``.
 
 Each layer is timed as ``repeats`` runs of ``calls`` calls; the file gives
 the median and the smallest time per call over the runs.  Load from other
@@ -96,13 +99,15 @@ def layers(quick):
 
 
 def mc_ns_per_path_step(beta, quick, repeats):
-    config = McConfig(n_paths=2_000 if quick else 50_000, n_steps=50 if quick else 400, seed=1)
+    config = McConfig(n_paths=2_000 if quick else 100_000, n_steps=50 if quick else 400, seed=1)
     spec = OptionSpec("fixed", "call", 1.1, 1.0)
     params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
     steps = config.n_paths * max(1, round(config.n_steps * spec.maturity))
-    median, best = per_call(lambda: simulate_asian(spec, params, config), 1, repeats)
+    runs = []
+    median, best = per_call(lambda: runs.append(simulate_asian(spec, params, config)), 1, repeats)
     return {"ns_per_path_step": 1e9 * median / steps, "min_ns_per_path_step": 1e9 * best / steps,
-            "n_paths": config.n_paths, "n_steps": config.n_steps, "repeats": repeats}
+            "n_paths": config.n_paths, "n_blocks": runs[0].n_blocks, "n_steps": config.n_steps,
+            "repeats": repeats}
 
 
 def loadavg():

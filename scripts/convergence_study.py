@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from cevasian import McConfig, ModelParams, OptionSpec, simulate_asian
-from cevasian.rate_cev import rate_sqrt
+from cevasian.rate_cev import rate_cev
 from cevasian.varsolve import PathGrid, action, minimize_fixed
 
 
@@ -63,7 +63,7 @@ def study_varsolve(quick):
     print("== variational minimizer vs closed-form rate " + "=" * 17)
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     K = 1.7
-    ref = rate_sqrt(K, params).value
+    ref = rate_cev(K, params).value
     grids = (100, 200, 400) if quick else (100, 200, 400, 800)
     for n in grids:
         val = minimize_fixed(K, params, n=n)

@@ -17,10 +17,7 @@ of dA/dx = -x^-p (1-x)^(-1/2), forming everything from log x and log(1 - x):
 1 - u ~ c (1 - v)^3 next to the money, v of deep puts (1e-462 at
 kappa = 1.8e308) and u/v at the kappa < 1 pole end (1 at beta = 1/2, where
 v ~ 4 e^(-1/kappa)) keep their relative accuracy, and the terms that cancel
-are taken whole.  Inside ATM_WINDOW the rate is `model`'s ATM series.  The
-cumulant Lambda_f(theta) at beta = 1/2 is the Legendre-dual check,
-J_f = sup_theta -Lambda_f, its tanh form the rational continuation
-(tanh u - ku)/(1 - ku tanh u), +inf once 1 - ku tanh u <= 0.
+are taken whole.  Inside ATM_WINDOW the rate is `model`'s ATM series.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 from math import exp, expm1, log, log1p, sqrt
 
 from .model import (ATM_WINDOW, ConvergenceError, ModelParams, RateResult, RootBracketError,
-                    _EPS, _FLOOR, _newton, _require_sqrt_beta, atm_floating, rate_unit)
+                    _EPS, _FLOOR, _require_sqrt_beta, atm_floating, rate_unit)
 from .rate_cev import _series, _tail
 from .specfun import _hyp2f1
 
@@ -48,56 +45,6 @@ class FloatRateDiag:
     branch: str  # "put" (kappa>1) | "call" (kappa<1) | "atm"
     residual: float = 0.0
     iterations: int = 0
-
-
-def solve_theta_c(kappa: float, params: ModelParams) -> float:
-    """Upper boundary theta_c of the finite domain of Lambda_f.
-
-    In the variable v = sigma sqrt(2 theta)/2 it solves
-    v - arctan(kappa v) = pi/2; theta_c = 2 v^2/sigma^2.  For kappa = 0 this
-    is the fixed-strike boundary pi^2/(2 sigma^2).  The root lies in
-    (pi/2, pi), where the equation rises, and is solved by `model._newton` in
-    log v from the fixed-point step v = pi/2 + arctan(kappa pi/2).
-    """
-    _require_sqrt_beta(params)
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    if kappa == 0.0:
-        v = 0.5 * math.pi
-    else:
-        def eq(t: float):
-            v = math.exp(t)
-            kv = kappa * v
-            return v - math.atan(kv) - 0.5 * math.pi, v - kv / (1.0 + kv * kv), None
-
-        start = math.log(0.5 * math.pi + math.atan(0.5 * math.pi * kappa))
-        v = math.exp(_newton(eq, start, math.log(0.5 * math.pi), math.log(math.pi))[0])
-    return 2.0 * v * v / params.sigma ** 2
-
-
-def cumulant_float(theta: float, kappa: float, params: ModelParams) -> float:
-    """Limiting cumulant Lambda_f(theta) of the average minus kappa times the
-    endpoint, extended-real.  kappa = 0 gives the fixed-strike cumulant
-    (sqrt(2 theta)/sigma) tan(sigma sqrt(2 theta)/2) S0 and its tanh analogue."""
-    _require_sqrt_beta(params)
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    sig, S0 = params.sigma, params.S0
-    if theta == 0.0:
-        return 0.0
-    if theta > 0.0:
-        if theta >= solve_theta_c(kappa, params):
-            return math.inf
-        s = math.sqrt(2.0 * theta)
-        v = 0.5 * sig * s
-        return (s / sig) * math.tan(v - math.atan(kappa * v)) * S0
-    s = math.sqrt(-2.0 * theta)
-    u = 0.5 * sig * s
-    th = math.tanh(u)
-    denom = 1.0 - kappa * u * th
-    if denom <= 0.0:
-        return math.inf
-    return -(s / sig) * S0 * (th - kappa * u) / denom
 
 
 def _logit(t: float) -> tuple[float, float, float, float]:

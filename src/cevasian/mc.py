@@ -205,26 +205,3 @@ def simulate_floating(spec: OptionSpec, params: ModelParams, config: McConfig) -
     else:
         payoff = lambda avg, s: np.maximum(avg - kappa * s, 0.0)
     return _run_blocks(params, spec.maturity, config, payoff)
-
-
-def rate_from_mc(K: float, params: ModelParams, T_grid, config: McConfig,
-                 side: str | None = None) -> np.ndarray:
-    """Estimate the rate function from simulated prices: -T log(undiscounted
-    price) along a decreasing maturity grid.
-
-    The side defaults to the out-of-the-money one for strike K.  Entries where
-    the estimate is statistically starved (mean below twice its standard
-    error, or non-positive) come back as NaN rather than a bogus rate.
-    """
-    if side is None:
-        side = "call" if K >= params.S0 else "put"
-    out = np.empty(len(T_grid))
-    for i, T in enumerate(T_grid):
-        spec = OptionSpec("fixed", side, K, float(T))
-        est = simulate_asian(spec, params, config)
-        undisc = est.mean * _exp(params.r * T, "undiscounting factor")
-        if undisc <= 0.0 or est.mean < 2.0 * est.std_error:
-            out[i] = math.nan
-        else:
-            out[i] = -T * math.log(undisc)
-    return out

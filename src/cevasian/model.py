@@ -10,9 +10,8 @@ since a frozen record's per-field object.__setattr__ costs more than a warm rate
 Inside ATM_WINDOW every rate route and both equivalent vols read the ATM
 series written here once each: I = rate_unit x^2 P(x), x = log(K/S0)
 (`atm_fixed`) or log kappa (`atm_floating`), both to x^4 at every beta.
-`_newton` is the one-dimensional root solve of the fixed-strike rate and of
-the floating cumulant's boundary, and `_exp` the overflow-checked
-exponential of the discount factors.
+`_newton` is the one-dimensional root solve of the fixed-strike rate, and
+`_exp` the overflow-checked exponential of the discount factors.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
-BETA_TOL = 1.0e-7    # how far beta may sit from 1/2 for the square-root model's names
 ATM_WINDOW = 1.0e-5  # |log-moneyness| below which rates and vols use their ATM series
 _C2 = 1.5            # log-moneyness^2 coefficient of both ATM series
 _EPS = 2.0 ** -52    # the spacing of doubles at 1
@@ -121,15 +119,10 @@ def _exp(x: float, what: str) -> float:
     return math.exp(x)
 
 
-def beta_is_half(beta: float) -> bool:
-    """Whether beta is close enough to 1/2 for the square-root model's names
-    (`rate_sqrt`, `rate_float_sqrt`, the floating cumulant); no route
-    dispatches on it."""
-    return abs(beta - 0.5) <= BETA_TOL
-
-
 def _require_sqrt_beta(params: ModelParams) -> None:
-    if not beta_is_half(params.beta):
+    """ValueError unless beta is within 1e-7 of 1/2, the check of the square-root
+    model's names (`rate_sqrt`, `rate_float_sqrt`); no route dispatches on it."""
+    if not abs(params.beta - 0.5) <= 1.0e-7:
         raise ValueError(f"square-root model requires beta = 1/2, got beta={params.beta}")
 
 

@@ -215,10 +215,3 @@ def atm_price(params: ModelParams, T: float) -> float:
     if not T > 0:
         raise ValueError(f"maturity must be positive, got {T}")
     return params.sigma * params.S0 ** params.beta * math.sqrt(T / (6.0 * math.pi))
-
-
-def parity_gap(call_price: float, put_price: float, K: float,
-               params: ModelParams, T: float) -> float:
-    """Deviation from fixed-strike put-call parity C - P = e^{-rT}(A(T) - K)."""
-    disc = _exp(-params.r * T, "discount factor")
-    return call_price - put_price - disc * (average_forward(params, T) - K)

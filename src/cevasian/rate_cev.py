@@ -155,30 +155,6 @@ def _root_equation(u: float, target: float, beta: float):
     return r * (gap - q), r * (0.5 - e * q + q * yd / (A * sw)), (A, q, yd, gap)
 
 
-def ab_plus(x: float, beta: float) -> tuple[float, float]:
-    """(a+, b+) of the put branch; 0 < x <= 1."""
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"ab_plus requires x in (0, 1], got {x}")
-    if x == 1.0:
-        return 0.0, 0.0
-    A, q, yd, _ = _root_equation(math.log(x), 1.0, beta)[2]
-    return A / yd, q * A / yd
-
-
-def ab_minus(x: float, beta: float) -> tuple[float, float]:
-    """(a-, b-) of the call branch; 1 <= x < inf.  ConvergenceError where b-
-    exceeds the largest double (x near 1e308 at beta near 1/2)."""
-    if not 1.0 <= x < math.inf:
-        raise ValueError(f"ab_minus requires x in [1, inf), got {x}")
-    if x == 1.0:
-        return 0.0, 0.0
-    A, q, yd, _ = _root_equation(math.log(x), 1.0, beta)[2]
-    b = q * A / yd * math.sqrt(x)  # yd = x^(beta - 1)
-    if math.isinf(b):
-        raise ConvergenceError(f"b- at x={x} overflows a double")
-    return A / (yd * math.sqrt(x)), b
-
-
 def rate_cev(K: float, params: ModelParams) -> RateResult:
     """Rate function I(K, S0) for the CEV model, with solver diagnostics."""
     if not 0 < K < math.inf:

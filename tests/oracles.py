@@ -12,6 +12,16 @@ forms, the fixed-strike root (beta = 1/2 and general beta), the floating
 call rate and the general-beta floating-strike system are solved in
 many-digit arithmetic, and the incomplete beta integral A(y; p) of both
 systems is integrated by quadrature.
+
+Beside them live the checks that only the tests call.  The beta = 1/2
+cumulant Lambda_f(theta) (`cumulant_float`, with the boundary theta_c of
+its finite domain, `solve_theta_c`) is the Legendre-dual check,
+J_f = sup_theta -Lambda_f; its tanh form is the rational continuation
+(tanh u - ku)/(1 - ku tanh u), +inf once 1 - ku tanh u <= 0.  `ab_plus` and
+`ab_minus` read the factors (a, b) of a root variable x off
+`rate_cev._root_equation`; `rate_from_mc` estimates the rate as
+-T log(price) of Monte Carlo prices along a maturity grid; `parity_gap` is
+the deviation from fixed-strike put-call parity.
 """
 
 import math
@@ -21,10 +31,117 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
-from cevasian.float_strike import _start, cumulant_float, solve_theta_c
-from cevasian.model import RateResult, RootBracketError
-from cevasian.rate_cev import CevRateDiag, ab_minus, ab_plus
+from cevasian.float_strike import _start
+from cevasian.mc import McConfig, simulate_asian
+from cevasian.model import (ConvergenceError, ModelParams, RateResult, RootBracketError, _exp,
+                            _newton, _require_sqrt_beta)
+from cevasian.pricing import OptionSpec, average_forward
+from cevasian.rate_cev import CevRateDiag, _root_equation
 from cevasian.varsolve import minimize_fixed, minimize_float
+
+
+def solve_theta_c(kappa: float, params: ModelParams) -> float:
+    """Upper boundary theta_c of the finite domain of Lambda_f.
+
+    In the variable v = sigma sqrt(2 theta)/2 it solves
+    v - arctan(kappa v) = pi/2; theta_c = 2 v^2/sigma^2.  For kappa = 0 this
+    is the fixed-strike boundary pi^2/(2 sigma^2).  The root lies in
+    (pi/2, pi), where the equation rises, and is solved by `model._newton` in
+    log v from the fixed-point step v = pi/2 + arctan(kappa pi/2).
+    """
+    _require_sqrt_beta(params)
+    if kappa < 0:
+        raise ValueError(f"kappa must be nonnegative, got {kappa}")
+    if kappa == 0.0:
+        v = 0.5 * math.pi
+    else:
+        def eq(t: float):
+            v = math.exp(t)
+            kv = kappa * v
+            return v - math.atan(kv) - 0.5 * math.pi, v - kv / (1.0 + kv * kv), None
+
+        start = math.log(0.5 * math.pi + math.atan(0.5 * math.pi * kappa))
+        v = math.exp(_newton(eq, start, math.log(0.5 * math.pi), math.log(math.pi))[0])
+    return 2.0 * v * v / params.sigma ** 2
+
+
+def cumulant_float(theta: float, kappa: float, params: ModelParams) -> float:
+    """Limiting cumulant Lambda_f(theta) of the average minus kappa times the
+    endpoint, extended-real.  kappa = 0 gives the fixed-strike cumulant
+    (sqrt(2 theta)/sigma) tan(sigma sqrt(2 theta)/2) S0 and its tanh analogue."""
+    _require_sqrt_beta(params)
+    if kappa < 0:
+        raise ValueError(f"kappa must be nonnegative, got {kappa}")
+    sig, S0 = params.sigma, params.S0
+    if theta == 0.0:
+        return 0.0
+    if theta > 0.0:
+        if theta >= solve_theta_c(kappa, params):
+            return math.inf
+        s = math.sqrt(2.0 * theta)
+        v = 0.5 * sig * s
+        return (s / sig) * math.tan(v - math.atan(kappa * v)) * S0
+    s = math.sqrt(-2.0 * theta)
+    u = 0.5 * sig * s
+    th = math.tanh(u)
+    denom = 1.0 - kappa * u * th
+    if denom <= 0.0:
+        return math.inf
+    return -(s / sig) * S0 * (th - kappa * u) / denom
+
+
+def ab_plus(x: float, beta: float) -> tuple[float, float]:
+    """(a+, b+) of the put branch; 0 < x <= 1."""
+    if not 0.0 < x <= 1.0:
+        raise ValueError(f"ab_plus requires x in (0, 1], got {x}")
+    if x == 1.0:
+        return 0.0, 0.0
+    A, q, yd, _ = _root_equation(math.log(x), 1.0, beta)[2]
+    return A / yd, q * A / yd
+
+
+def ab_minus(x: float, beta: float) -> tuple[float, float]:
+    """(a-, b-) of the call branch; 1 <= x < inf.  ConvergenceError where b-
+    exceeds the largest double (x near 1e308 at beta near 1/2)."""
+    if not 1.0 <= x < math.inf:
+        raise ValueError(f"ab_minus requires x in [1, inf), got {x}")
+    if x == 1.0:
+        return 0.0, 0.0
+    A, q, yd, _ = _root_equation(math.log(x), 1.0, beta)[2]
+    b = q * A / yd * math.sqrt(x)  # yd = x^(beta - 1)
+    if math.isinf(b):
+        raise ConvergenceError(f"b- at x={x} overflows a double")
+    return A / (yd * math.sqrt(x)), b
+
+
+def rate_from_mc(K: float, params: ModelParams, T_grid, config: McConfig,
+                 side: str | None = None) -> np.ndarray:
+    """Estimate the rate function from simulated prices: -T log(undiscounted
+    price) along a decreasing maturity grid.
+
+    The side defaults to the out-of-the-money one for strike K.  Entries where
+    the estimate is statistically starved (mean below twice its standard
+    error, or non-positive) come back as NaN rather than a bogus rate.
+    """
+    if side is None:
+        side = "call" if K >= params.S0 else "put"
+    out = np.empty(len(T_grid))
+    for i, T in enumerate(T_grid):
+        spec = OptionSpec("fixed", side, K, float(T))
+        est = simulate_asian(spec, params, config)
+        undisc = est.mean * _exp(params.r * T, "undiscounting factor")
+        if undisc <= 0.0 or est.mean < 2.0 * est.std_error:
+            out[i] = math.nan
+        else:
+            out[i] = -T * math.log(undisc)
+    return out
+
+
+def parity_gap(call_price: float, put_price: float, K: float,
+               params: ModelParams, T: float) -> float:
+    """Deviation from fixed-strike put-call parity C - P = e^{-rT}(A(T) - K)."""
+    disc = _exp(-params.r * T, "discount factor")
+    return call_price - put_price - disc * (average_forward(params, T) - K)
 
 
 def sup_on_grid(f, lo, hi, n=4000):

@@ -21,7 +21,6 @@ from cevasian import (
     OptionSpec,
     atm_price,
     average_forward,
-    parity_gap,
     price_fixed,
     simulate_asian,
 )
@@ -37,7 +36,7 @@ from cevasian.rate_cev import (
 from cevasian.specfun import hyp2f1
 from cevasian.varsolve import minimize_fixed
 from oracles import (HYP2F1_ELEMENTARY, bs_limit_rate, legendre_fixed, legendre_float,
-                     rate_sqrt_mpmath)
+                     parity_gap, rate_sqrt_mpmath)
 
 
 def _report(ok: bool, label: str, detail: str = "") -> None:

@@ -21,19 +21,18 @@ import cevasian.float_strike as float_strike
 from cevasian import ModelParams, RateResult, RootBracketError
 from cevasian.cli import main
 from cevasian.float_strike import (
-    cumulant_float,
     jf_taylor,
     rate_float_cev,
     rate_float_sqrt,
-    solve_theta_c,
     _call_system,
     _put_system,
 )
 from cevasian.model import atm_floating
 from cevasian.rate_cev import _tail, rate_sqrt
 from cevasian.varsolve import minimize_float
-from oracles import (a_quadrature, float_system_mpmath, jf_call_mpmath, jf_put_mpmath,
-                     legendre_float, riccati_lambda, richardson_float)
+from oracles import (a_quadrature, cumulant_float, float_system_mpmath, jf_call_mpmath,
+                     jf_put_mpmath, legendre_float, riccati_lambda, richardson_float,
+                     solve_theta_c)
 
 duality_rel = 1e-7
 pole_rel = 1e-13  # measured worst is ~1e-14 at kappa 0.99, ~2e-16 next to the pole

@@ -21,13 +21,13 @@ from cevasian import (
     OptionSpec,
     average_forward,
     price_floating,
-    rate_from_mc,
     simulate_asian,
     simulate_floating,
 )
 from cevasian import mc
 from cevasian.cli import main
 from cevasian.rate_cev import rate_sqrt
+from oracles import rate_from_mc
 
 se_band = 3.5
 

@@ -26,7 +26,6 @@ from cevasian import (
     equiv_lognormal_vol,
     equiv_normal_vol,
     minimize_fixed,
-    parity_gap,
     price_fixed,
     price_floating,
     price_variational,
@@ -38,6 +37,7 @@ from cevasian.float_strike import FloatRateDiag
 from cevasian.pricing import VariationalDiag, rate_variational
 from cevasian.rate_cev import CevRateDiag, rate_cev
 from cevasian.rate_cev import rate_sqrt
+from oracles import parity_gap
 
 parity_tol = 1e-13  # measured worst over the sweep below is ~1.3e-15
 

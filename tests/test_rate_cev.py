@@ -22,8 +22,6 @@ from cevasian.model import _newton
 from cevasian.rate_cev import (
     _U_NEAR,
     _Y_SERIES,
-    ab_minus,
-    ab_plus,
     rate_cev,
     rate_cev_large_strike,
     rate_cev_small_strike,
@@ -31,7 +29,8 @@ from cevasian.rate_cev import (
     _root_equation,
     _solve,
 )
-from oracles import bs_limit_rate, rate_cev_alt, rate_cev_mpmath, rate_sqrt_mpmath
+from oracles import (ab_minus, ab_plus, bs_limit_rate, rate_cev_alt, rate_cev_mpmath,
+                     rate_sqrt_mpmath)
 
 quad_rel = 1e-10
 mpmath_rel = 1e-11    # measured worst over the grid below is ~5e-13

@@ -16,10 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from cevasian import ConvergenceError, ModelParams, RootBracketError
 from cevasian.cli import main
-from cevasian.float_strike import cumulant_float
 from cevasian.rate_cev import (_root_equation, rate_cev_large_strike, rate_cev_small_strike,
                                rate_cev_taylor, rate_sqrt)
-from oracles import legendre_fixed, rate_sqrt_mpmath, riccati_lambda
+from oracles import cumulant_float, legendre_fixed, rate_sqrt_mpmath, riccati_lambda
 
 riccati_rel = 1e-9
 legendre_rel = 1e-8

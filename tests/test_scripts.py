@@ -56,7 +56,8 @@ def test_bench_layers_quick_writes_every_layer(tmp_path):
                  "varsolve.minimize_fixed", "varsolve.minimize_float"):
         assert layers[name]["us_per_call"] > 0.0, name
     for beta in ("0.5", "0.75"):
-        assert layers[f"mc.simulate_asian.beta{beta}"]["ns_per_path_step"] > 0.0, beta
+        mc = layers[f"mc.simulate_asian.beta{beta}"]
+        assert mc["ns_per_path_step"] > 0.0 and mc["n_blocks"] >= 1, beta
 
 
 def test_the_benchmarks_trace_hooks_resolve(monkeypatch):
@@ -101,3 +102,59 @@ def test_the_benchmarks_import_breakdown_runs(monkeypatch):
     assert set(setup) == {"setup.import_numpy_s", "setup.import_scipy_optimize_s",
                           "setup.import_cevasian_self_s"}
     assert all(value > 0.0 for value in setup.values())
+
+
+# the paper's three leading-order laws stay public and documented, although
+# only the tests compare them with the exact rate and with Monte Carlo
+PAPER_LAWS = {"rate_cev_large_strike", "rate_cev_small_strike", "atm_price"}
+
+
+def _references(path):
+    """(names a file's module-level code references, {top-level definition:
+    names its body references}): loaded names, attributes, imported names and
+    string constants, which is how perfbench names what it patches."""
+    top, defs = set(), {}
+    for stmt in ast.parse(path.read_text()).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defs.setdefault(stmt.name, set()).update(names)
+        else:
+            top |= names
+    return top, defs
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    # no library code exists only for tests: every public name is referenced
+    # by scripts/, perfbench/ or src/ beyond __init__, where a reference in
+    # the body of a public definition counts only once that one is used
+    cevasian = importlib.import_module("cevasian")
+    public = set(cevasian.__all__)
+    assert all(hasattr(cevasian, name) for name in public)
+    assert PAPER_LAWS <= public
+    used, defs = set(), {}
+    for path in sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py")):
+        if not path.name.startswith("test_"):
+            top, inner = _references(path)
+            used |= top.union(*inner.values())
+    for path in sorted((ROOT / "src" / "cevasian").glob("*.py")):
+        if path.name != "__init__.py":
+            top, inner = _references(path)
+            used |= top
+            for name, names in inner.items():
+                defs.setdefault(name, set()).update(names)
+    grown = True
+    while grown:
+        refs = set().union(*(names for name, names in defs.items()
+                             if name not in public or name in used))
+        grown = not refs <= used
+        used |= refs
+    assert sorted(public - used - PAPER_LAWS) == []
