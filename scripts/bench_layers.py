@@ -15,6 +15,10 @@ the machine, to ``BENCH_<label>.json``:
 * ``price_fixed`` (K/S0 = 1.2) and ``price_floating`` (kappa = 0.8), with
   their memo cold and warm;
 * one ``minimize_fixed`` and one ``minimize_float`` solve at n = 800;
+* one Newton-KKT step of such a solve (``varsolve.newton_step``: one
+  ``_hessian``, one ``_kkt_step`` and one accepted ``_line_search`` at the
+  n = 800 start of beta = 3/4, K/S0 = 1.5) and its LAPACK tridiagonal
+  solve alone (``varsolve.dgtsv``);
 * Monte Carlo nanoseconds per path-step of ``simulate_asian`` at beta = 1/2
   (the square-root step) and 3/4 (the power step), at 100,000 paths: two
   seed blocks on their threads, as perfbench's ``monte_carlo`` runs them
@@ -43,11 +47,15 @@ import statistics
 import sys
 import time
 
+import numpy as np
+from scipy.linalg.lapack import dgtsv
+
 from cevasian import (McConfig, ModelParams, OptionSpec, hyp2f1, minimize_fixed, minimize_float,
                       price_fixed, price_floating, rate_cev, rate_float_cev, simulate_asian)
 
 rate_cev_module = importlib.import_module("cevasian.rate_cev")
 float_strike = importlib.import_module("cevasian.float_strike")
+varsolve = importlib.import_module("cevasian.varsolve")
 
 
 def per_call(fn, calls, repeats):
@@ -69,6 +77,29 @@ def cold(fn, clear=rate_cev_module._solve.cache_clear):
         clear()
         return fn()
     return call
+
+
+def newton_step(p, n=800, m=1.5):
+    """(one Newton-KKT step, its tridiagonal solve) at the rescaled start of
+    minimize_fixed(m S0, p, n); the step's line search accepts a full step."""
+    w = varsolve._trapezoid_weights(n)
+    t = np.linspace(0.0, 1.0, n + 1)
+    g = varsolve._rescaled(p.S0 * np.exp(t * (2.0 - t)), w, 0, m)
+    cons = w.copy()
+    cons[0] -= m
+    val, grad, terms = varsolve._action_and_grad(g, n, p)
+    e = float(cons @ g)
+
+    def step():
+        diag, off = varsolve._hessian(terms, n, p)
+        d, _, dec = varsolve._kkt_step(diag, off, grad[1:], cons[1:], e, 0.0)
+        return varsolve._line_search(g, val, -dec, d, True, p, n)
+
+    if step() is None:
+        raise RuntimeError("the timed Newton step's line search accepts no step")
+    diag, off = varsolve._hessian(terms, n, p)
+    b = np.asfortranarray(np.column_stack((grad[1:], cons[1:])))
+    return step, lambda: dgtsv(off, diag, off, b)  # copies its inputs, overwrites none
 
 
 def layers(quick):
@@ -96,6 +127,9 @@ def layers(quick):
     solves = 2 if quick else 20
     yield "varsolve.minimize_fixed", lambda: minimize_fixed(1.5, p, n=800), solves
     yield "varsolve.minimize_float", lambda: minimize_float(2.0, p, n=800), solves
+    step, solve = newton_step(p)
+    yield "varsolve.newton_step", step, n
+    yield "varsolve.dgtsv", solve, n
 
 
 def mc_ns_per_path_step(beta, quick, repeats):

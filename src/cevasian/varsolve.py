@@ -23,12 +23,17 @@ problem (Nocedal & Wright, Numerical Optimization, ch. 16): a step makes one
 pass over the interval terms for the action, gradient and Hessian and one LAPACK
 tridiagonal solve (``gtsv``), with step-halving to keep g > 0, an Armijo test
 once the iterate is feasible and a Levenberg shift where the Hessian is not
-positive on the constraint's tangent space.  A solve that does not meet its
-tolerances raises ConvergenceError.
+positive on the constraint's tangent space.  The Hessian and the step are
+checked finite exactly, by one dot product with zeros each (NaN where a NaN
+or an infinity is).  The first rung's start constants sit in an LRU memo of
+read-only arrays on (n, ref, S0), and within |m - 1| < 1e-9 n of the money
+the path is stored less S0.  A solve that does not meet its tolerances raises
+ConvergenceError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,13 +70,15 @@ def action(path: PathGrid, params: ModelParams) -> float:
                  / (2.0 * params.sigma ** 2 * h))
 
 
-def _action_and_grad(g: np.ndarray, n: int, params: ModelParams):
-    """Action, gradient and interval terms (mid, mpow, s1, s2) at the path g:
-    with c = n/(2 sigma^2), mpow = mid^(-2 beta), r = dg mpow, s1 = r/mid and
-    s2 = dg s1, the action is c dg . r, and interval i adds -2c r - beta c s2
-    to the gradient at node i and 2c r - beta c s2 at node i + 1."""
+def _action_and_grad(g: np.ndarray, n: int, params: ModelParams, level: float = 0.0):
+    """Action, gradient and interval terms (mid, mpow, s1, s2) at the path
+    g + level: with c = n/(2 sigma^2), mpow = mid^(-2 beta), r = dg mpow,
+    s1 = r/mid and s2 = dg s1, the action is c dg . r, and interval i adds
+    -2c r - beta c s2 to the gradient at node i and 2c r - beta c s2 at node i + 1."""
     beta, c = params.beta, 0.5 * n / params.sigma ** 2
     dg, mid = g[1:] - g[:-1], 0.5 * (g[:-1] + g[1:])
+    if level:
+        mid += level
     mpow = mid ** (-2.0 * beta)
     r = dg * mpow
     s1 = r / mid
@@ -104,10 +111,32 @@ def _rescaled(base: np.ndarray, w: np.ndarray, ref: int, m: float) -> np.ndarray
     converges monotonically.  The sum is shifted by its largest term, s max D
     for s >= 0 and s min D below, so nothing overflows.  Where |F(0)| is at
     rounding level, as at the money, s = 0 gives the constant path."""
+    return _rescale(_log_shape(base, w, ref), ref, m)
+
+
+def _log_shape(base: np.ndarray, w: np.ndarray, ref: int) -> tuple:
+    """(S0, L, w, w D, max D, min D, D - max D, D - min D) of :func:`_rescaled`."""
     L = np.log(base / base[0])
     D = L - L[ref]
-    wD, hi, lo = w * D, D.max(), D.min()
-    D_hi, D_lo = D - hi, D - lo
+    hi, lo = D.max(), D.min()
+    return base[0], L, w, w * D, hi, lo, D - hi, D - lo
+
+
+@functools.lru_cache(maxsize=4)  # an entry holds five arrays of n + 1 doubles
+def _smooth_shape(n: int, ref: int, S0: float) -> tuple:
+    """The first rung's start constants: a read-only :func:`_log_shape`."""
+    t = np.linspace(0.0, 1.0, n + 1)
+    base = S0 * np.exp(t * (2.0 - t) if ref == 0 else t)
+    with np.errstate(all="ignore"):
+        shape = _log_shape(base, _trapezoid_weights(n), ref)
+    for x in shape[1:4] + shape[6:]:  # L, w, w D, D - max D and D - min D
+        x.flags.writeable = False
+    return shape
+
+
+def _rescale(shape: tuple, ref: int, m: float, level: float = 0.0) -> np.ndarray:
+    """:func:`_rescaled` from a :func:`_log_shape`, less ``level`` (0 or S0)."""
+    S0, L, w, wD, hi, lo, D_hi, D_lo = shape
     s = 0.0
     for _ in range(max_newton):
         top, D_top = (hi, D_hi) if s >= 0.0 else (lo, D_lo)
@@ -115,7 +144,7 @@ def _rescaled(base: np.ndarray, w: np.ndarray, ref: int, m: float) -> np.ndarray
         total = w @ e
         F = math.log(total) + s * top - math.log(m)
         if abs(F) <= 1e-14:
-            return base[0] * np.exp(s * L)
+            return S0 * (np.expm1(s * L) if level else np.exp(s * L))
         s -= F * total / (wD @ e)  # numpy division: a zero slope gives inf
         if not math.isfinite(s):
             break
@@ -155,7 +184,7 @@ def _kkt_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray, a: np.ndarray
     if diag.size == 1:  # 1 x 1: the gtsv wrapper refuses an empty off-diagonal
         x, info = b / (diag + shift), 0
     else:
-        _, _, _, x, info = dgtsv(off, diag + shift, off, b, overwrite_d=1, overwrite_b=1)
+        _, _, _, x, info = dgtsv(off, diag + shift if shift else diag, off, b, overwrite_b=1)
     if info:
         raise ConvergenceError("singular Newton system: singular matrix")
     x1, x2 = x[:, 0], x[:, 1]
@@ -164,12 +193,13 @@ def _kkt_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray, a: np.ndarray
     step_t = -x1 - nu_t * x2
     dec = -float((grad + nu_t * a) @ step_t)
     step = step_t - (e / ax2) * x2
-    if not (math.isfinite(dec) and np.isfinite(step).all()):
+    if not (math.isfinite(dec) and math.isfinite(step @ np.zeros(step.size))):
         raise ConvergenceError("non-finite Newton step")
     return step, float(nu_t + e / ax2), dec
 
 
-def _certify(g: np.ndarray, cons_vec: np.ndarray, params: ModelParams, n: int):
+def _certify(g: np.ndarray, cons_vec: np.ndarray, params: ModelParams, n: int,
+             level: float, e0: float):
     """Minimize the action subject to cons_vec . g = 0 (the active averaging
     constraint), starting from the path g.  Returns (value, info).
 
@@ -178,28 +208,35 @@ def _certify(g: np.ndarray, cons_vec: np.ndarray, params: ModelParams, n: int):
     inverse-Hessian norm on the constraint's tangent space, about twice the
     error of the value; it is reported relative to the action as
     ``kkt_residual``.  Raises ConvergenceError if it or the constraint error
-    stays above tolerance."""
+    stays above tolerance.  g is the path less ``level`` (0, or S0 near the
+    money), and e0 = level (1 - m) is the constraint's value at the constant
+    path level."""
     a, acons = cons_vec[1:], np.abs(cons_vec)
-    val, grad, terms = _action_and_grad(g, n, params)
+    zero = np.zeros(n)
+    val, grad, terms = _action_and_grad(g, n, params, level)
 
     for it in range(1, max_newton + 1):
         diag, off = _hessian(terms, n, params)
-        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        # x @ 0 is nan where x has a nan or an inf; off's terms, all >= 0, add up in diag
+        if not math.isfinite(diag @ zero):
             raise ConvergenceError(f"non-finite Hessian at Newton step {it}")
-        e = float(cons_vec @ g)
-        feasible = abs(e) <= tol * float(acons @ g)  # |g| = g: g >= 0 throughout
+        e = float(cons_vec @ g) + e0
+        # sum |cons_i g_i|: g >= 0, or near the money a deviation of one sign
+        feasible = abs(e) <= tol * (abs(float(acons @ g)) + abs(e0))
         shift = 0.0
         for _ in range(20):  # shifts up to 1e8 times the largest diagonal entry
             step, nu, dec = _kkt_step(diag, off, grad[1:], a, e, shift)
             # converged: feasible, no negative curvature along the unshifted
-            # step, and a decrement at the tolerance
-            if shift == 0.0 and feasible and 0.0 <= dec <= tol * val:
+            # step (in deviation variables, where the Hessian is positive,
+            # none beyond rounding), and a decrement at the tolerance
+            if shift == 0.0 and feasible and (0.0 <= dec or level) and abs(dec) <= tol * val:
                 return val, {"converged": True, "constraint_err": e,
                              "lam": -nu,  # sign convention of min A - lam (mean - K)
-                             "floor_active": bool(g.min() <= 1e-9 * params.S0),
-                             "path": PathGrid(n, g), "n": n, "iterations": it,
-                             "kkt_residual": dec / val if val > 0.0 else 0.0}
-            trial = _line_search(g, val, -dec, step, feasible, params, n)
+                             "floor_active": bool(g.min() + level <= 1e-9 * params.S0),
+                             "path": PathGrid(n, g + level), "n": n, "iterations": it,
+                             # |dec|, with the sign of a zero kept
+                             "kkt_residual": max(dec, -dec) / val if val > 0.0 else 0.0}
+            trial = _line_search(g, val, -dec, step, feasible, params, n, level)
             if trial is not None:
                 break
             # at least twice the negative curvature measured along the step
@@ -214,19 +251,19 @@ def _certify(g: np.ndarray, cons_vec: np.ndarray, params: ModelParams, n: int):
 
 
 def _line_search(g: np.ndarray, val: float, slope: float, step: np.ndarray,
-                 armijo: bool, params: ModelParams, n: int):
-    """Halve the step until g stays positive and, with ``armijo``, the action
-    falls by at least 1e-4 of the predicted decrease.  Returns (g, value,
-    grad, terms) at the accepted point, or None if there is none (which, with
-    ``armijo``, includes a step that is not a descent direction)."""
+                 armijo: bool, params: ModelParams, n: int, level: float = 0.0):
+    """Halve the step until g + level stays positive and, with ``armijo``,
+    the action falls by at least 1e-4 of the predicted decrease.  Returns (g,
+    value, grad, terms) at the accepted point, or None if there is none
+    (which, with ``armijo``, includes a step that is not a descent direction)."""
     if armijo and not slope < 0.0:
         return None
     alpha = 1.0
     for _ in range(60):
         trial = g.copy()
-        trial[1:] += alpha * step
-        if trial.min() > 0.0:
-            tval, tgrad, terms = _action_and_grad(trial, n, params)
+        trial[1:] += alpha * step if alpha < 1.0 else step
+        if trial.min() > -level:
+            tval, tgrad, terms = _action_and_grad(trial, n, params, level)
             if math.isfinite(tval) and (not armijo or tval <= val + 1e-4 * alpha * slope):
                 return trial, tval, tgrad, terms
         alpha *= 0.5
@@ -255,19 +292,22 @@ def _minimize(name: str, m: float, ref: int, params: ModelParams, n: int):
         # positive path is more than 1/(2n) times it
         raise ValueError(f"{name} = {m:g} cannot be met on n = {n} intervals: "
                          f"it must exceed 1/(2n) = {0.5 / n:g}")
-    w = _trapezoid_weights(n)
-    t = np.linspace(0.0, 1.0, n + 1)
-    base = params.S0 * np.exp(t * (2.0 - t) if ref == 0 else t)
+    shape = _smooth_shape(n, ref, params.S0)
+    w = shape[2]
+    # near the money the path is stored less S0, so that its rise over an
+    # interval, about |m - 1|/n, is not rounded to the doubles around S0
+    level = params.S0 if abs(m - 1.0) < 1e-9 * n else 0.0
     rungs = [edge / 2.0 ** k for k in range(max(0, math.ceil(math.log2(edge / m))))] + [m]
     iterations = 0
     # a path that sinks towards 0 can overflow the Hessian; _certify checks
     # every Hessian, step and trial action and raises on a non-finite one
     with np.errstate(all="ignore"):
-        for rung in rungs:
+        for k, rung in enumerate(rungs):
             cons = w.copy()
             cons[ref] -= rung
-            value, info = _certify(_rescaled(base, w, ref, rung), cons, params, n)
-            base = info["path"].values
+            shape = _log_shape(info["path"].values, w, ref) if k else shape
+            value, info = _certify(_rescale(shape, ref, rung, level), cons, params, n,
+                                   level, level * (1.0 - rung))
             iterations += info["iterations"]
     info.update(iterations=iterations, rungs=len(rungs))
     return value, info

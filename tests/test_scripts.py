@@ -53,7 +53,8 @@ def test_bench_layers_quick_writes_every_layer(tmp_path):
                 assert layers[name]["us_per_call"] > 0.0, name
     for name in ("specfun.hyp2f1", "pricing.price_fixed.cold", "pricing.price_fixed.warm",
                  "pricing.price_floating.cold", "pricing.price_floating.warm",
-                 "varsolve.minimize_fixed", "varsolve.minimize_float"):
+                 "varsolve.minimize_fixed", "varsolve.minimize_float", "varsolve.newton_step",
+                 "varsolve.dgtsv"):
         assert layers[name]["us_per_call"] > 0.0, name
     for beta in ("0.5", "0.75"):
         mc = layers[f"mc.simulate_asian.beta{beta}"]

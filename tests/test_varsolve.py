@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from cevasian import ConvergenceError, ModelParams
-from cevasian.float_strike import rate_float_sqrt
+from cevasian import varsolve
+from cevasian.float_strike import rate_float_cev, rate_float_sqrt
 from cevasian.rate_cev import rate_cev
 from cevasian.rate_cev import rate_sqrt
 from cevasian.varsolve import (PathGrid, _action_and_grad, _hessian, _kkt_step, _rescaled,
@@ -318,12 +319,6 @@ def test_indefinite_hessian_start_converges_to_a_kkt_point():
     assert np.max(np.abs(residual)) <= 1e-6 * np.max(np.abs(grad[1:]))
 
 
-def near_the_money(x):
-    """The band where the Newton decrement stalls at rounding level above the
-    certificate's tolerance (a known limit, see CHANGES.md)."""
-    return abs(math.log(x)) < 1e-7
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.5, 0.95), st.floats(math.log(1e-2), math.log(1e3)),
        st.floats(math.log(0.1), math.log(100.0)))
@@ -331,12 +326,7 @@ def test_every_solve_is_certified_or_raises(beta, log_m, log_kappa):
     params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
     m, kappa = math.exp(log_m), math.exp(log_kappa)
     for solve, x in ((minimize_fixed, m), (minimize_float, kappa)):
-        try:
-            val, info = solve(x, params, full_output=True)
-        except ConvergenceError:
-            if near_the_money(x):
-                continue
-            raise
+        val, info = solve(x, params, full_output=True)
         g = info["path"].values
         strike = m if solve is minimize_fixed else kappa * g[-1]
         assert math.isfinite(val) and val >= 0.0
@@ -344,6 +334,95 @@ def test_every_solve_is_certified_or_raises(beta, log_m, log_kappa):
         assert 0.0 <= info["kkt_residual"] <= 1e-12
         assert g[0] == params.S0
         assert abs(trapezoid_mean(g) - strike) <= 1e-12 * max(1.0, strike)
+
+
+@pytest.mark.parametrize("offset", [s * d for d in (1e-14, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6)
+                                    for s in (1.0, -1.0)])
+@pytest.mark.parametrize("kind", ["fixed", "float"])
+@pytest.mark.parametrize("beta", [0.5, 0.75])
+def test_near_the_money_solves_certify_and_match_the_closed_forms(beta, kind, offset):
+    # within ~1e-7 of the money a path's rise over one interval is of the
+    # order of the rounding of the doubles around S0; its deviation from S0
+    # carries it
+    params = ModelParams(S0=1.7, sigma=0.5, beta=beta)
+    x = 1.0 + offset
+    if kind == "fixed":
+        val, info = minimize_fixed(x * params.S0, params, full_output=True)
+        closed = rate_cev(x * params.S0, params).value
+        strike = x * params.S0
+    else:
+        val, info = minimize_float(x, params, full_output=True)
+        closed = rate_float_cev(x, params).value
+        strike = x * info["path"].values[-1]
+    assert info["converged"] is True
+    assert 0.0 <= info["kkt_residual"] <= 1e-12
+    assert info["path"].values[0] == params.S0
+    assert abs(trapezoid_mean(info["path"].values) - strike) <= 1e-12 * strike
+    assert val == pytest.approx(closed, rel=1e-4)
+
+
+def test_a_path_that_sinks_to_zero_is_refused_at_its_hessian():
+    # the last ladder rung starts from a rescaled path with 292 nodes at
+    # g = 0, where mid^(-2 beta) is inf
+    with pytest.raises(ConvergenceError, match=r"^non-finite Hessian at Newton step 1$"):
+        minimize_fixed(1e-3, ModelParams(1.0, 0.5, 0.5))
+
+
+def test_a_non_finite_tridiagonal_solution_is_refused(monkeypatch):
+    def nan_gtsv(dl, d, du, b, **_):
+        return dl, d, du, np.full_like(b, np.nan), 0
+    monkeypatch.setattr(varsolve, "dgtsv", nan_gtsv)
+    with pytest.raises(ConvergenceError, match=r"^non-finite Newton step$"):
+        minimize_fixed(1.5, ModelParams(1.0, 0.5, 0.75), n=200)
+
+
+def test_a_step_that_overflows_with_a_finite_decrement_is_refused(monkeypatch):
+    # x1 = 0 gives a zero tangential step, so the decrement is 0, and
+    # a . x2 = 1: the step's first entry, e x2[0] / a . x2 = 1e310, overflows
+    # while e / a . x2 = 1e10 and the multiplier stay finite
+    x2 = np.array([1e300, 0.0, 0.0, 0.0])
+    monkeypatch.setattr(varsolve, "dgtsv", lambda dl, d, du, b, **_:
+                        (dl, d, du, np.column_stack((np.zeros(4), x2)), 0))
+    a = np.array([1e-300, 1.0, 1.0, 1.0])
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError,
+                                                  match=r"^non-finite Newton step$"):
+        _kkt_step(np.ones(4), np.zeros(3), np.ones(4), a, 1e10, 0.0)
+
+
+@pytest.mark.parametrize("kind, beta, S0, sigma, offset, n", [
+    ("fixed", 0.5, 1.0, 0.5, 2.220446049250313e-16, 2),
+    ("fixed", 0.75, 0.3, 1.0, -9.992007221626409e-13, 2),
+    ("float", 0.6, 0.3, 1.0, -8.881784197001252e-16, 2),
+    ("float", 0.5, 0.3, 1.0, 2.220446049250313e-16, 4),
+    ("fixed", 0.99, 1.0, 0.5, 6.661338147750939e-16, 8)])
+def test_near_the_money_solves_on_coarse_grids_certify(kind, beta, S0, sigma, offset, n):
+    # the optimum is met to rounding before the certificate is tested, and
+    # the unshifted decrement's sign is rounding noise
+    params = ModelParams(S0=S0, sigma=sigma, beta=beta)
+    x = 1.0 + offset
+    solve = minimize_fixed if kind == "fixed" else minimize_float
+    val, info = solve(x * (S0 if kind == "fixed" else 1.0), params, n=n, full_output=True)
+    assert info["converged"] is True and 0.0 <= info["kkt_residual"] <= 1e-12
+    g = info["path"].values
+    strike = x * (S0 if kind == "fixed" else g[-1])
+    assert abs(trapezoid_mean(g) - strike) <= 1e-12 * strike
+
+
+@pytest.mark.parametrize("minimize, x", [(minimize_fixed, 1.5), (minimize_fixed, 0.05),
+                                         (minimize_float, 2.0), (minimize_float, 1.0 + 1e-9)])
+def test_repeated_solves_are_identical_and_the_start_memo_is_read_only(minimize, x):
+    params = ModelParams(S0=1.3, sigma=0.5, beta=0.75)
+    varsolve._smooth_shape.cache_clear()
+    runs = [minimize(x * (params.S0 if minimize is minimize_fixed else 1.0), params,
+                     n=400, full_output=True) for _ in range(2)]
+    (v1, i1), (v2, i2) = runs
+    assert v1 == v2
+    assert i1["path"].values.tobytes() == i2["path"].values.tobytes()
+    assert {k: v for k, v in i1.items() if k != "path"} == {k: v for k, v in i2.items() if k != "path"}
+    assert varsolve._smooth_shape.cache_info().hits == 1
+    ref = 0 if minimize is minimize_fixed else -1
+    arrays = [a for a in varsolve._smooth_shape(400, ref, params.S0) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
 
 
 def feasible_exponential_action(kappa, params, n):
