@@ -82,22 +82,21 @@ def cold(fn, clear=rate_cev_module._solve.cache_clear):
 def newton_step(p, n=800, m=1.5):
     """(one Newton-KKT step, its tridiagonal solve) at the rescaled start of
     minimize_fixed(m S0, p, n); the step's line search accepts a full step."""
-    w = varsolve._trapezoid_weights(n)
-    t = np.linspace(0.0, 1.0, n + 1)
-    g = varsolve._rescaled(p.S0 * np.exp(t * (2.0 - t)), w, 0, m)
-    cons = w.copy()
+    shape = varsolve._smooth_shape(n, 0)
+    g = varsolve._rescale(shape, 0, m)  # the scale-free path g/S0
+    cons = shape[1].copy()
     cons[0] -= m
-    val, grad, terms = varsolve._action_and_grad(g, n, p)
+    val, grad, terms = varsolve._action_and_grad(g, n, p.beta)
     e = float(cons @ g)
 
     def step():
-        diag, off = varsolve._hessian(terms, n, p)
+        diag, off = varsolve._hessian(terms, n, p.beta)
         d, _, dec = varsolve._kkt_step(diag, off, grad[1:], cons[1:], e, 0.0)
-        return varsolve._line_search(g, val, -dec, d, True, p, n)
+        return varsolve._line_search(g, val, -dec, d, True, p.beta, n)
 
     if step() is None:
         raise RuntimeError("the timed Newton step's line search accepts no step")
-    diag, off = varsolve._hessian(terms, n, p)
+    diag, off = varsolve._hessian(terms, n, p.beta)
     b = np.asfortranarray(np.column_stack((grad[1:], cons[1:])))
     return step, lambda: dgtsv(off, diag, off, b)  # copies its inputs, overwrites none
 

@@ -132,6 +132,16 @@ def test_rate_variational_engine_reports_its_certificate(capsys):
     assert capsys.readouterr().out.startswith("rate ")
 
 
+def test_rate_variational_engine_at_a_spot_of_1e200(capsys):
+    # varsolve solves for g/S0, so S0 and sigma only scale its results
+    rc = main(["rate", "--engine", "varsolve", "--s0", "1e200", "--sigma", "1e25",
+               "--beta", "0.75", "--strike", "1.5e200", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    ref = rate_cev(1.5e200, ModelParams(S0=1e200, sigma=1e25, beta=0.75)).value
+    assert out["rate"] == pytest.approx(ref, rel=1e-4)
+
+
 def test_float_json_reports_the_variational_certificate(capsys):
     # the variational solver's certificate stays on minimize_float ...
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.75)

@@ -15,11 +15,12 @@ from scipy.optimize import brentq
 
 from cevasian import ConvergenceError, ModelParams
 from cevasian import varsolve
+from cevasian.model import rate_unit
 from cevasian.float_strike import rate_float_cev, rate_float_sqrt
 from cevasian.rate_cev import rate_cev
 from cevasian.rate_cev import rate_sqrt
-from cevasian.varsolve import (PathGrid, _action_and_grad, _hessian, _kkt_step, _rescaled,
-                               _trapezoid_weights, action, minimize_fixed, minimize_float)
+from cevasian.varsolve import (PathGrid, _action_and_grad, _hessian, _kkt_step, _rescale,
+                               _smooth_shape, action, default_n, minimize_fixed, minimize_float)
 from oracles import richardson_fixed
 
 closed_rel = 1e-4  # discretization error at the default grid is ~1e-6
@@ -226,13 +227,14 @@ def rising_then_falling_path(n):
 
 @pytest.mark.parametrize("beta", [0.5, 0.75, 0.9])
 def test_action_and_gradient_match_the_reference_action(beta):
-    # the solver's one-pass value and gradient against action(), which forms
-    # the discrete action from its definition
-    params = ModelParams(S0=1.0, sigma=0.7, beta=beta)
-    n = 12
-    g = rising_then_falling_path(n)
-    val, grad, _ = _action_and_grad(g, n, params)
-    assert val == pytest.approx(action(PathGrid(n, g), params), rel=1e-14)
+    # the solver's one-pass value and gradient of the scale-free path g/S0,
+    # scaled by the rate unit, against action(), which forms the discrete
+    # action of g from its definition
+    params = ModelParams(S0=1.6, sigma=0.7, beta=beta)
+    unit, n = rate_unit(params), 12
+    g = params.S0 * rising_then_falling_path(n)
+    val, grad, _ = _action_and_grad(g / params.S0, n, beta)
+    assert unit * val == pytest.approx(action(PathGrid(n, g), params), rel=1e-14)
     eps = 1e-6
     fd = np.empty(n + 1)
     for j in range(n + 1):
@@ -240,40 +242,38 @@ def test_action_and_gradient_match_the_reference_action(beta):
         up[j] += eps
         down[j] -= eps
         fd[j] = (action(PathGrid(n, up), params) - action(PathGrid(n, down), params)) / (2.0 * eps)
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+    np.testing.assert_allclose(unit / params.S0 * grad, fd, rtol=1e-6,
+                               atol=1e-6 * np.max(np.abs(fd)))
 
 
-def dense_hessian(g, n, params):
-    diag, off = _hessian(_action_and_grad(g, n, params)[2], n, params)
+def dense_hessian(p, n, beta):
+    diag, off = _hessian(_action_and_grad(p, n, beta)[2], n, beta)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.75, 0.9])
 def test_hessian_matches_central_differences(beta):
-    params = ModelParams(S0=1.0, sigma=0.7, beta=beta)
     n = 12
-    g = rising_then_falling_path(n)
-    dense = dense_hessian(g, n, params)
+    p = rising_then_falling_path(n)
+    dense = dense_hessian(p, n, beta)
     eps = 1e-6
     fd = np.empty((n, n))
     for j in range(1, n + 1):
-        up, down = g.copy(), g.copy()
+        up, down = p.copy(), p.copy()
         up[j] += eps
         down[j] -= eps
-        fd[:, j - 1] = (_action_and_grad(up, n, params)[1][1:]
-                        - _action_and_grad(down, n, params)[1][1:]) / (2.0 * eps)
+        fd[:, j - 1] = (_action_and_grad(up, n, beta)[1][1:]
+                        - _action_and_grad(down, n, beta)[1][1:]) / (2.0 * eps)
     np.testing.assert_allclose(dense, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
 
 
 def kkt_problem(beta, n=12):
-    """The Hessian and gradient at a path that rises, then falls below S0,
+    """The Hessian and gradient at a path that rises, then falls below 1,
     with the floating-strike constraint vector at kappa = 0.7."""
-    params = ModelParams(S0=1.0, sigma=0.7, beta=beta)
-    g = rising_then_falling_path(n)
-    _, grad, terms = _action_and_grad(g, n, params)
+    _, grad, terms = _action_and_grad(rising_then_falling_path(n), n, beta)
     a = np.full(n, 1.0 / n)
     a[-1] = 0.5 / n - 0.7
-    return _hessian(terms, n, params), grad[1:], a
+    return _hessian(terms, n, beta), grad[1:], a
 
 
 @pytest.mark.parametrize("beta, shift", [(0.5, 0.0), (0.9, 0.0), (0.9, 3.5)])
@@ -304,15 +304,14 @@ def test_indefinite_hessian_start_converges_to_a_kkt_point():
     # beta > 1/2: the Hessian at the exponential start has a negative
     # eigenvalue, so the Levenberg safeguard has to act
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.9)
-    n, kappa = 200, 0.2
-    t = np.linspace(0.0, 1.0, n + 1)
-    start = PathGrid(n, _rescaled(np.exp(t), _trapezoid_weights(n), -1, kappa))
+    unit, n, kappa = rate_unit(params), 200, 0.2
+    start = PathGrid(n, _rescale(_smooth_shape(n, -1), -1, kappa))
     assert trapezoid_mean(start.values) == pytest.approx(kappa * start.values[-1], rel=1e-13)
-    assert np.linalg.eigvalsh(dense_hessian(start.values, n, params))[0] < 0.0
+    assert np.linalg.eigvalsh(dense_hessian(start.values, n, params.beta))[0] < 0.0
     val, info = minimize_float(kappa, params, n=n, full_output=True)
     assert val < action(start, params)
     g = info["path"].values
-    grad = _action_and_grad(g, n, params)[1]
+    grad = unit * _action_and_grad(g, n, params.beta)[1]
     a = np.full(n, 1.0 / n)
     a[-1] = 0.5 / n - kappa
     residual = grad[1:] - info["lam"] * a
@@ -336,22 +335,30 @@ def test_every_solve_is_certified_or_raises(beta, log_m, log_kappa):
         assert abs(trapezoid_mean(g) - strike) <= 1e-12 * max(1.0, strike)
 
 
-@pytest.mark.parametrize("offset", [s * d for d in (1e-14, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6)
-                                    for s in (1.0, -1.0)])
-@pytest.mark.parametrize("kind", ["fixed", "float"])
-@pytest.mark.parametrize("beta", [0.5, 0.75])
-def test_near_the_money_solves_certify_and_match_the_closed_forms(beta, kind, offset):
+NEAR_THE_MONEY = [(beta, kind, s * d, 1.7, 0.5, default_n) for beta in (0.5, 0.75)
+                  for kind in ("fixed", "float") for d in (1e-14, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6)
+                  for s in (1.0, -1.0)]
+# just outside the band of the deviation path, at n = 3200 (these stalled
+# when the solve ran on g itself)
+NEAR_THE_MONEY += [(0.5, "fixed", s * 1e-5, 3.0, 0.2, 3200) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("beta, kind, offset, S0, sigma, n", NEAR_THE_MONEY, ids=[
+    f"{c[0]}-{c[1]}-{c[2]}" + (f"-S0{c[3]}-n{c[5]}" if c[5] != default_n else "")
+    for c in NEAR_THE_MONEY])
+def test_near_the_money_solves_certify_and_match_the_closed_forms(beta, kind, offset, S0,
+                                                                  sigma, n):
     # within ~1e-7 of the money a path's rise over one interval is of the
-    # order of the rounding of the doubles around S0; its deviation from S0
+    # order of the rounding of the doubles around 1; its deviation from 1
     # carries it
-    params = ModelParams(S0=1.7, sigma=0.5, beta=beta)
+    params = ModelParams(S0=S0, sigma=sigma, beta=beta)
     x = 1.0 + offset
     if kind == "fixed":
-        val, info = minimize_fixed(x * params.S0, params, full_output=True)
+        val, info = minimize_fixed(x * params.S0, params, n=n, full_output=True)
         closed = rate_cev(x * params.S0, params).value
         strike = x * params.S0
     else:
-        val, info = minimize_float(x, params, full_output=True)
+        val, info = minimize_float(x, params, n=n, full_output=True)
         closed = rate_float_cev(x, params).value
         strike = x * info["path"].values[-1]
     assert info["converged"] is True
@@ -389,6 +396,58 @@ def test_a_step_that_overflows_with_a_finite_decrement_is_refused(monkeypatch):
         _kkt_step(np.ones(4), np.zeros(3), np.ones(4), a, 1e10, 0.0)
 
 
+@pytest.mark.parametrize("m, params", [
+    (52.71259303685327, ModelParams(1.0, 0.5, 0.9)),
+    (12.710720654576445, ModelParams(2.5, 0.43251118340103883, 0.9, r=0.03, q=0.01))])
+def test_a_zero_levenberg_step_raises_or_certifies_the_one_feasible_path(m, params):
+    # on n = 1 the rounding-negative decrement of a feasible start sends the
+    # solve into Levenberg shifts whose steps are exactly 0, whose curvature
+    # 0/0 raised ZeroDivisionError
+    K, S0 = m * params.S0, params.S0
+    try:
+        val = minimize_fixed(K, params, n=1)
+    except ConvergenceError:
+        return
+    feasible = action(PathGrid(1, np.array([S0, 2.0 * K - S0])), params)
+    assert val == pytest.approx(feasible, rel=1e-12)
+
+
+@pytest.mark.parametrize("minimize, x", [(minimize_fixed, 1.5), (minimize_fixed, 0.05),
+                                         (minimize_float, 0.5), (minimize_float, 1.0 + 2.0 ** -40)])
+def test_results_scale_with_the_spot_and_the_rate_unit(minimize, x):
+    # the solve runs on g/S0 at sigma = 1, and at S0 = 2^k the strike x S0 is
+    # exact, so the scale-free solve is the same at every k
+    beta, n = 0.75, 400
+    value1, info1 = minimize(x, ModelParams(1.0, 1.0, beta), n=n, full_output=True)
+    for k in (-900, -300, 0, 300, 900):
+        params = ModelParams(2.0 ** k, 0.3, beta)
+        S0, unit = params.S0, rate_unit(params)
+        value, info = minimize(x * S0 if minimize is minimize_fixed else x, params, n=n,
+                               full_output=True)
+        assert abs(value / unit - value1) <= math.ulp(value1)
+        lam = info1["lam"] * unit / S0
+        assert abs(info["lam"] - lam) <= math.ulp(lam)
+        assert info["constraint_err"] == info1["constraint_err"] * S0
+        assert np.array_equal(info["path"].values, S0 * info1["path"].values)
+        assert (info["iterations"], info["kkt_residual"]) == (info1["iterations"],
+                                                              info1["kkt_residual"])
+
+
+def test_a_spot_of_1e200_certifies():
+    # the unscaled path's Hessian, ~1e-347, underflowed to 0 here
+    params = ModelParams(1e200, 1e25, 0.75)
+    val, info = minimize_fixed(1.5e200, params, full_output=True)
+    assert 0.0 <= info["kkt_residual"] <= 1e-12
+    assert val == pytest.approx(rate_cev(1.5e200, params).value, rel=1e-4)
+
+
+def test_a_minimum_beyond_the_doubles_is_refused():
+    # the rate unit S0/sigma^2 = 1e308 is a double; 2.96 times it is not
+    with pytest.raises(ConvergenceError,
+                       match=r"^the minimum 2.95958 times the rate unit 1e\+308 overflows$"):
+        minimize_fixed(3.0, ModelParams(1.0, 1e-154, 0.5), n=100)
+
+
 @pytest.mark.parametrize("kind, beta, S0, sigma, offset, n", [
     ("fixed", 0.5, 1.0, 0.5, 2.220446049250313e-16, 2),
     ("fixed", 0.75, 0.3, 1.0, -9.992007221626409e-13, 2),
@@ -420,8 +479,12 @@ def test_repeated_solves_are_identical_and_the_start_memo_is_read_only(minimize,
     assert i1["path"].values.tobytes() == i2["path"].values.tobytes()
     assert {k: v for k, v in i1.items() if k != "path"} == {k: v for k, v in i2.items() if k != "path"}
     assert varsolve._smooth_shape.cache_info().hits == 1
+    # the start is scale-free: another spot and sigma share the entry
+    other = ModelParams(S0=40.0, sigma=3.0, beta=0.75)
+    minimize(x * (other.S0 if minimize is minimize_fixed else 1.0), other, n=400)
+    assert varsolve._smooth_shape.cache_info().hits == 2
     ref = 0 if minimize is minimize_fixed else -1
-    arrays = [a for a in varsolve._smooth_shape(400, ref, params.S0) if isinstance(a, np.ndarray)]
+    arrays = [a for a in varsolve._smooth_shape(400, ref) if isinstance(a, np.ndarray)]
     assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
 
 
