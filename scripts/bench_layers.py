@@ -91,7 +91,7 @@ def newton_step(p, n=800, m=1.5):
 
     def step():
         diag, off = varsolve._hessian(terms, n, p.beta)
-        d, _, dec = varsolve._kkt_step(diag, off, grad[1:], cons[1:], e, 0.0)
+        d, _, dec, _ = varsolve._kkt_step(diag, off, grad[1:], cons[1:], e, 0.0)
         return varsolve._line_search(g, val, -dec, d, True, p.beta, n)
 
     if step() is None:

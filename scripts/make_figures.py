@@ -105,7 +105,7 @@ def plot_all(out_dir, plt):
         ax.plot(d4["log_moneyness"], d4[col], label=label)
     ax.set_xlabel("log(K / S0)")
     ax.set_ylabel("equivalent lognormal vol")
-    ax.set_title("Short-maturity vol skew (sigma = 0.5, S0 = 1)")
+    ax.set_title("Short-maturity vol skew (sigma = 1, S0 = 1)")
     ax.legend()
     save(fig, os.path.join(out_dir, "fig4_vol_skew.png"))
 

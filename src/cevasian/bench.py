@@ -14,16 +14,11 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .model import ModelParams
 from .pricing import OptionSpec, price_fixed, price_floating, price_variational
 from .mc import McConfig, simulate_asian, simulate_floating
-
-CSV_HEADER = ["id", "S0", "K_or_kappa", "style", "side", "r", "q", "sigma",
-              "beta", "T", "engine", "ref_name", "ref_value"]
-OUT_HEADER = CSV_HEADER + ["price", "abs_err", "rel_err", "ok"]
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -51,6 +46,10 @@ class BenchRow:
     ok: bool
     runtime_ms: float = 0.0
 
+
+# a scenario file's columns, and the results CSV's (the run's runtime left out)
+CSV_HEADER = [f.name for f in fields(Scenario)]
+OUT_HEADER = CSV_HEADER + [f.name for f in fields(BenchRow)][1:-1]
 
 # Benchmark cases for the square-root model.  Table 1: seven classic test
 # cases (S0, K, r, sigma, T); case 1 runs at r = 0.02, which is the rate the
@@ -87,16 +86,21 @@ value_tol = 5.0e-7       # |price - expected| for the pinned asymptotic values
 float_value_tol = 5.0e-6
 
 
+def _timed(sc: Scenario, mc_config: McConfig | None = None) -> BenchRow:
+    """Price a scenario and time it; the row is ok until its caller judges it."""
+    t0 = time.perf_counter()
+    price = _price_scenario(sc, mc_config)
+    ms = (time.perf_counter() - t0) * 1e3
+    return BenchRow(sc, price, price - sc.ref_value, price / sc.ref_value - 1.0, True, ms)
+
+
 def _row(sc: Scenario, expected: float, tol: float, ref_tol: float | None) -> BenchRow:
     """Price a reference scenario.  The row is ok when the price matches its
     pinned value to ``tol`` and, unless ``ref_tol`` is None, its reference
     value to ``ref_tol`` relative."""
-    t0 = time.perf_counter()
-    price = _price_scenario(sc)
-    ms = (time.perf_counter() - t0) * 1e3
-    rel = price / sc.ref_value - 1.0
-    ok = abs(price - expected) <= tol and (ref_tol is None or abs(rel) <= ref_tol)
-    return BenchRow(sc, price, price - sc.ref_value, rel, ok, ms)
+    row = _timed(sc)
+    row.ok = abs(row.price - expected) <= tol and (ref_tol is None or abs(row.rel_err) <= ref_tol)
+    return row
 
 
 def run_table1() -> list[BenchRow]:
@@ -152,11 +156,11 @@ def _price_scenario(sc: Scenario, mc_config: McConfig | None = None) -> float:
 
 
 def run_custom(path: str, mc_config: McConfig | None = None) -> list[BenchRow]:
-    """Run the scenarios in a CSV file (columns: id,S0,K_or_kappa,style,side,
-    r,q,sigma,beta,T,engine,ref_name,ref_value; ref columns may be empty).
+    """Run the scenarios in a CSV file with the columns of CSV_HEADER; an
+    empty cell takes the field's default (engine asympt, no reference).
 
-    A row with a reference value is flagged ok when it agrees within 1%;
-    rows without a reference are ok when they price without error.
+    A row with a reference value, which must be finite and non-zero, is ok
+    when it agrees within 1%; rows without one are ok when they price.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -173,47 +177,30 @@ def run_custom(path: str, mc_config: McConfig | None = None) -> list[BenchRow]:
             if len(rec) != len(CSV_HEADER):
                 raise ValueError(f"{path} line {lineno}: expected {len(CSV_HEADER)} fields, got {len(rec)}")
             try:
-                sc = Scenario(
-                    id=rec[0].strip(),
-                    S0=float(rec[1]), K_or_kappa=float(rec[2]),
-                    style=rec[3].strip(), side=rec[4].strip(),
-                    r=float(rec[5]), q=float(rec[6]),
-                    sigma=float(rec[7]), beta=float(rec[8]), T=float(rec[9]),
-                    engine=rec[10].strip() or "asympt",
-                    ref_name=rec[11].strip(),
-                    ref_value=float(rec[12]) if rec[12].strip() else math.nan,
-                )
+                values = {f.name: float(cell) if f.type == "float" else cell.strip()
+                          for f, cell in zip(fields(Scenario), rec)
+                          if cell.strip() or f.default is MISSING}
+                sc = Scenario(**values)
+                if "ref_value" in values and not (math.isfinite(sc.ref_value) and sc.ref_value):
+                    raise ValueError(f"ref_value must be finite and non-zero, got {sc.ref_value}")
+                row = _timed(sc, mc_config)
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
-            t0 = time.perf_counter()
-            try:
-                price = _price_scenario(sc, mc_config)
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-            ms = (time.perf_counter() - t0) * 1e3
-            if math.isnan(sc.ref_value):
-                rows.append(BenchRow(sc, price, math.nan, math.nan, True, ms))
-            else:
-                rel = price / sc.ref_value - 1.0
-                rows.append(BenchRow(sc, price, price - sc.ref_value, rel,
-                                     abs(rel) <= 0.01, ms))
+            row.ok = math.isnan(sc.ref_value) or abs(row.rel_err) <= 0.01
+            rows.append(row)
     return rows
 
 
 def to_csv(rows: list[BenchRow], path: str) -> None:
     """Write rows deterministically (12 significant digits, runtime omitted)."""
-    def fmt(x: float) -> str:
-        return "" if math.isnan(x) else f"{x:.12g}"
+    def cell(x) -> str:
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        return x if isinstance(x, str) else "" if math.isnan(x) else f"{x:.12g}"
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(OUT_HEADER)
         for row in rows:
-            sc = row.scenario
-            writer.writerow([
-                sc.id, fmt(sc.S0), fmt(sc.K_or_kappa), sc.style, sc.side,
-                fmt(sc.r), fmt(sc.q), fmt(sc.sigma), fmt(sc.beta), fmt(sc.T),
-                sc.engine, sc.ref_name, fmt(sc.ref_value),
-                fmt(row.price), fmt(row.abs_err), fmt(row.rel_err),
-                "true" if row.ok else "false",
-            ])
+            writer.writerow([cell(getattr(row.scenario, name)) for name in CSV_HEADER]
+                            + [cell(getattr(row, name)) for name in OUT_HEADER[len(CSV_HEADER):]])

@@ -170,9 +170,9 @@ def _kkt_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray, a: np.ndarray
     """Newton step of the KKT system [[H + shift I, a], [a', 0]] [d; nu] =
     [-grad; -e], H = tridiag(off, diag, off).  One LAPACK ``gtsv`` call solves
     (H + shift I) [x1, x2] = [grad, a]; nu = (e - a.x1)/(a.x2), d = -x1 - nu x2.
-    Returns (d, nu, dec), where dec = d_t' (H + shift I) d_t is the Newton
-    decrement of the step d_t for e = 0, so that a rounding-level constraint
-    error does not enter it."""
+    Returns (d, nu, dec, d_t), where dec = d_t' (H + shift I) d_t is the
+    Newton decrement of the tangential step d_t, the step for e = 0, so that
+    a rounding-level constraint error does not enter it."""
     b = np.empty((grad.size, 2), order="F")  # Fortran order, as gtsv takes it
     b[:, 0], b[:, 1] = grad, a
     if diag.size == 1:  # 1 x 1: the gtsv wrapper refuses an empty off-diagonal
@@ -189,7 +189,7 @@ def _kkt_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray, a: np.ndarray
     step = step_t - (e / ax2) * x2
     if not (math.isfinite(dec) and math.isfinite(step @ np.zeros(step.size))):
         raise ConvergenceError("non-finite Newton step")
-    return step, float(nu_t + e / ax2), dec
+    return step, float(nu_t + e / ax2), dec, step_t
 
 
 def _certify(p: np.ndarray, cons_vec: np.ndarray, beta: float, n: int,
@@ -219,7 +219,7 @@ def _certify(p: np.ndarray, cons_vec: np.ndarray, beta: float, n: int,
         feasible = abs(e) <= tol * (abs(float(acons @ p)) + abs(e0))
         shift = 0.0
         for _ in range(20):  # shifts up to 1e8 times the largest diagonal entry
-            step, nu, dec = _kkt_step(diag, off, grad[1:], a, e, shift)
+            step, nu, dec, step_t = _kkt_step(diag, off, grad[1:], a, e, shift)
             # converged: feasible, no negative curvature along the unshifted
             # step (in deviation variables, where the Hessian is positive,
             # none beyond rounding), and a decrement at the tolerance
@@ -233,10 +233,10 @@ def _certify(p: np.ndarray, cons_vec: np.ndarray, beta: float, n: int,
             trial = _line_search(p, val, -dec, step, feasible, beta, n, level)
             if trial is not None:
                 break
-            # at least twice the negative curvature measured along the step;
+            # at least twice the negative curvature along dec's tangential step;
             # numpy division: a zero step gives nan, which max passes over
             shift = max(10.0 * shift, 1e-10 * float(np.abs(diag).max()),
-                        -2.0 * dec / (step @ step))
+                        -2.0 * dec / (step_t @ step_t))
         else:
             raise ConvergenceError(f"no acceptable step at Newton step {it} "
                                    f"(Levenberg shift {shift:.3g})")

@@ -117,6 +117,23 @@ def test_run_custom_line_numbers_in_errors(tmp_path):
         run_custom(_write(tmp_path, bad_number))
 
 
+@pytest.mark.parametrize("ref", ["0", "-0.0", "nan", "inf", "-inf"])
+def test_run_custom_refuses_a_reference_value_that_is_zero_or_not_finite(tmp_path, ref):
+    text = CUSTOM_HEADER + "\n"
+    text += "c1,2.0,2.0,fixed,call,0.02,0.0,0.14,0.5,1.0,asympt,pin,0.055474\n"
+    text += f"c2,2.0,2.0,fixed,call,0.02,0.0,0.14,0.5,1.0,asympt,pin,{ref}\n"
+    with pytest.raises(ValueError, match="line 3: ref_value must be finite and non-zero"):
+        run_custom(_write(tmp_path, text))
+
+
+def test_run_custom_empty_cells_take_the_fields_defaults(tmp_path):
+    text = CUSTOM_HEADER + "\n" + "c1, 2.0 ,2.0,fixed,call,0.02,0.0,0.14,0.5,1.0, , ,\n"
+    (row,) = run_custom(_write(tmp_path, text))
+    assert row.scenario == Scenario("c1", 2.0, 2.0, "fixed", "call", 0.02, 0.0, 0.14, 0.5, 1.0)
+    assert row.scenario.engine == "asympt" and math.isnan(row.scenario.ref_value)
+    assert row.ok and math.isnan(row.abs_err) and math.isnan(row.rel_err)
+
+
 def test_to_csv_deterministic(tmp_path):
     rows = run_floating()
     p1 = tmp_path / "a.csv"

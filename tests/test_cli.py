@@ -189,6 +189,54 @@ def test_vol_curve_to_file(tmp_path, capsys):
     assert atm and atm[0].split(",")[2] == "0"
 
 
+def test_vol_curve_json_with_out_writes_the_csv_too(tmp_path, capsys):
+    out_file = tmp_path / "vc.csv"
+    args = ["vol-curve", "--sigma", "0.5", "--beta", "0.75", "--n", "3"]
+    assert main(args + ["--json", "--out", str(out_file)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [row["K_over_S0"] for row in json.loads(printed[0])] == [0.5, 1.0, 2.0]
+    assert printed[1:] == [f"wrote {out_file}"]
+    csv_text = out_file.read_text()
+    assert main(args) == 0  # the same CSV the text view prints
+    assert capsys.readouterr().out.replace("\r\n", "\n") == csv_text.replace("\r\n", "\n")
+
+
+RECORD_COMMANDS = [
+    ["price", "--s0", "2", "--sigma", "0.14", "--beta", "0.5", "--r", "0.02", "--strike", "2",
+     "--maturity", "1"],
+    ["price", "--sigma", "0.5", "--beta", "0.75", "--style", "floating", "--side", "put",
+     "--strike", "0.8", "--maturity", "0.5", "--engine", "varsolve"],
+    ["rate", "--sigma", "0.5", "--beta", "0.75", "--strike", "1.5"],
+    ["rate", "--sigma", "0.5", "--beta", "0.75", "--strike", "30", "--engine", "varsolve"],
+    ["float", "--sigma", "0.5", "--beta", "0.75", "--kappa", "1.3"],
+    ["float", "--sigma", "0.7", "--beta", "0.5", "--r", "0.04", "--kappa", "1",
+     "--maturity", "1"],
+    ["float", "--sigma", "0.5", "--beta", "0.6", "--kappa", "0.7", "--side", "call",
+     "--maturity", "0.5"],
+    ["mc", "--sigma", "0.5", "--beta", "0.5", "--strike", "1.1", "--maturity", "0.5",
+     "--n-paths", "2000", "--n-steps", "50", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", RECORD_COMMANDS, ids=lambda a: "-".join(a[:1] + a[-4:]))
+def test_text_lines_are_a_rounded_view_of_the_json_record(argv, capsys):
+    assert main(argv + ["--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    for line in lines:
+        key, value = line.split(" ", 1)
+        key = key.rstrip(":")
+        assert key in record, line
+        field = record[key]
+        if isinstance(field, str):
+            assert value == field, line
+        else:
+            assert float(value.split()[0]) == round(field, 6), line
+    assert ("note" in {ln.split()[0].rstrip(":") for ln in lines}) == bool(record.get("note"))
+
+
 def test_float_subcommand(capsys):
     rc = main(["float", "--sigma", "0.7", "--beta", "0.5", "--r", "0.04",
                "--kappa", "1.0", "--maturity", "1"])
@@ -262,6 +310,18 @@ def test_bench_json_reports_each_rows_runtime(tmp_path, capsys):
     # the CSV leaves the runtime out, so that it stays deterministic
     assert outs[0].read_text() == outs[1].read_text()
     assert "runtime" not in outs[0].read_text()
+
+
+@pytest.mark.parametrize("ref", ["0", "nan"])
+def test_bench_custom_reference_value_of_zero_exits_two(tmp_path, ref, capsys):
+    src = tmp_path / "in.csv"
+    src.write_text("id,S0,K_or_kappa,style,side,r,q,sigma,beta,T,engine,ref_name,ref_value\n"
+                   f"c1,2.0,2.0,fixed,call,0.02,0.0,0.14,0.5,1.0,asympt,pin,{ref}\n")
+    assert main(["bench", "--custom", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {src} line 2: ref_value must be finite and non-zero, "
+                            f"got {float(ref)}\n")
 
 
 def test_figures_outputs(tmp_path, capsys):

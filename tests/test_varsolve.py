@@ -284,9 +284,10 @@ def test_kkt_step_solves_the_bordered_system(beta, shift):
     kkt = np.block([[H, a[:, None]], [a[None, :], np.zeros((1, 1))]])
     dense = np.linalg.solve(kkt, -np.concatenate((grad, [e])))
     step_t = np.linalg.solve(kkt, -np.concatenate((grad, [0.0])))[:n]
-    step, nu, dec = _kkt_step(diag, off, grad, a, e, shift)
+    step, nu, dec, tangential = _kkt_step(diag, off, grad, a, e, shift)
     scale = np.max(np.abs(dense[:n]))
     np.testing.assert_allclose(step, dense[:n], rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(tangential, step_t, rtol=1e-12, atol=1e-12 * scale)
     assert nu == pytest.approx(dense[n], rel=1e-12)
     assert dec == pytest.approx(step_t @ H @ step_t, rel=1e-12)
     assert a @ step == pytest.approx(-e, rel=1e-12)
@@ -410,6 +411,17 @@ def test_a_zero_levenberg_step_raises_or_certifies_the_one_feasible_path(m, para
         return
     feasible = action(PathGrid(1, np.array([S0, 2.0 * K - S0])), params)
     assert val == pytest.approx(feasible, rel=1e-12)
+
+
+@pytest.mark.parametrize("K", [886.8196543885216, 886.8196543885217])
+def test_one_ulp_of_the_strike_does_not_decide_certification(K):
+    # the upper strike's full step cancels to exactly 0 while its tangential
+    # step does not: a Levenberg curvature over the full step was infinite
+    params = ModelParams(1.0, 0.5, 0.75)
+    val = minimize_fixed(K, params, n=1)
+    feasible = action(PathGrid(1, np.array([1.0, 2.0 * K - 1.0])), params)
+    assert val == pytest.approx(feasible, rel=1e-12)
+    assert val == pytest.approx(237.69915978698342, rel=1e-14)
 
 
 @pytest.mark.parametrize("minimize, x", [(minimize_fixed, 1.5), (minimize_fixed, 0.05),
