@@ -21,9 +21,11 @@ the machine, to ``BENCH_<label>.json``:
   solve alone (``varsolve.dgtsv``);
 * Monte Carlo nanoseconds per path-step of ``simulate_asian`` at beta = 1/2
   (the square-root step) and 3/4 (the power step), at 100,000 paths: two
-  seed blocks on their threads, as perfbench's ``monte_carlo`` runs them
-  (one block is bound by its drawing thread).  Each entry records its
-  ``n_blocks``.
+  seed blocks on their threads, as perfbench's ``monte_carlo`` runs them;
+  and at beta = 1/2 with 20,000 paths (``...beta0.5.one_block``), one block
+  whose stepping thread and drawing thread share the cores, the case the
+  drawing thread exists for.  ``--quick`` runs 2,000 paths for all three.
+  Each entry records its ``n_blocks``.
 
 Each layer is timed as ``repeats`` runs of ``calls`` calls; the file gives
 the median and the smallest time per call over the runs.  Load from other
@@ -131,8 +133,8 @@ def layers(quick):
     yield "varsolve.dgtsv", solve, n
 
 
-def mc_ns_per_path_step(beta, quick, repeats):
-    config = McConfig(n_paths=2_000 if quick else 100_000, n_steps=50 if quick else 400, seed=1)
+def mc_ns_per_path_step(beta, n_paths, quick, repeats):
+    config = McConfig(n_paths=2_000 if quick else n_paths, n_steps=50 if quick else 400, seed=1)
     spec = OptionSpec("fixed", "call", 1.1, 1.0)
     params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
     steps = config.n_paths * max(1, round(config.n_steps * spec.maturity))
@@ -168,9 +170,10 @@ def main(argv=None):
         out["layers"][name] = {"us_per_call": 1e6 * median, "min_us_per_call": 1e6 * best,
                                "calls": calls, "repeats": repeats}
         print(f"{name:32s} {1e6 * median:12.2f} us  (min {1e6 * best:.2f})")
-    for beta in (0.5, 0.75):
-        name = f"mc.simulate_asian.beta{beta}"
-        out["layers"][name] = mc = mc_ns_per_path_step(beta, args.quick, repeats)
+    for name, beta, n_paths in (("mc.simulate_asian.beta0.5", 0.5, 100_000),
+                                ("mc.simulate_asian.beta0.75", 0.75, 100_000),
+                                ("mc.simulate_asian.beta0.5.one_block", 0.5, 20_000)):
+        out["layers"][name] = mc = mc_ns_per_path_step(beta, n_paths, args.quick, repeats)
         print(f"{name:32s} {mc['ns_per_path_step']:12.2f} ns per path-step")
     out["machine"]["loadavg_after"] = loadavg()
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")

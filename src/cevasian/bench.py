@@ -86,10 +86,10 @@ value_tol = 5.0e-7       # |price - expected| for the pinned asymptotic values
 float_value_tol = 5.0e-6
 
 
-def _timed(sc: Scenario, mc_config: McConfig | None = None) -> BenchRow:
+def _timed(sc: Scenario) -> BenchRow:
     """Price a scenario and time it; the row is ok until its caller judges it."""
     t0 = time.perf_counter()
-    price = _price_scenario(sc, mc_config)
+    price = _price_scenario(sc)
     ms = (time.perf_counter() - t0) * 1e3
     return BenchRow(sc, price, price - sc.ref_value, price / sc.ref_value - 1.0, True, ms)
 
@@ -138,7 +138,7 @@ def run_floating() -> list[BenchRow]:
     return [_row(sc, expected, float_value_tol, 0.015)]
 
 
-def _price_scenario(sc: Scenario, mc_config: McConfig | None = None) -> float:
+def _price_scenario(sc: Scenario) -> float:
     params = ModelParams(S0=sc.S0, sigma=sc.sigma, beta=sc.beta, r=sc.r, q=sc.q)
     spec = OptionSpec(sc.style, sc.side, sc.K_or_kappa, sc.T)
     if sc.engine == "asympt":
@@ -146,16 +146,14 @@ def _price_scenario(sc: Scenario, mc_config: McConfig | None = None) -> float:
             return price_fixed(spec, params).price
         return price_floating(spec, params).price
     if sc.engine == "mc":
-        config = mc_config or McConfig()
-        if sc.style == "fixed":
-            return simulate_asian(spec, params, config).mean
-        return simulate_floating(spec, params, config).mean
+        simulate = simulate_asian if sc.style == "fixed" else simulate_floating
+        return simulate(spec, params, McConfig()).mean
     if sc.engine == "varsolve":
         return price_variational(spec, params).price
     raise ValueError(f"unknown engine {sc.engine!r}")
 
 
-def run_custom(path: str, mc_config: McConfig | None = None) -> list[BenchRow]:
+def run_custom(path: str) -> list[BenchRow]:
     """Run the scenarios in a CSV file with the columns of CSV_HEADER; an
     empty cell takes the field's default (engine asympt, no reference).
 
@@ -183,7 +181,7 @@ def run_custom(path: str, mc_config: McConfig | None = None) -> list[BenchRow]:
                 sc = Scenario(**values)
                 if "ref_value" in values and not (math.isfinite(sc.ref_value) and sc.ref_value):
                     raise ValueError(f"ref_value must be finite and non-zero, got {sc.ref_value}")
-                row = _timed(sc, mc_config)
+                row = _timed(sc)
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
             row.ok = math.isnan(sc.ref_value) or abs(row.rel_err) <= 0.01

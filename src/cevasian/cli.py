@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run benchmark tables or a scenario CSV")
     p.add_argument("--table", choices=list(_TABLES), default="all")
     p.add_argument("--custom", help="scenario CSV "
-                   f"(header: {','.join(bench_mod.CSV_HEADER)})")
+                   f"(header: {','.join(bench_mod.CSV_HEADER)}); engine mc rows run "
+                   "McConfig(): 100,000 paths, 400 steps per year, seed 0")
     p.add_argument("--out", help="write results CSV here")
 
     p = sub.add_parser("figures", help="write the figure data sets as CSV")

@@ -21,9 +21,11 @@ Thread layout (numpy releases the interpreter lock inside its ufuncs and
 samplers, so threads run in parallel): the blocks run on a pool of one
 thread per usable CPU, at most one per block.  Each block thread starts one
 drawing thread of its own, which draws and scales the block's normals
-``_CHUNK_STEPS`` steps at a time, up to ``_CHUNKS_AHEAD`` chunks ahead,
-while the block thread steps through the chunk it already has.  That is at
-most two threads per pool thread.  An error on either thread reaches the
+``_CHUNK_STEPS`` steps at a time, one chunk in flight: the block thread
+takes chunk c's future, submits chunk c + 1 and steps through chunk c, so a
+live block holds at most 2 chunks.  Drawing is the slower stage (numpy's
+normals cost more than a step), so a deeper queue would never fill.  That is
+at most two threads per pool thread.  An error on either thread reaches the
 caller, and a block's drawing thread is stopped and joined before the block
 returns.
 
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral
@@ -49,7 +50,6 @@ from .pricing import OptionSpec, average_forward
 
 _BLOCK_PAIRS = 32768  # antithetic pairs per block, at most
 _CHUNK_STEPS = 8      # Euler steps per draw of normals
-_CHUNKS_AHEAD = 2     # draws queued ahead of the stepping thread
 MAX_STEPS = 10 ** 7   # Euler steps per path; the schedule of draws holds one per chunk
 MAX_PATHS = 10 ** 9   # paths per estimate; see McConfig
 
@@ -145,13 +145,10 @@ def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
         # a path beyond the doubles turns inf or NaN: ConvergenceError below
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                ahead = deque(drawer.submit(draw, c)
-                              for c in range(min(_CHUNKS_AHEAD, len(chunks))))
-                for c in range(len(chunks)):
-                    zs = ahead.popleft().result()
-                    if c + _CHUNKS_AHEAD < len(chunks):
-                        ahead.append(drawer.submit(draw, c + _CHUNKS_AHEAD))
-                    for z in zs:
+                fut = drawer.submit(draw, 0)
+                for c in range(1, len(chunks) + 1):
+                    nxt = drawer.submit(draw, c) if c < len(chunks) else None
+                    for z in fut.result():
                         # s = max(s (1 + mu dt) +- s^beta z, 0); np.sqrt is
                         # what s ** 0.5 computes, faster than np.power
                         if beta == 0.5:
@@ -164,6 +161,7 @@ def _run_blocks(params: ModelParams, T: float, config: McConfig, payoff):
                         s[1] -= diff[1]
                         np.maximum(s, 0.0, out=s)
                         acc += s
+                    fut = z = nxt  # z too: its row keeps chunk c - 1 alive
             finally:
                 drawer.shutdown(cancel_futures=True)
             acc -= 0.5 * s  # the s_T end term counts half

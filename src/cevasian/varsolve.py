@@ -32,7 +32,8 @@ space.  The Hessian and the step are checked finite exactly, by one dot
 product with zeros each (NaN where a NaN or an infinity is).  The first rung's
 start constants sit in an LRU memo of read-only arrays on (n, ref), and within
 |m - 1| < 1e-9 n of the money the path is stored less 1.  A solve that does
-not meet its tolerances raises ConvergenceError.
+not meet its tolerances raises ConvergenceError.  On n = 1 the constraint
+leaves one path, which is returned as it is.
 """
 
 from __future__ import annotations
@@ -175,10 +176,7 @@ def _kkt_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray, a: np.ndarray
     a rounding-level constraint error does not enter it."""
     b = np.empty((grad.size, 2), order="F")  # Fortran order, as gtsv takes it
     b[:, 0], b[:, 1] = grad, a
-    if diag.size == 1:  # 1 x 1: the gtsv wrapper refuses an empty off-diagonal
-        x, info = b / (diag + shift), 0
-    else:
-        _, _, _, x, info = dgtsv(off, diag + shift if shift else diag, off, b, overwrite_b=1)
+    _, _, _, x, info = dgtsv(off, diag + shift if shift else diag, off, b, overwrite_b=1)
     if info:
         raise ConvergenceError("singular Newton system: singular matrix")
     x1, x2 = x[:, 0], x[:, 1]
@@ -208,6 +206,7 @@ def _certify(p: np.ndarray, cons_vec: np.ndarray, beta: float, n: int,
     a, acons = cons_vec[1:], np.abs(cons_vec)
     zero = np.zeros(n)
     val, grad, terms = _action_and_grad(p, n, beta, level)
+    repeat = False  # whether the last step left p as it was, so that the next repeats it
 
     for it in range(1, max_newton + 1):
         diag, off = _hessian(terms, n, beta)
@@ -221,15 +220,19 @@ def _certify(p: np.ndarray, cons_vec: np.ndarray, beta: float, n: int,
         for _ in range(20):  # shifts up to 1e8 times the largest diagonal entry
             step, nu, dec, step_t = _kkt_step(diag, off, grad[1:], a, e, shift)
             # converged: feasible, no negative curvature along the unshifted
-            # step (in deviation variables, where the Hessian is positive,
-            # none beyond rounding), and a decrement at the tolerance
-            if shift == 0.0 and feasible and (0.0 <= dec or level) and abs(dec) <= tol * val:
+            # step (in deviation variables, where the Hessian is positive, or
+            # at a repeat, none beyond rounding), and a decrement at the tolerance
+            if (shift == 0.0 and feasible and (0.0 <= dec or level or repeat)
+                    and abs(dec) <= tol * val):
                 return val, {"converged": True, "constraint_err": e,
                              "lam": -nu,  # sign convention of min A - lam (mean - K)
                              "floor_active": bool(p.min() + level <= 1e-9),
                              "path": PathGrid(n, p + level), "n": n, "iterations": it,
                              # |dec|, with the sign of a zero kept
                              "kkt_residual": max(dec, -dec) / val if val > 0.0 else 0.0}
+            if repeat:
+                raise ConvergenceError(f"Newton-KKT solve stalled at step {it}: "
+                                       f"decrement {dec:.3g}")
             trial = _line_search(p, val, -dec, step, feasible, beta, n, level)
             if trial is not None:
                 break
@@ -240,6 +243,7 @@ def _certify(p: np.ndarray, cons_vec: np.ndarray, beta: float, n: int,
         else:
             raise ConvergenceError(f"no acceptable step at Newton step {it} "
                                    f"(Levenberg shift {shift:.3g})")
+        repeat = np.array_equal(trial[0], p)
         p, val, grad, terms = trial
     raise ConvergenceError(f"Newton-KKT solve not converged in {max_newton} steps: "
                            f"decrement {dec:.3g}, constraint error {e:.3g}")
@@ -263,6 +267,23 @@ def _line_search(p: np.ndarray, val: float, slope: float, step: np.ndarray,
                 return trial, tval, tgrad, terms
         alpha *= 0.5
     return None
+
+
+def _one_path(m: float, ref: int, beta: float):
+    """(value, info) on n = 1, whose one feasible path is [1, q], q = 2m - 1
+    for a fixed strike (ref 0) or 1/(2m - 1) for a floating one (ref -1): the
+    action u^2/2 with u = (q - 1) mid^-beta, and the multiplier dA/dq over
+    q's weight in the constraint, at a zero decrement after no Newton step."""
+    q = 2.0 * m - 1.0 if ref == 0 else 0.5 / (m - 0.5)  # 1/(2m - 1), whose 2m can overflow
+    if q == math.inf:
+        raise ConvergenceError("the one path on n = 1 ends at 2 K/S0 - 1 = inf")
+    dq = q - 1.0 if ref == 0 else (1.0 - m) / (m - 0.5)  # q - 1 without cancellation
+    h = (0.5 + 0.5 * q) ** -beta  # mid^-beta: mid^(-2 beta) can underflow where u does not
+    u = dq * h
+    return 0.5 * u * u, {"converged": True, "iterations": 0, "kkt_residual": 0.0, "n": 1,
+                         "constraint_err": 0.5 + 0.5 * q - m * (q if ref else 1.0),
+                         "lam": u * h * (1.0 - beta * dq / (1.0 + q)) / (0.5 + ref * m),
+                         "floor_active": q <= 1e-9, "path": PathGrid(1, np.array([1.0, q]))}
 
 
 def _minimize(name: str, m: float, ref: int, params: ModelParams, n: int):
@@ -298,6 +319,9 @@ def _minimize(name: str, m: float, ref: int, params: ModelParams, n: int):
     # every Hessian, step and trial action and raises on a non-finite one
     with np.errstate(all="ignore"):
         for k, rung in enumerate(rungs):
+            if n == 1:  # m > 1/2 > edge: one rung, on which nothing can move
+                value, info = _one_path(m, ref, params.beta)
+                break
             cons = w.copy()
             cons[ref] -= rung
             shape = _log_shape(info["path"].values, w, ref) if k else shape

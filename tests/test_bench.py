@@ -5,7 +5,6 @@ import math
 
 import pytest
 
-from cevasian import McConfig
 from cevasian.bench import (
     CSV_HEADER,
     OUT_HEADER,
@@ -70,10 +69,7 @@ def test_run_custom_round_trip(tmp_path, capsys):
     text += "c5,2.0,2.0,fixed,call,0.02,0.0,0.14,0.5,1.0,asympt,wrong,0.9\n"
     text += "c6,1.0,1.3,floating,call,0.03,0.01,0.5,0.75,0.5,varsolve,,\n"
     text += "c7,1.0,1.000001,fixed,call,0.03,0.01,0.5,0.75,0.5,varsolve,,\n"
-    rows = run_custom(
-        _write(tmp_path, text),
-        mc_config=McConfig(n_paths=2000, n_steps=100, seed=1),
-    )
+    rows = run_custom(_write(tmp_path, text))  # the mc row at McConfig(): 2e7 path-steps
     assert [r.scenario.id for r in rows] == ["c1", "c2", "c3", "c4", "c5", "c6", "c7"]
     assert rows[0].ok and abs(rows[0].rel_err) < 0.01
     # rows without a reference value are informational: ok, with NaN errors

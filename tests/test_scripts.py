@@ -56,9 +56,10 @@ def test_bench_layers_quick_writes_every_layer(tmp_path):
                  "varsolve.minimize_fixed", "varsolve.minimize_float", "varsolve.newton_step",
                  "varsolve.dgtsv"):
         assert layers[name]["us_per_call"] > 0.0, name
-    for beta in ("0.5", "0.75"):
-        mc = layers[f"mc.simulate_asian.beta{beta}"]
-        assert mc["ns_per_path_step"] > 0.0 and mc["n_blocks"] >= 1, beta
+    for name in ("beta0.5", "beta0.75", "beta0.5.one_block"):
+        mc = layers[f"mc.simulate_asian.{name}"]
+        assert mc["ns_per_path_step"] > 0.0 and mc["n_blocks"] >= 1, name
+    assert layers["mc.simulate_asian.beta0.5.one_block"]["n_blocks"] == 1
 
 
 def test_the_benchmarks_trace_hooks_resolve(monkeypatch):

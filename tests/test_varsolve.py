@@ -8,6 +8,7 @@ envelope identity, its Lagrange multiplier against their strike derivative.
 import hashlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -401,14 +402,11 @@ def test_a_step_that_overflows_with_a_finite_decrement_is_refused(monkeypatch):
     (52.71259303685327, ModelParams(1.0, 0.5, 0.9)),
     (12.710720654576445, ModelParams(2.5, 0.43251118340103883, 0.9, r=0.03, q=0.01))])
 def test_a_zero_levenberg_step_raises_or_certifies_the_one_feasible_path(m, params):
-    # on n = 1 the rounding-negative decrement of a feasible start sends the
-    # solve into Levenberg shifts whose steps are exactly 0, whose curvature
-    # 0/0 raised ZeroDivisionError
+    # on n = 1 a Newton step from these strikes' feasible start has a
+    # rounding-negative decrement and Levenberg steps of exactly 0; no step
+    # is taken: the one feasible path is the minimum
     K, S0 = m * params.S0, params.S0
-    try:
-        val = minimize_fixed(K, params, n=1)
-    except ConvergenceError:
-        return
+    val = minimize_fixed(K, params, n=1)
     feasible = action(PathGrid(1, np.array([S0, 2.0 * K - S0])), params)
     assert val == pytest.approx(feasible, rel=1e-12)
 
@@ -422,6 +420,71 @@ def test_one_ulp_of_the_strike_does_not_decide_certification(K):
     feasible = action(PathGrid(1, np.array([1.0, 2.0 * K - 1.0])), params)
     assert val == pytest.approx(feasible, rel=1e-12)
     assert val == pytest.approx(237.69915978698342, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind, m, params", [
+    ("fixed", 87.66131136786123, ModelParams(1.0, 0.5, 0.6)),
+    ("fixed", 1.0 + 1e-7, ModelParams(0.7, 1.3, 0.9)),
+    ("fixed", 1e300, ModelParams(1.0, 1.0, 0.75)),
+    ("float", 0.9994782002093275, ModelParams(2.5, 0.2808269920176451, 0.8079216989835682)),
+    ("float", 1e300, ModelParams(1.0, 1.0, 0.75)),
+    ("float", 1.7e308, ModelParams(1.0, 1.0, 0.75))])
+def test_one_interval_returns_its_one_feasible_path(kind, m, params):
+    # on n = 1 the constraint fixes the path: [S0, (2m - 1) S0] for a fixed
+    # strike, [S0, S0/(2m - 1)] for a floating one, so nothing is solved; the
+    # action and multiplier keep full precision near the money (the second and
+    # fourth inputs), where m^(-2 beta) underflows (the third and fifth) and
+    # where 2m overflows (the last, whose path end and multiplier are subnormal)
+    x = m * params.S0 if kind == "fixed" else m
+    solve = minimize_fixed if kind == "fixed" else minimize_float
+    val, info = solve(x, params, n=1, full_output=True)
+    with mp.workdps(40):
+        S0, beta = mp.mpf(params.S0), mp.mpf(params.beta)
+        mm = mp.mpf(x / params.S0 if kind == "fixed" else m)  # the K/S0 the solve sees
+        q = 2 * mm - 1 if kind == "fixed" else 1 / (2 * mm - 1)
+        mid = (1 + q) / 2
+        unit = S0 ** (2 - 2 * beta) / mp.mpf(params.sigma) ** 2
+        exact = unit * (q - 1) ** 2 * mid ** (-2 * beta) / 2
+        dA = unit / S0 * (q - 1) * mid ** (-2 * beta) * (1 - beta * (q - 1) / (1 + q))
+        # the multiplier is dA/dq over the constraint's weight on q
+        lam = dA / (mp.mpf(0.5) if kind == "fixed" else mp.mpf(0.5) - mm)
+    assert val == pytest.approx(float(exact), rel=1e-14)
+    tiny = 4 * 5e-324  # a few subnormal ulps
+    assert info["lam"] == pytest.approx(float(lam), rel=1e-14, abs=tiny)
+    assert info["iterations"] == 0 and info["kkt_residual"] == 0.0 and info["converged"]
+    assert info["path"].values[0] == params.S0
+    assert info["path"].values[1] == pytest.approx(float(q * S0), rel=1e-15, abs=tiny)
+
+
+def test_one_interval_reference_value():
+    val = minimize_fixed(87.66131136786123, ModelParams(1.0, 0.5, 0.6), n=1)
+    assert val == pytest.approx(280.1373036723704, rel=1e-12)
+
+
+def test_one_interval_beyond_the_doubles_raises():
+    # 2m - 1 overflows: no path to return
+    with pytest.raises(ConvergenceError,
+                       match=r"^the one path on n = 1 ends at 2 K/S0 - 1 = inf$"):
+        minimize_fixed(1.7e308, ModelParams(1.0, 1.0, 0.75), n=1)
+
+
+def test_a_step_that_leaves_the_path_unchanged_ends_the_solve():
+    # n = 3, a large strike: the iterate meets the tolerances, but its
+    # unshifted decrement is rounding-negative, so Levenberg shifts climb
+    # until a step below the ulp of the path is accepted; the next Newton
+    # step would repeat it, so the solve ends there, certified
+    params = ModelParams(1.0, 1.0, 0.6355227386252764)
+    val, info = minimize_fixed(5574.783820589873, params, n=3, full_output=True)
+    g = info["path"].values
+    assert info["converged"] and info["kkt_residual"] <= 1e-12
+    assert abs(trapezoid_mean(g) - 5574.783820589873) <= 1e-12 * 5574.783820589873
+    assert val == pytest.approx(3106.8881265935042, rel=1e-12)
+    # a path sinking to the floor p1 = p2 = 0, where the curvature is
+    # negative beyond rounding, takes a step that does not move it: the
+    # solve ends there too, with ConvergenceError
+    with pytest.raises(ConvergenceError, match=r"^Newton-KKT solve stalled at step \d+: "):
+        minimize_float(0.26805069348707944,
+                       ModelParams(2.5, 1.4537347472897475, 0.5203446032079434), n=3)
 
 
 @pytest.mark.parametrize("minimize, x", [(minimize_fixed, 1.5), (minimize_fixed, 0.05),
@@ -561,8 +624,9 @@ PINNED = [
     ("float", 0.9, 1.5, 800, 0.8519639745153413, 5, 1, 1.057166612415099e-18, 4.758133483952761, 8.148414775341857e-17, "0dd37687d2856831"),
     ("fixed", 0.75, 0.05, 800, 70.64564731395635, 15, 3, 4.551838414646731e-15, -1436.9990107634278, 2.407414087254196e-18, "abd206d60c00f834"),
     ("float", 0.9, 0.2, 200, 32.44821452436934, 8, 1, 2.850639324626772e-21, -30.12987942094428, 1.0204311645620075e-16, "b1b2b85290f6f1e9"),
-    ("fixed", 0.75, 1.3, 1, 0.48575521069312516, 1, 1, -0.0, 2.6778812897185036, 4.440892098500626e-16, "d699ab30b303bfe7"),
-    ("float", 0.75, 1.3, 1, 0.3840232127713135, 1, 1, -0.0, 3.0032584588525717, 3.275157922644212e-16, "1c3b6dd4443620eb"),
+    # n = 1 returns its one feasible path, [1, 2m - 1] or [1, 1/(2m - 1)], after no Newton step
+    ("fixed", 0.75, 1.3, 1, 0.485755210693124, 0, 1, 0.0, 2.6778812897185036, 0.0, "40bcff755c53bd58"),
+    ("float", 0.75, 1.3, 1, 0.3840232127713126, 0, 1, 0.0, 3.003258458852572, 0.0, "e377aca1324375a8"),
     ("fixed", 0.5, 0.8, 2, 0.2968091571747763, 3, 1, 2.691730641727411e-22, -3.207661579047996, 2.7755575615628914e-17, "e0c1812bd18f93c9"),
     ("float", 0.9, 0.7, 2, 0.9872267493061312, 6, 1, 8.137652353215937e-18, -4.776289826654604, -7.488251559517799e-17, "a46c455ceabce311"),
     ("fixed", 0.9, 2.0, 3, 2.680436501072714, 3, 1, 9.964799016706433e-19, 3.6676621532924276, -1.4498647074270128e-15, "8235a4c4d61c7cd6"),
