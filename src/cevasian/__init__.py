@@ -7,9 +7,8 @@ Asian options, and the Monte Carlo / benchmark layers used to validate them.
 
 from .model import ConvergenceError, ModelParams, RateResult, RootBracketError
 from .specfun import hyp2f1, norm_cdf, norm_pdf
-from .rate_cev import (rate_cev, rate_cev_large_strike, rate_cev_small_strike,
-                       rate_cev_taylor, rate_sqrt)
-from .float_strike import jf_taylor, rate_float_cev, rate_float_sqrt
+from .rate_cev import rate_cev, rate_cev_large_strike, rate_cev_small_strike, rate_cev_taylor
+from .float_strike import jf_taylor, rate_float_cev
 from .varsolve import PathGrid, action, minimize_fixed, minimize_float
 from .pricing import (OptionSpec, PricingResult, atm_price, average_forward, equiv_lognormal_vol,
                       equiv_normal_vol, equiv_vol, price_fixed, price_floating,
@@ -22,9 +21,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "ModelParams", "RateResult", "RootBracketError",
-    "hyp2f1", "norm_cdf", "norm_pdf", "rate_sqrt",
+    "hyp2f1", "norm_cdf", "norm_pdf",
     "rate_cev", "rate_cev_large_strike", "rate_cev_small_strike", "rate_cev_taylor",
-    "jf_taylor", "rate_float_cev", "rate_float_sqrt",
+    "jf_taylor", "rate_float_cev",
     "PathGrid", "action", "minimize_fixed", "minimize_float",
     "OptionSpec", "PricingResult", "atm_price", "average_forward",
     "equiv_lognormal_vol", "equiv_normal_vol", "equiv_vol",

@@ -28,11 +28,11 @@ from .mc import McConfig, simulate_asian, simulate_floating
 from .pricing import (OptionSpec, VariationalDiag, equiv_lognormal_vol, equiv_vol, price_fixed,
                       price_floating, price_from_rate, price_variational, rate_variational)
 from .rate_cev import rate_cev, rate_cev_taylor
-# not called here (rate_cev, rate_float_cev and `equiv_vol` on their results
-# cover them), but perfbench/worker.py traces the layers by patching these names
-from .float_strike import rate_float_sqrt  # noqa: F401
+# not called here, but perfbench/worker.py traces the layers by patching these
+# names: `equiv_vol` covers the first, and the beta = 1/2 pair are the routes
+# themselves until the benchmark patches the routes directly (ROADMAP item 2)
 from .pricing import equiv_normal_vol  # noqa: F401
-from .rate_cev import rate_sqrt  # noqa: F401
+rate_sqrt, rate_float_sqrt = rate_cev, rate_float_cev
 
 _UNITS_NOTE = ("Inputs: s0 in cash units, sigma is the CEV volatility (units "
                "S0^(1-beta) per sqrt(year)), r/q annualized, maturity in years. "

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import exp, expm1, log, log1p, sqrt
 
 from .model import (ATM_WINDOW, ConvergenceError, ModelParams, RateResult, RootBracketError,
-                    _EPS, _FLOOR, _require_sqrt_beta, atm_floating, rate_unit)
+                    _EPS, _FLOOR, atm_floating, rate_unit)
 from .rate_cev import _series, _tail
 from .specfun import _hyp2f1
 
@@ -224,13 +224,6 @@ def rate_float_cev(kappa: float, params: ModelParams) -> RateResult:
     if math.isinf(value):
         raise ConvergenceError(f"the floating-strike rate at kappa={kappa} overflows a double")
     return RateResult(value, FloatRateDiag(u, v, "put" if kappa > 1.0 else "call", residual, n))
-
-
-def rate_float_sqrt(kappa: float, params: ModelParams) -> RateResult:
-    """Floating-strike rate (S0/sigma^2) J_f(kappa) for beta = 1/2:
-    `rate_float_cev` behind the beta check."""
-    _require_sqrt_beta(params)
-    return rate_float_cev(kappa, params)
 
 
 def jf_taylor(kappa: float) -> float:

@@ -119,13 +119,6 @@ def _exp(x: float, what: str) -> float:
     return math.exp(x)
 
 
-def _require_sqrt_beta(params: ModelParams) -> None:
-    """ValueError unless beta is within 1e-7 of 1/2, the check of the square-root
-    model's names (`rate_sqrt`, `rate_float_sqrt`); no route dispatches on it."""
-    if not abs(params.beta - 0.5) <= 1.0e-7:
-        raise ValueError(f"square-root model requires beta = 1/2, got beta={params.beta}")
-
-
 def rate_unit(params: ModelParams) -> float:
     """S0^(2-2beta)/sigma^2, the unit of the rate functions; ConvergenceError
     where it, or sigma^2, is not a positive normal double."""

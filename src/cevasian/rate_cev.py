@@ -18,7 +18,7 @@ K/S0 = 9e307.  The root is found by safeguarded Newton (`model._newton`) in
 u inside proven brackets; its derivative is elementary in A, so a step costs
 one evaluation of the factors.  Outside K/S0 in (1e-308, 1e308) `rate_cev`
 raises `RootBracketError`, and where the rate exceeds the largest double,
-`ConvergenceError`.  `rate_sqrt` is `rate_cev` behind the beta = 1/2 check.
+`ConvergenceError`.
 
 The root, and all of I = rate_unit J(K/S0; beta) but rate_unit, depends on
 (K/S0, beta) alone.  `_solve` keeps that part for the last 4096 distinct
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from scipy.special import cython_special, zeta
 
 from .model import (_EPS, _LOG_MAX, ATM_WINDOW, ConvergenceError, ModelParams, RateResult,
-                    RootBracketError, _newton, _require_sqrt_beta, rate_cev_taylor, rate_unit)
+                    RootBracketError, _newton, rate_cev_taylor, rate_unit)
 from .specfun import hyp2f1
 
 _betainc = cython_special.betainc["double"]
@@ -200,12 +200,6 @@ def _solve(target: float, beta: float) -> tuple[float, float, float, float, str,
     g = q * A / yd
     x = math.exp(u) if u <= _LOG_MAX else math.inf
     return (g, g / gap, A * math.exp((0.5 - beta) * u), x, "put" if put else "call", abs(f), n)
-
-
-def rate_sqrt(K: float, params: ModelParams) -> RateResult:
-    """Rate function I(K, S0) for beta = 1/2: `rate_cev` behind the beta check."""
-    _require_sqrt_beta(params)
-    return rate_cev(K, params)
 
 
 def _put_start(target: float, beta: float) -> float:

@@ -52,7 +52,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
 
 def norm_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x), accurate to ~1e-15 absolute."""
+    """Standard normal CDF Phi(x), accurate to ~1e-15 absolute.  It stays
+    rather than scipy's ``ndtr``, which returns 0.0 below x = -37.68 where this
+    keeps the subnormal tail (2.9e-316 at x = -38)."""
     return 0.5 * math.erfc(-x / _SQRT2)
 
 

@@ -31,9 +31,10 @@ Levenberg shift where the Hessian is not positive on the constraint's tangent
 space.  The Hessian and the step are checked finite exactly, by one dot
 product with zeros each (NaN where a NaN or an infinity is).  The first rung's
 start constants sit in an LRU memo of read-only arrays on (n, ref), and within
-|m - 1| < 1e-9 n of the money the path is stored less 1.  A solve that does
-not meet its tolerances raises ConvergenceError.  On n = 1 the constraint
-leaves one path, which is returned as it is.
+|m - 1| < 1e-2 of the money the path is stored less 1.  A solve that does
+not meet its tolerances, or that ends above the action of its feasible start,
+raises ConvergenceError.  On n = 1 the constraint leaves one path, which is
+returned as it is.
 """
 
 from __future__ import annotations
@@ -130,7 +131,9 @@ def _rescale(shape: tuple, ref: int, m: float, level: float = 0.0) -> np.ndarray
     functions), so Newton's method from s = 0 overshoots at most once and then
     converges monotonically.  The sum is shifted by its largest term, s max D
     for s >= 0 and s min D below, so nothing overflows.  Where |F(0)| is at
-    rounding level, as at the money, s = 0 gives the constant path."""
+    rounding level, as at the money, s = 0 gives the constant path.  Less
+    level 1, one more Newton step on G(s) = w . expm1(sD) - (m - 1) meets the
+    constraint to the rounding of the deviation, not of the doubles around 1."""
     L, w, wD, hi, lo, D_hi, D_lo = shape
     s = 0.0
     for _ in range(max_newton):
@@ -139,6 +142,9 @@ def _rescale(shape: tuple, ref: int, m: float, level: float = 0.0) -> np.ndarray
         total = w @ e
         F = math.log(total) + s * top - math.log(m)
         if abs(F) <= 1e-14:
+            if level:
+                D = L - L[ref]
+                s -= (w @ np.expm1(s * D) - (m - 1.0)) / (wD @ np.exp(s * D))
             return np.expm1(s * L) if level else np.exp(s * L)
         s -= F * total / (wD @ e)  # numpy division: a zero slope gives inf
         if not math.isfinite(s):
@@ -202,7 +208,8 @@ def _certify(p: np.ndarray, cons_vec: np.ndarray, beta: float, n: int,
     ``kkt_residual``.  Raises ConvergenceError if it or the constraint error
     stays above tolerance.  p is the path less ``level`` (0, or 1 near the
     money), and e0 = level (1 - m) is the constraint's value at the constant
-    path level."""
+    path level.  A value above the action of a feasible start raises
+    ConvergenceError: the iterates left the constraint on the way."""
     a, acons = cons_vec[1:], np.abs(cons_vec)
     zero = np.zeros(n)
     val, grad, terms = _action_and_grad(p, n, beta, level)
@@ -216,6 +223,8 @@ def _certify(p: np.ndarray, cons_vec: np.ndarray, beta: float, n: int,
         e = float(cons_vec @ p) + e0
         # sum |cons_i p_i|: p >= 0, or near the money a deviation of one sign
         feasible = abs(e) <= tol * (abs(float(acons @ p)) + abs(e0))
+        if it == 1:  # a feasible start bounds the minimum, to first order in its e
+            ceiling, e_start = (val, abs(e)) if feasible else (math.inf, 0.0)
         shift = 0.0
         for _ in range(20):  # shifts up to 1e8 times the largest diagonal entry
             step, nu, dec, step_t = _kkt_step(diag, off, grad[1:], a, e, shift)
@@ -224,6 +233,9 @@ def _certify(p: np.ndarray, cons_vec: np.ndarray, beta: float, n: int,
             # at a repeat, none beyond rounding), and a decrement at the tolerance
             if (shift == 0.0 and feasible and (0.0 <= dec or level or repeat)
                     and abs(dec) <= tol * val):
+                if val > ceiling * (1.0 + tol) + abs(nu) * e_start:
+                    raise ConvergenceError(f"Newton-KKT solve ended at {val:.17g}, above its "
+                                           f"feasible start's action {ceiling:.17g}")
                 return val, {"converged": True, "constraint_err": e,
                              "lam": -nu,  # sign convention of min A - lam (mean - K)
                              "floor_active": bool(p.min() + level <= 1e-9),
@@ -311,8 +323,9 @@ def _minimize(name: str, m: float, ref: int, params: ModelParams, n: int):
     shape = _smooth_shape(n, ref)
     w = shape[1]
     # near the money the path is stored less 1, so that its rise over an
-    # interval, about |m - 1|/n, is not rounded to the doubles around 1
-    level = 1.0 if abs(m - 1.0) < 1e-9 * n else 0.0
+    # interval, about |m - 1|/n, is not rounded to the doubles around 1 (a
+    # loss of up to 1e-11 of the minimum at |m - 1| = 1e-3, below 1e-13 at 1e-2)
+    level = 1.0 if abs(m - 1.0) < 1e-2 else 0.0
     rungs = [edge / 2.0 ** k for k in range(max(0, math.ceil(math.log2(edge / m))))] + [m]
     iterations = 0
     # a path that sinks towards 0 can overflow the Hessian; _certify checks

@@ -34,7 +34,7 @@ from scipy.optimize import brentq, minimize_scalar
 from cevasian.float_strike import _start
 from cevasian.mc import McConfig, simulate_asian
 from cevasian.model import (ConvergenceError, ModelParams, RateResult, RootBracketError, _exp,
-                            _newton, _require_sqrt_beta)
+                            _newton)
 from cevasian.pricing import OptionSpec, average_forward
 from cevasian.rate_cev import CevRateDiag, _root_equation
 from cevasian.varsolve import minimize_fixed, minimize_float
@@ -49,7 +49,8 @@ def solve_theta_c(kappa: float, params: ModelParams) -> float:
     (pi/2, pi), where the equation rises, and is solved by `model._newton` in
     log v from the fixed-point step v = pi/2 + arctan(kappa pi/2).
     """
-    _require_sqrt_beta(params)
+    if not abs(params.beta - 0.5) <= 1.0e-7:
+        raise ValueError(f"square-root model requires beta = 1/2, got beta={params.beta}")
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     if kappa == 0.0:
@@ -69,7 +70,8 @@ def cumulant_float(theta: float, kappa: float, params: ModelParams) -> float:
     """Limiting cumulant Lambda_f(theta) of the average minus kappa times the
     endpoint, extended-real.  kappa = 0 gives the fixed-strike cumulant
     (sqrt(2 theta)/sigma) tan(sigma sqrt(2 theta)/2) S0 and its tanh analogue."""
-    _require_sqrt_beta(params)
+    if not abs(params.beta - 0.5) <= 1.0e-7:
+        raise ValueError(f"square-root model requires beta = 1/2, got beta={params.beta}")
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     sig, S0 = params.sigma, params.S0

@@ -25,13 +25,12 @@ from cevasian import (
     simulate_asian,
 )
 from cevasian.bench import run_floating, run_table1, run_table2
-from cevasian.float_strike import jf_taylor, rate_float_sqrt
+from cevasian.float_strike import jf_taylor, rate_float_cev
 from cevasian.rate_cev import (
     rate_cev,
     rate_cev_large_strike,
     rate_cev_small_strike,
     rate_cev_taylor,
-    rate_sqrt,
 )
 from cevasian.specfun import hyp2f1
 from cevasian.varsolve import minimize_fixed
@@ -88,7 +87,7 @@ def test_square_root_rate_three_routes_agree():
     t0 = time.perf_counter()
     worst = 0.0
     for m in np.geomspace(0.3, 3.0, 12):
-        closed = rate_sqrt(float(m), params).value
+        closed = rate_cev(float(m), params).value
         dual = legendre_fixed(float(m), params)
         vari = minimize_fixed(float(m), params, n=800)
         worst = max(worst, abs(dual / closed - 1.0), abs(vari / closed - 1.0),
@@ -173,10 +172,10 @@ def test_small_strike_asymptote_window():
 def test_taylor_remainder_bounds():
     xs = [x for x in np.linspace(-0.2, 0.2, 81) if abs(x) > 1e-3]
     p_half = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
-    s_half = max(abs(rate_sqrt(math.exp(x), p_half).value - rate_cev_taylor(math.exp(x), p_half)) / abs(x) ** 5 for x in xs)
+    s_half = max(abs(rate_cev(math.exp(x), p_half).value - rate_cev_taylor(math.exp(x), p_half)) / abs(x) ** 5 for x in xs)
     p_34 = ModelParams(S0=1.0, sigma=1.0, beta=0.75)
     s_34 = max(abs(rate_cev(math.exp(x), p_34).value - rate_cev_taylor(math.exp(x), p_34)) / abs(x) ** 5 for x in xs)
-    s_float = max(abs(rate_float_sqrt(math.exp(x), p_half).value - jf_taylor(math.exp(x))) / abs(x) ** 5 for x in xs)
+    s_float = max(abs(rate_float_cev(math.exp(x), p_half).value - jf_taylor(math.exp(x))) / abs(x) ** 5 for x in xs)
     ok = s_half < 0.1 and s_34 < 0.05 and s_float < 0.5
     _report(ok, "fourth-order series remainders are O(x^5) with bounded ratio",
             f"sup ratios {s_half:.3f} (b=1/2), {s_34:.4f} (b=3/4), {s_float:.3f} (floating)")
@@ -255,9 +254,9 @@ def test_rate_monotonicity_and_atm_zero():
         ok &= all(a > b for a, b in zip(puts, puts[1:]))
         ok &= all(a < b for a, b in zip(calls, calls[1:]))
     p5 = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    ok &= rate_float_sqrt(1.0, p5).value == 0.0
-    floats_dn = [rate_float_sqrt(k, p5).value for k in np.linspace(0.4, 0.95, 8)]
-    floats_up = [rate_float_sqrt(k, p5).value for k in np.linspace(1.05, 2.5, 8)]
+    ok &= rate_float_cev(1.0, p5).value == 0.0
+    floats_dn = [rate_float_cev(k, p5).value for k in np.linspace(0.4, 0.95, 8)]
+    floats_up = [rate_float_cev(k, p5).value for k in np.linspace(1.05, 2.5, 8)]
     ok &= all(a > b for a, b in zip(floats_dn, floats_dn[1:]))
     ok &= all(a < b for a, b in zip(floats_up, floats_up[1:]))
     _report(ok, "rates vanish at the money and increase away from it, both styles")
@@ -288,7 +287,7 @@ def test_elementary_reductions_identity():
 def test_floating_rate_legendre_duality():
     params = ModelParams(S0=1.0, sigma=0.45, beta=0.5)
     worst = max(
-        abs(rate_float_sqrt(k, params).value / legendre_float(k, params) - 1.0)
+        abs(rate_float_cev(k, params).value / legendre_float(k, params) - 1.0)
         for k in (0.5, 0.8, 1.25, 2.0)
     )
     ok = worst < 1e-7

@@ -11,7 +11,7 @@ from cevasian import ModelParams, OptionSpec, price_fixed
 from cevasian.bench import BenchRow, Scenario
 from cevasian.cli import main
 from cevasian.pricing import equiv_vol
-from cevasian.rate_cev import rate_cev, rate_sqrt
+from cevasian.rate_cev import rate_cev
 from cevasian.varsolve import minimize_float
 
 
@@ -99,7 +99,7 @@ def test_rate_closed_form(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     value = float(out.split()[1])
-    ref = rate_sqrt(1.5, ModelParams(S0=1.0, sigma=0.5, beta=0.5)).value
+    ref = rate_cev(1.5, ModelParams(S0=1.0, sigma=0.5, beta=0.5)).value
     assert value == pytest.approx(ref, rel=1e-5)
     assert "branch call" in out
 
@@ -110,7 +110,7 @@ def test_rate_variational_engine_agrees(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     value = float(out.split()[1])
-    ref = rate_sqrt(1.5, ModelParams(S0=1.0, sigma=0.5, beta=0.5)).value
+    ref = rate_cev(1.5, ModelParams(S0=1.0, sigma=0.5, beta=0.5)).value
     assert value == pytest.approx(ref, rel=1e-4)
 
 

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from cevasian import (ConvergenceError, ModelParams, OptionSpec, RootBracketError,
                       price_fixed, price_floating)
 from cevasian.cli import main
-from cevasian.float_strike import rate_float_cev, rate_float_sqrt
+from cevasian.float_strike import rate_float_cev
 from cevasian.pricing import equiv_lognormal_vol, equiv_normal_vol
 from cevasian.rate_cev import rate_cev
 
@@ -71,7 +71,7 @@ def test_rate_cev_at_beta_half_is_finite_over_the_domain(m):
 @example(kappa=0.05)
 def test_rate_float_sqrt_is_finite_over_the_domain(kappa):
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    assert _outcome(lambda: rate_float_sqrt(kappa, params).value) is None
+    assert _outcome(lambda: rate_float_cev(kappa, params).value) is None
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

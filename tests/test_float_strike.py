@@ -23,12 +23,11 @@ from cevasian.cli import main
 from cevasian.float_strike import (
     jf_taylor,
     rate_float_cev,
-    rate_float_sqrt,
     _call_system,
     _put_system,
 )
 from cevasian.model import atm_floating
-from cevasian.rate_cev import _tail, rate_sqrt
+from cevasian.rate_cev import _tail, rate_cev
 from cevasian.varsolve import minimize_float
 from oracles import (a_quadrature, cumulant_float, float_system_mpmath, jf_call_mpmath,
                      jf_put_mpmath, legendre_float, riccati_lambda, richardson_float,
@@ -89,7 +88,7 @@ def test_matches_legendre_duality_oracle():
     params = ModelParams(S0=1.0, sigma=0.45, beta=0.5)
     for kappa in (0.01, 0.03, 0.05, 0.5, 0.7, 0.9, 1.1, 1.5, 2.0, 3.0):
         ref = legendre_float(kappa, params)
-        assert abs(rate_float_sqrt(kappa, params).value / ref - 1.0) < duality_rel
+        assert abs(rate_float_cev(kappa, params).value / ref - 1.0) < duality_rel
 
 
 def test_hyperbolic_branch_matches_mpmath_next_to_the_pole():
@@ -97,7 +96,7 @@ def test_hyperbolic_branch_matches_mpmath_next_to_the_pole():
     # and below the 0.04 switch to the pole asymptote within 1e-10
     params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)  # S0/sigma^2 = 1
     for kappa in (0.01, 0.03, 0.0399, 0.04, 0.05, 0.0544, 0.056, 0.06, 0.1, 0.5, 0.9, 0.99):
-        got = rate_float_sqrt(kappa, params).value
+        got = rate_float_cev(kappa, params).value
         assert got == pytest.approx(jf_call_mpmath(kappa), rel=pole_rel)
 
 
@@ -106,7 +105,7 @@ def test_atm_series_edge_matches_mpmath():
     # term (1.1e-5 relative off at the window's edge)
     params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
     kappa = math.exp(-0.99e-5)
-    res = rate_float_sqrt(kappa, params)
+    res = rate_float_cev(kappa, params)
     assert res.diag.branch == "atm"
     assert res.value == pytest.approx(jf_call_mpmath(kappa), rel=1e-9, abs=0.0)
 
@@ -118,7 +117,7 @@ def test_put_branch_up_to_the_largest_kappa_matches_mpmath(kappa):
     # and v like kappa^(-3/2), below the doubles at the largest kappa
     params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
     jf, z = jf_put_mpmath(kappa)
-    res = rate_float_sqrt(kappa, params)
+    res = rate_float_cev(kappa, params)
     assert res.diag.branch == "put"
     assert 0.0 < _z_star(res.diag) < 2.0 * min(1.0, (3.0 / kappa) ** 0.25)
     assert _z_star(res.diag) == pytest.approx(z, rel=1e-12, abs=0.0)
@@ -130,10 +129,10 @@ def test_put_branch_near_kappa_4e5_keeps_its_residual_at_rounding():
     # left residuals up to 1.2e-13; the series now runs to 2z = 1
     params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
     for kappa in np.geomspace(3e5, 6e5, 400):
-        assert rate_float_sqrt(float(kappa), params).diag.residual < 2e-14, kappa
+        assert rate_float_cev(float(kappa), params).diag.residual < 2e-14, kappa
     for kappa in np.geomspace(3e5, 6e5, 9):
         jf, z = jf_put_mpmath(float(kappa))
-        res = rate_float_sqrt(float(kappa), params)
+        res = rate_float_cev(float(kappa), params)
         assert res.value == pytest.approx(jf, rel=1e-15, abs=0.0)
         assert _z_star(res.diag) == pytest.approx(z, rel=5e-15, abs=0.0)
 
@@ -160,7 +159,7 @@ def test_one_signed_equation_raises_root_bracket_error(monkeypatch, capsys):
         float_strike._solve.cache_clear()
         params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
         with pytest.raises(RootBracketError):
-            rate_float_sqrt(0.5, params)
+            rate_float_cev(0.5, params)
         rc = main(["float", "--sigma", "0.5", "--beta", "0.5", "--kappa", "0.5"])
         assert rc == 3
         assert "no root" in capsys.readouterr().err
@@ -168,9 +167,9 @@ def test_one_signed_equation_raises_root_bracket_error(monkeypatch, capsys):
 
 def test_kappa_whose_root_overflows_raises_root_bracket_error():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    assert math.isfinite(rate_float_sqrt(1e-300, params).value)
+    assert math.isfinite(rate_float_cev(1e-300, params).value)
     with pytest.raises(RootBracketError):
-        rate_float_sqrt(5e-324, params)
+        rate_float_cev(5e-324, params)
 
 
 def test_taylor_remainder_ratio():
@@ -179,7 +178,7 @@ def test_taylor_remainder_ratio():
     for ln_k in np.linspace(-0.2, 0.2, 81):
         if abs(ln_k) < 1e-3:
             continue
-        jf = rate_float_sqrt(math.exp(ln_k), params).value  # S0/sigma^2 = 1
+        jf = rate_float_cev(math.exp(ln_k), params).value  # S0/sigma^2 = 1
         worst = max(worst, abs(jf - jf_taylor(math.exp(ln_k))) / abs(ln_k) ** 5)
     assert worst < taylor_bound
 
@@ -194,9 +193,9 @@ def test_taylor_leading_coefficient():
 
 def test_monotone_on_both_sides_of_one():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    below = [rate_float_sqrt(k, params).value for k in np.linspace(0.3, 0.95, 14)]
+    below = [rate_float_cev(k, params).value for k in np.linspace(0.3, 0.95, 14)]
     assert all(a > b for a, b in zip(below, below[1:]))
-    above = [rate_float_sqrt(k, params).value for k in np.linspace(1.05, 3.0, 14)]
+    above = [rate_float_cev(k, params).value for k in np.linspace(1.05, 3.0, 14)]
     assert all(a < b for a, b in zip(above, above[1:]))
 
 
@@ -205,21 +204,21 @@ def test_differs_from_fixed_strike_rate():
     # the rates disagree by far more than any numerical tolerance
     params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
     for kappa in (0.5, 2.0):
-        jf = rate_float_sqrt(kappa, params).value
-        fixed = rate_sqrt(kappa, params).value
+        jf = rate_float_cev(kappa, params).value
+        fixed = rate_cev(kappa, params).value
         assert abs(jf / fixed - 1.0) > 0.1
 
 
 def test_at_the_money_and_branches():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
-    res = rate_float_sqrt(1.0, params)
+    res = rate_float_cev(1.0, params)
     assert res.value == 0.0
     assert res.diag.branch == "atm"
-    assert rate_float_sqrt(1.4, params).diag.branch == "put"
-    assert rate_float_sqrt(0.6, params).diag.branch == "call"
+    assert rate_float_cev(1.4, params).diag.branch == "put"
+    assert rate_float_cev(0.6, params).diag.branch == "call"
     # near-ATM follows the quadratic leading term
     ln_k = 5e-6
-    assert rate_float_sqrt(math.exp(ln_k), params).value == pytest.approx(
+    assert rate_float_cev(math.exp(ln_k), params).value == pytest.approx(
         (1.0 / 0.25) * 1.5 * ln_k ** 2, rel=1e-3
     )
 
@@ -231,7 +230,7 @@ def test_general_beta_agrees_with_closed_form_at_half():
     near = ModelParams(S0=1.0, sigma=1.0, beta=0.5 + 1e-6)
     for kappa in (0.05, 0.8, 1.3, 10.0):
         got = rate_float_cev(kappa, near).value
-        assert got == pytest.approx(rate_float_sqrt(kappa, half).value, rel=1e-5)
+        assert got == pytest.approx(rate_float_cev(kappa, half).value, rel=1e-5)
 
 
 def test_general_beta_regression():
@@ -304,7 +303,7 @@ def test_just_outside_the_atm_window_matches_mpmath(xlog):
     # O(1) parts they cancel to O(kappa - 1) and were 2e-11 off here
     params = ModelParams(S0=1.0, sigma=1.0, beta=0.5)
     kappa = math.exp(xlog)
-    res = rate_float_sqrt(kappa, params)
+    res = rate_float_cev(kappa, params)
     assert res.diag.branch == ("put" if xlog > 0 else "call")
     ref = jf_put_mpmath(kappa)[0] if xlog > 0 else jf_call_mpmath(kappa)
     assert res.value == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -355,7 +354,7 @@ def test_newton_evaluations_are_bounded():
                            np.linspace(math.log(1e8), 709.7, 40)])
     counts = []
     for lk in logs:
-        diag = rate_float_sqrt(math.exp(lk), params).diag
+        diag = rate_float_cev(math.exp(lk), params).diag
         # the equations' rounding noise: up to ~1.1e-14 near kappa = 4e5
         assert diag.residual < 5e-13
         counts.append(diag.iterations)

@@ -26,7 +26,7 @@ from cevasian import (
 )
 from cevasian import mc
 from cevasian.cli import main
-from cevasian.rate_cev import rate_sqrt
+from cevasian.rate_cev import rate_cev
 from oracles import rate_from_mc
 
 se_band = 3.5
@@ -293,7 +293,7 @@ def test_rate_from_mc_decreases_towards_the_rate_function():
     vals = rate_from_mc(1.3, p, [0.4, 0.2, 0.1], config)
     assert np.all(np.isfinite(vals))
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert np.all(vals > rate_sqrt(1.3, p).value)
+    assert np.all(vals > rate_cev(1.3, p).value)
 
 
 def test_rate_from_mc_starved_sampling_gives_nan():

@@ -36,7 +36,6 @@ from cevasian import (
 from cevasian.float_strike import FloatRateDiag
 from cevasian.pricing import VariationalDiag, rate_variational
 from cevasian.rate_cev import CevRateDiag, rate_cev
-from cevasian.rate_cev import rate_sqrt
 from oracles import parity_gap
 
 parity_tol = 1e-13  # measured worst over the sweep below is ~1.3e-15
@@ -134,7 +133,7 @@ def test_otm_prices_follow_the_rate_function():
     # -T log P(T) approaches I(K) as T -> 0, from above, without underflow
     p = ModelParams(S0=1.0, sigma=0.3, beta=0.5)
     K = 1.2
-    rate = rate_sqrt(K, p).value
+    rate = rate_cev(K, p).value
     ratios = []
     for T in (0.1, 0.01, 2e-3, 1e-3):
         price = price_fixed(OptionSpec("fixed", "call", K, T), p).price

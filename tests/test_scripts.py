@@ -95,6 +95,15 @@ def test_every_unused_import_is_a_trace_hook(monkeypatch):
     assert [hook for hook in found if hook not in hooks] == []
 
 
+def test_the_beta_half_trace_targets_are_the_routes_they_trace():
+    # perfbench times its beta = 1/2 spans through these names: each must
+    # stay the route itself, so that no hook grows back into a wrapper
+    for name in ("cevasian.pricing", "cevasian.cli"):
+        module = importlib.import_module(name)
+        assert module.rate_sqrt is module.rate_cev
+        assert module.rate_float_sqrt is module.rate_float_cev
+
+
 def test_the_benchmarks_import_breakdown_runs(monkeypatch):
     # perfbench/run.py --trace 1 reads scipy.optimize's line in the import
     # time of `import cevasian`; it fails if no cevasian module imports it

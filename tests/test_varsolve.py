@@ -11,15 +11,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from cevasian import ConvergenceError, ModelParams
 from cevasian import varsolve
 from cevasian.model import rate_unit
-from cevasian.float_strike import rate_float_cev, rate_float_sqrt
+from cevasian.float_strike import rate_float_cev
 from cevasian.rate_cev import rate_cev
-from cevasian.rate_cev import rate_sqrt
 from cevasian.varsolve import (PathGrid, _action_and_grad, _hessian, _kkt_step, _rescale,
                                _smooth_shape, action, default_n, minimize_fixed, minimize_float)
 from oracles import richardson_fixed
@@ -62,7 +61,7 @@ def test_action_scaling_identities():
 def test_minimize_fixed_matches_closed_form():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     for K, n in ((0.6, 400), (1.7, 800)):
-        ref = rate_sqrt(K, params).value
+        ref = rate_cev(K, params).value
         assert minimize_fixed(K, params, n=n) == pytest.approx(ref, rel=closed_rel)
 
 
@@ -121,7 +120,7 @@ def test_certified_value_stays_near_the_initial_guess():
 
 def test_minimize_float_matches_closed_form_at_beta_half():
     params = ModelParams(S0=1.0, sigma=0.6, beta=0.5)
-    ref = rate_float_sqrt(1.4, params).value
+    ref = rate_float_cev(1.4, params).value
     assert minimize_float(1.4, params, n=800) == pytest.approx(ref, rel=5e-5)
 
 
@@ -204,7 +203,7 @@ def test_constraint_met_to_rounding_on_the_benchmark_cases(beta):
 def test_minimize_float_small_kappa_matches_closed_form():
     params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
     for kappa in (0.08, 0.1, 0.15, 0.2):
-        ref = rate_float_sqrt(kappa, params).value
+        ref = rate_float_cev(kappa, params).value
         assert minimize_float(kappa, params, n=800) == pytest.approx(ref, rel=1e-4)
 
 
@@ -323,6 +322,10 @@ def test_indefinite_hessian_start_converges_to_a_kkt_point():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.5, 0.95), st.floats(math.log(1e-2), math.log(1e3)),
        st.floats(math.log(0.1), math.log(100.0)))
+# here a start that meets the constraint within its tolerance (9e-17 < tol
+# |1 - m|) but not to the rounding of the deviation stalls: restoring the rest
+# costs more action than the certificate's tolerance
+@example(0.71875, 6.103515625e-05, 0.0)
 def test_every_solve_is_certified_or_raises(beta, log_m, log_kappa):
     params = ModelParams(S0=1.0, sigma=0.5, beta=beta)
     m, kappa = math.exp(log_m), math.exp(log_kappa)
@@ -340,8 +343,7 @@ def test_every_solve_is_certified_or_raises(beta, log_m, log_kappa):
 NEAR_THE_MONEY = [(beta, kind, s * d, 1.7, 0.5, default_n) for beta in (0.5, 0.75)
                   for kind in ("fixed", "float") for d in (1e-14, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6)
                   for s in (1.0, -1.0)]
-# just outside the band of the deviation path, at n = 3200 (these stalled
-# when the solve ran on g itself)
+# 1e-5 off the money at n = 3200 (these stalled when the solve ran on g itself)
 NEAR_THE_MONEY += [(0.5, "fixed", s * 1e-5, 3.0, 0.2, 3200) for s in (1.0, -1.0)]
 
 
@@ -368,6 +370,33 @@ def test_near_the_money_solves_certify_and_match_the_closed_forms(beta, kind, of
     assert info["path"].values[0] == params.S0
     assert abs(trapezoid_mean(info["path"].values) - strike) <= 1e-12 * strike
     assert val == pytest.approx(closed, rel=1e-4)
+
+
+@pytest.mark.parametrize("kind", ["fixed", "float"])
+def test_just_off_the_money_the_error_is_the_grids_own(kind):
+    # 1e-5 below the money the floating solve at n = 200 stalled while its
+    # path was stored as it is; stored less 1 it certifies, and its error
+    # against the closed form is the grid's 1/(4 n^2) at beta = 1/2
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.5)
+    minimize, closed = ((minimize_fixed, rate_cev) if kind == "fixed" else
+                        (minimize_float, rate_float_cev))
+    ref = closed(1.0 - 1e-5, params).value
+    for n in (200, 800):
+        err = minimize(1.0 - 1e-5, params, n=n) / ref - 1.0
+        assert 4 * n * n * err == pytest.approx(1.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("kappa, climbs", [(1e150, False), (1e160, True), (1e170, False)])
+def test_no_solve_ends_above_the_action_of_its_feasible_start(kappa, climbs):
+    # at n = 3 the start e^{st} meets the constraint to 4e-15 with the action
+    # 3 sqrt 2 at sigma = 1, 12 sqrt 2 at sigma = 1/2; at kappa = 1e160 the
+    # iterates left the constraint and climbed to 6.3e40
+    params = ModelParams(S0=1.0, sigma=0.5, beta=0.75)
+    if climbs:
+        with pytest.raises(ConvergenceError, match="above its feasible start's action"):
+            minimize_float(kappa, params, n=3)
+    else:
+        assert minimize_float(kappa, params, n=3) <= 12.0 * math.sqrt(2.0) * (1.0 + 1e-12)
 
 
 def test_a_path_that_sinks_to_zero_is_refused_at_its_hessian():
